@@ -21,7 +21,6 @@ from .campaign import (
     run,
     run_single_fidelity,
     select_fidelity,
-    update_costs,
 )
 from .dgp import (
     DGPTrainConfig,
@@ -31,12 +30,10 @@ from .dgp import (
     MultiFidelityDataset,
     default_ladder,
     ladder_from_nominals,
-    load_checkpoint,
     predict_all_levels,
     predict_level,
     predict_level_many,
     propagate,
-    save_checkpoint,
     train,
 )
 from .gp import (

@@ -3,10 +3,17 @@
 One campaign iteration retrains the deep GP on all data gathered so far,
 maximizes the highest-fidelity UCB to propose a design point, picks the
 fidelity whose cost-weighted predictive uncertainty at that point is
-largest, evaluates the objective there, and folds the observed cost back
-into the running per-fidelity cost means. The loop spends an evaluation
-budget measured in objective-reported cost units, not wall clock, and the
-single evaluation that crosses the budget line is kept.
+largest, evaluates the objective there, and appends the record. The
+per-fidelity cost tau_t is always the mean of the costs recorded at level t
+(:meth:`CostModel.from_records`), so a campaign rebuilt from its log holds
+the same tau as the live one. The loop spends an evaluation budget measured
+in objective-reported cost units, not wall clock, and the single evaluation
+that crosses the budget line is kept. Any package error while training or
+acquiring, and any objective failure, ends the campaign with ``error`` set
+and the records gathered so far kept.
+
+A ladder may have a single rung: the loop on the top rung alone is the
+single-fidelity baseline, with a one-layer (plain GP) surrogate.
 """
 
 from __future__ import annotations
@@ -16,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import acquisition, dgp, gp
+from . import acquisition, dgp
 from .dgp import DGPTrainConfig, FidelityLevel, MFDeepGP, MultiFidelityDataset
-from .errors import CampaignInitError, DomainError, ObjectiveError, StateError
+from .errors import CampaignInitError, DomainError, MfdgpError, StateError
 from .space import DesignSpace
 from .streams import ACQUISITION, DESIGN, PROPAGATION, TRAIN, derive_seed, substream
 
@@ -29,20 +36,22 @@ DEFAULT_OBS_NOISE = 1e-8
 PHASE_INITIAL = "initial-design"
 PHASE_LOOP = "bo-loop"
 
+# Surrogate training settings of every campaign model: each loop iteration's
+# and the final one a run reports its recommendation from.
+TRAIN_CONFIG = DGPTrainConfig(restarts=4)
+
 
 @dataclass(frozen=True)
 class UCBConfig:
     """Acquisition settings: this is the whole tunable surface of the loop.
 
     The fidelity-selection rule has no knobs of its own; it is a pure
-    function of predictive sigmas and recorded costs. ``beta_schedule``
-    optionally maps the iteration number to a beta, and is off by default.
+    function of predictive sigmas and recorded costs.
     """
 
     beta: float = 2.0
     acquisition_restarts: int = 8
     candidate_pool_size: int = 512
-    beta_schedule: object = None
 
     def __post_init__(self):
         if self.beta < 0:
@@ -50,15 +59,10 @@ class UCBConfig:
         if self.acquisition_restarts < 1 or self.candidate_pool_size < 1:
             raise DomainError("restarts and pool size must be positive")
 
-    def beta_at(self, iteration: int) -> float:
-        if self.beta_schedule is None:
-            return self.beta
-        return float(self.beta_schedule(iteration))
-
 
 @dataclass(frozen=True)
 class CostModel:
-    """Running mean evaluation cost per fidelity level."""
+    """Mean recorded evaluation cost (tau) and record count per fidelity level."""
 
     levels: tuple
     tau: np.ndarray
@@ -77,25 +81,25 @@ class CostModel:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "counts", counts)
 
+    @classmethod
+    def from_records(cls, records) -> "CostModel":
+        """tau_t = mean of the costs recorded at level t, for every level with a record."""
+        costs = {}
+        for rec in records:
+            costs.setdefault(rec.level.index, []).append(rec.cost)
+        levels = sorted(costs)
+        return cls(
+            levels=tuple(levels),
+            tau=np.asarray([np.mean(costs[i]) for i in levels], dtype=np.float64),
+            counts=np.asarray([len(costs[i]) for i in levels], dtype=np.int64),
+        )
+
     def position(self, level) -> int:
         idx = level.index if isinstance(level, FidelityLevel) else int(level)
         try:
             return self.levels.index(idx)
         except ValueError:
             raise DomainError(f"level {idx} not tracked by this cost model") from None
-
-
-def update_costs(cost: CostModel, level, observed_cost: float) -> CostModel:
-    """Fold one observed cost into the running mean for its level."""
-    c = float(observed_cost)
-    if not np.isfinite(c) or c <= 0:
-        raise DomainError(f"observed cost must be finite and > 0, got {observed_cost}")
-    pos = cost.position(level)
-    tau = cost.tau.copy()
-    counts = cost.counts.copy()
-    tau[pos] = (tau[pos] * counts[pos] + c) / (counts[pos] + 1)
-    counts[pos] += 1
-    return CostModel(levels=cost.levels, tau=tau, counts=counts)
 
 
 def fidelity_scores(sigmas, taus, beta: float) -> np.ndarray:
@@ -119,7 +123,7 @@ def argmax_highest(scores) -> int:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One objective evaluation in a campaign ledger."""
+    """One objective evaluation in a campaign ledger; its cost must be finite and > 0."""
 
     x: np.ndarray
     level: FidelityLevel
@@ -130,13 +134,14 @@ class EvaluationRecord:
 
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=np.float64))
-        if float(self.cost) <= 0:
-            raise DomainError("record cost must be > 0")
+        cost = float(self.cost)
+        if not np.isfinite(cost) or cost <= 0:
+            raise DomainError(f"record cost must be finite and > 0, got {self.cost!r}")
         if self.phase not in (PHASE_INITIAL, PHASE_LOOP):
             raise DomainError(f"unknown phase {self.phase!r}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "cost", float(self.cost))
+        object.__setattr__(self, "cost", cost)
 
 
 @dataclass
@@ -145,7 +150,6 @@ class CampaignState:
 
     ladder: tuple
     records: list = field(default_factory=list)
-    cost_model: CostModel | None = None
     budget_total: float = 0.0
     budget_spent: float = 0.0
     rng_seed: int = 0
@@ -165,6 +169,11 @@ class CampaignState:
             if best is None or rec.y > best.y:
                 best = rec
         return best
+
+    @property
+    def cost_model(self) -> CostModel:
+        """Tau from the records so far: :meth:`CostModel.from_records`."""
+        return CostModel.from_records(self.records)
 
     @property
     def loop_iterations(self) -> int:
@@ -196,7 +205,6 @@ class CampaignState:
 
 def _dataset_from_state(state: CampaignState) -> MultiFidelityDataset:
     xs, ys = state.level_arrays()
-    xs = [x.reshape(len(y), -1) for x, y in zip(xs, ys)]
     # The acquisition may re-propose an already-evaluated point; objectives
     # are deterministic, so merging exact duplicates loses nothing and keeps
     # the kernel matrices well conditioned.
@@ -212,36 +220,33 @@ def _dataset_from_state(state: CampaignState) -> MultiFidelityDataset:
 def initial_design(
     space: DesignSpace, ladder, n: int, objective, rng_seed: int, on_record=None
 ) -> CampaignState:
-    """Evaluate an independent n-point Latin hypercube at every fidelity."""
+    """Evaluate an independent n-point Latin hypercube at every fidelity.
+
+    A failing objective raises :class:`CampaignInitError` naming the level;
+    the error carries the state evaluated so far.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
     ladder = tuple(ladder)
-    if len(ladder) < 2:
-        raise DomainError("a multi-fidelity campaign needs at least 2 levels")
+    if not ladder:
+        raise DomainError("a campaign needs at least 1 fidelity level")
     state = CampaignState(ladder=ladder, rng_seed=rng_seed)
-    per_level_costs = {lv.index: [] for lv in ladder}
     for level in ladder:
         points = space.sample_lhs(n, substream(rng_seed, DESIGN, level.index))
         for x in points:
             try:
                 y, cost = objective.evaluate(x, level)
+                rec = EvaluationRecord(
+                    x=x, level=level, y=y, cost=cost, iteration=0, phase=PHASE_INITIAL
+                )
             except Exception as exc:
                 raise CampaignInitError(
-                    f"objective failed at level {level.index}, x={np.asarray(x).tolist()}: {exc}"
+                    f"objective failed at level {level.index}, x={np.asarray(x).tolist()}: {exc}",
+                    state,
                 ) from exc
-            rec = EvaluationRecord(
-                x=x, level=level, y=y, cost=cost, iteration=0, phase=PHASE_INITIAL
-            )
             state.append(rec)
-            per_level_costs[level.index].append(cost)
             if on_record is not None:
                 on_record(rec)
-    levels = sorted(per_level_costs)
-    state.cost_model = CostModel(
-        levels=tuple(levels),
-        tau=np.asarray([np.mean(per_level_costs[i]) for i in levels]),
-        counts=np.asarray([len(per_level_costs[i]) for i in levels]),
-    )
     return state
 
 
@@ -274,43 +279,41 @@ def continue_run(
     config: UCBConfig,
     budget_total: float,
     rng_seed: int,
-    train_config: DGPTrainConfig | None = None,
     on_record=None,
 ) -> CampaignState:
     """Run the BO loop from an existing state until the budget is spent.
 
     Each iteration's randomness is derived from (seed, stream, iteration),
     so continuing a reloaded state reproduces an uninterrupted run exactly.
+    A package error while training or acquiring, or a failing objective,
+    stops the loop with ``state.error`` set; the records so far are kept.
+    An error carried in from an earlier run (a replayed log) is cleared.
     """
-    if state.cost_model is None:
-        raise StateError("state has no cost model; run the initial design first")
-    train_config = train_config or DGPTrainConfig(restarts=4)
+    state.error = None
     state.budget_total = budget_total
     while state.budget_spent < budget_total:
         k = state.loop_iterations + 1
-        model = _train_from_state(state, train_config, derive_seed(rng_seed, TRAIN, k))
-        beta_k = config.beta_at(k)
-        iter_config = (
-            config if beta_k == config.beta
-            else dataclasses.replace(config, beta=beta_k, beta_schedule=None)
-        )
-        x_star = acquisition.solve_ucb(
-            model, space, iter_config, derive_seed(rng_seed, ACQUISITION, k)
-        )
-        level = select_fidelity(
-            model, x_star, state.cost_model, iter_config,
-            derive_seed(rng_seed, PROPAGATION, k),
-        )
+        try:
+            model = _train_from_state(state, TRAIN_CONFIG, derive_seed(rng_seed, TRAIN, k))
+            x_star = acquisition.solve_ucb(
+                model, space, config, derive_seed(rng_seed, ACQUISITION, k)
+            )
+            level = select_fidelity(
+                model, x_star, state.cost_model, config,
+                derive_seed(rng_seed, PROPAGATION, k),
+            )
+        except MfdgpError as exc:
+            state.error = f"model failed at iteration {k}: {exc}"
+            break
         try:
             y, cost = objective.evaluate(x_star, level)
+            rec = EvaluationRecord(
+                x=x_star, level=level, y=y, cost=cost, iteration=k, phase=PHASE_LOOP
+            )
         except Exception as exc:
             state.error = f"objective failed at iteration {k}, level {level.index}: {exc}"
             break
-        rec = EvaluationRecord(
-            x=x_star, level=level, y=y, cost=cost, iteration=k, phase=PHASE_LOOP
-        )
         state.append(rec)
-        state.cost_model = update_costs(state.cost_model, level, cost)
         if on_record is not None:
             on_record(rec)
     return state
@@ -324,17 +327,22 @@ def run(
     config: UCBConfig,
     budget_total: float,
     rng_seed: int,
-    train_config: DGPTrainConfig | None = None,
     on_record=None,
 ) -> CampaignState:
-    """Full campaign: initial design at every fidelity, then the BO loop."""
-    state = initial_design(space, ladder, n, objective, rng_seed, on_record=on_record)
+    """Full campaign: initial design at every fidelity, then the BO loop.
+
+    A failed initial design ends the campaign with ``state.error`` set.
+    """
+    try:
+        state = initial_design(space, ladder, n, objective, rng_seed, on_record=on_record)
+    except CampaignInitError as exc:
+        state = exc.state
+        state.error = str(exc)
     state.budget_total = budget_total
-    if state.budget_spent >= budget_total:
+    if state.error or state.budget_spent >= budget_total:
         return state
     return continue_run(
-        state, objective, space, config, budget_total, rng_seed,
-        train_config=train_config, on_record=on_record,
+        state, objective, space, config, budget_total, rng_seed, on_record=on_record
     )
 
 
@@ -354,8 +362,7 @@ def recommend(
     incumbent = state.incumbent
     if incumbent is None:
         raise StateError("no highest-fidelity record exists yet")
-    config = config or UCBConfig()
-    mean_config = dataclasses.replace(config, beta=0.0, beta_schedule=None)
+    mean_config = dataclasses.replace(config or UCBConfig(), beta=0.0)
     model_best = acquisition.solve_ucb(model, space, mean_config, rng_seed)
     return incumbent, model_best
 
@@ -367,51 +374,13 @@ def run_single_fidelity(
     config: UCBConfig,
     budget_total: float,
     rng_seed: int,
-    restarts: int = 2,
     on_record=None,
 ) -> CampaignState:
     """UCB baseline that only ever evaluates the highest fidelity.
 
-    Used as the single-fidelity comparison point for the multi-fidelity
-    loop: same beta, same budget accounting, plain GP surrogate.
+    The single-fidelity comparison point for the multi-fidelity loop:
+    :func:`run` on the top rung alone, so the same beta, budget accounting,
+    training and failure handling, with a one-layer (plain GP) surrogate.
     """
-    top = tuple(objective.ladder)[-1]
-    state = CampaignState(ladder=(top,), rng_seed=rng_seed)
-    points = space.sample_lhs(n, substream(rng_seed, DESIGN, top.index))
-    costs = []
-    for x in points:
-        y, cost = objective.evaluate(x, top)
-        rec = EvaluationRecord(
-            x=x, level=top, y=y, cost=cost, iteration=0, phase=PHASE_INITIAL
-        )
-        state.append(rec)
-        costs.append(cost)
-        if on_record is not None:
-            on_record(rec)
-    state.cost_model = CostModel(
-        levels=(top.index,), tau=np.asarray([np.mean(costs)]), counts=np.asarray([len(costs)])
-    )
-    state.budget_total = budget_total
-    while state.budget_spent < budget_total:
-        k = state.loop_iterations + 1
-        xs = np.asarray([rec.x for rec in state.records], dtype=np.float64)
-        ys = np.asarray([rec.y for rec in state.records], dtype=np.float64)
-        data = gp.GPDataset(inputs=xs, targets=ys, noise_variance=DEFAULT_OBS_NOISE)
-        init = dgp._default_init_kernel("squared-exponential", xs, ys)
-        layer = gp.fit(data, init, restarts=restarts, rng_seed=derive_seed(rng_seed, TRAIN, k))
-        model = MFDeepGP(layers=(layer,), ladder=(FidelityLevel(1, top.nominal),))
-        iter_config = dataclasses.replace(
-            config, beta=config.beta_at(k), beta_schedule=None
-        )
-        x_star = acquisition.solve_ucb(
-            model, space, iter_config, derive_seed(rng_seed, ACQUISITION, k)
-        )
-        y, cost = objective.evaluate(x_star, top)
-        rec = EvaluationRecord(
-            x=x_star, level=top, y=y, cost=cost, iteration=k, phase=PHASE_LOOP
-        )
-        state.append(rec)
-        state.cost_model = update_costs(state.cost_model, top, cost)
-        if on_record is not None:
-            on_record(rec)
-    return state
+    top = tuple(objective.ladder)[-1:]
+    return run(objective, space, top, n, config, budget_total, rng_seed, on_record=on_record)

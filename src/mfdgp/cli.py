@@ -1,7 +1,15 @@
 """Command-line front end: configure, run, resume, validate, report.
 
-Exit codes: 0 success, 2 configuration error, 3 objective or simulation
-failure (partial results preserved), 4 corrupt results log.
+Exit codes: 0 success, 2 configuration error, 3 campaign or simulation
+failure, 4 corrupt results log.
+
+Exit 3 covers every way a ``run`` or ``resume`` campaign fails part-way:
+the objective raises or returns a cost that is not finite and > 0, or a
+package error is raised while training or acquiring (a ``ConditioningError``,
+or the missing levels of a resumed log whose initial design never finished).
+The log keeps the records so far and ends with an ``error`` line and a
+``summary`` line; the recommendation is skipped if the final model cannot
+be trained. ``validate-fidelity`` exits 3 when the transport solve diverges.
 """
 
 from __future__ import annotations
@@ -14,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import campaign, config as cfgmod, dgp, logio
-from .errors import (
-    CampaignInitError,
-    ConfigError,
-    CorruptLogError,
-    MfdgpError,
-    ObjectiveError,
-    SimulationDivergedError,
-)
+from .errors import ConfigError, CorruptLogError, MfdgpError, SimulationDivergedError
 from .objectives import reactor
 from .streams import TRAIN, derive_seed
 
@@ -33,28 +34,25 @@ EXIT_CORRUPT_LOG = 4
 LOG_NAME = "records.jsonl"
 
 
-def _write_summary_text(path, state, model_best):
-    inc = state.incumbent
-    lines = [
-        "campaign summary",
-        f"budget_spent = {state.budget_spent!r}",
-        f"budget_total = {state.budget_total!r}",
-        "per_level_counts = "
-        + ", ".join(f"{k}:{v}" for k, v in sorted(state.per_level_counts().items())),
-    ]
-    if state.error:
-        lines.append(f"error = {state.error}")
-    if inc is not None:
-        lines.append(f"incumbent_x = {[float(v) for v in inc.x]!r}")
-        lines.append(f"incumbent_y = {inc.y!r}")
-    if model_best is not None:
-        lines.append(f"model_best = {[float(v) for v in model_best]!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _final_model(state, cfg):
     seed = derive_seed(cfg.seed, TRAIN, state.loop_iterations + 1)
-    return campaign._train_from_state(state, dgp.DGPTrainConfig(restarts=4), seed)
+    return campaign._train_from_state(state, campaign.TRAIN_CONFIG, seed)
+
+
+def _finish(writer, state, cfg, space) -> int:
+    """Close a run or resume: recommendation, error line, summary line, exit code."""
+    model_best = None
+    if state.incumbent is not None:
+        try:
+            model = _final_model(state, cfg)
+            _, model_best = campaign.recommend(state, model, space)
+        except MfdgpError as exc:
+            state.error = state.error or f"final model failed: {exc}"
+    if state.error:
+        writer.error(state.error)
+        print(f"error: {state.error}", file=sys.stderr)
+    writer.summary(state, model_best)
+    return EXIT_OBJECTIVE if state.error else EXIT_OK
 
 
 def cmd_init(args) -> int:
@@ -92,27 +90,14 @@ def cmd_run(args) -> int:
     log_path = out_dir / LOG_NAME
 
     with logio.ResultsLogWriter(log_path, config_payload=cfg.as_payload()) as writer:
-        ucb = campaign.UCBConfig(beta=cfg.beta)
-        try:
-            state = campaign.run(
-                objective, space, ladder, cfg.n, ucb, cfg.budget, cfg.seed,
-                on_record=writer.record,
-            )
-        except CampaignInitError as exc:
-            writer.error(str(exc))
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_OBJECTIVE
-        if state.error:
-            writer.error(state.error)
-        model_best = None
-        if state.incumbent is not None:
-            model = _final_model(state, cfg)
-            _, model_best = campaign.recommend(state, model, space)
-        writer.summary(state, model_best)
-    _write_summary_text(out_dir / "summary.txt", state, model_best)
+        state = campaign.run(
+            objective, space, ladder, cfg.n, campaign.UCBConfig(beta=cfg.beta),
+            cfg.budget, cfg.seed, on_record=writer.record,
+        )
+        code = _finish(writer, state, cfg, space)
     print(f"run complete: {len(state.records)} evaluations, "
           f"budget {state.budget_spent:g}/{state.budget_total:g}, log at {log_path}")
-    return EXIT_OBJECTIVE if state.error else EXIT_OK
+    return code
 
 
 def cmd_resume(args) -> int:
@@ -133,20 +118,13 @@ def cmd_resume(args) -> int:
     space = cfg.build_space()
 
     with logio.ResultsLogWriter(log_path, append=True) as writer:
-        ucb = campaign.UCBConfig(beta=cfg.beta)
         state = campaign.continue_run(
-            state, objective, space, ucb, new_total, cfg.seed, on_record=writer.record
+            state, objective, space, campaign.UCBConfig(beta=cfg.beta), new_total,
+            cfg.seed, on_record=writer.record,
         )
-        if state.error:
-            writer.error(state.error)
-        model_best = None
-        if state.incumbent is not None:
-            model = _final_model(state, cfg)
-            _, model_best = campaign.recommend(state, model, space)
-        writer.summary(state, model_best)
-    _write_summary_text(log_path.parent / "summary.txt", state, model_best)
+        code = _finish(writer, state, cfg, space)
     print(f"resume complete: budget {state.budget_spent:g}/{new_total:g}")
-    return EXIT_OBJECTIVE if state.error else EXIT_OK
+    return code
 
 
 def cmd_validate_fidelity(args) -> int:
@@ -293,7 +271,7 @@ def main(argv=None) -> int:
     except CorruptLogError as exc:
         print(f"corrupt log: {exc}", file=sys.stderr)
         return EXIT_CORRUPT_LOG
-    except (ObjectiveError, SimulationDivergedError, CampaignInitError) as exc:
+    except SimulationDivergedError as exc:
         print(f"evaluation failure: {exc}", file=sys.stderr)
         return EXIT_OBJECTIVE
     except FileNotFoundError as exc:

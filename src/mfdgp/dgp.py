@@ -28,9 +28,7 @@ plain GP posterior of the first layer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -87,8 +85,8 @@ class MultiFidelityDataset:
 
     def __post_init__(self):
         levels = tuple(self.levels)
-        if len(levels) < 2:
-            raise InsufficientDataError("a multi-fidelity dataset needs at least 2 levels")
+        if not levels:
+            raise InsufficientDataError("a dataset needs at least 1 level")
         d = levels[0].dimension
         for t, ds in enumerate(levels, start=1):
             if ds.dimension != d:
@@ -385,59 +383,3 @@ def predict_level_many(
     tr = traces[-1]
     return tr.mean, np.sqrt(np.maximum(tr.variance, 0.0))
 
-
-# --- checkpointing ---------------------------------------------------------
-
-_CHECKPOINT_FORMAT = "mfdgp-checkpoint"
-
-
-def save_checkpoint(model: MFDeepGP, path) -> None:
-    """Write the model to a structured text file that round-trips exactly."""
-    payload = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": 1,
-        "propagation_samples": model.propagation_samples,
-        "ladder": [{"index": lv.index, "nominal": lv.nominal} for lv in model.ladder],
-        "layers": [
-            {
-                "kernel": {
-                    "kind": layer.kernel.kind,
-                    "lengthscales": layer.kernel.lengthscales.tolist(),
-                    "signal_variance": layer.kernel.signal_variance,
-                },
-                "inputs": layer.dataset.inputs.tolist(),
-                "targets": layer.dataset.targets.tolist(),
-                "noise_variance": layer.dataset.noise_variance,
-            }
-            for layer in model.layers
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
-
-
-def load_checkpoint(path) -> MFDeepGP:
-    """Rebuild a model saved by :func:`save_checkpoint`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != _CHECKPOINT_FORMAT:
-        raise DomainError(f"{path} is not a model checkpoint")
-    layers = []
-    for entry in payload["layers"]:
-        kernel = KernelSpec(
-            kind=entry["kernel"]["kind"],
-            lengthscales=np.asarray(entry["kernel"]["lengthscales"], dtype=np.float64),
-            signal_variance=entry["kernel"]["signal_variance"],
-        )
-        data = gp.GPDataset(
-            inputs=np.asarray(entry["inputs"], dtype=np.float64),
-            targets=np.asarray(entry["targets"], dtype=np.float64),
-            noise_variance=entry["noise_variance"],
-        )
-        layers.append(gp.TrainedGP.from_params(data, kernel))
-    ladder = tuple(
-        FidelityLevel(index=e["index"], nominal=e["nominal"]) for e in payload["ladder"]
-    )
-    return MFDeepGP(
-        layers=tuple(layers),
-        ladder=ladder,
-        propagation_samples=payload["propagation_samples"],
-    )

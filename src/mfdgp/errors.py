@@ -34,11 +34,11 @@ class StateError(MfdgpError, RuntimeError):
 
 
 class CampaignInitError(MfdgpError, RuntimeError):
-    """The initial design phase of a campaign failed."""
+    """The initial design failed; ``state`` holds the records evaluated before it."""
 
-
-class ObjectiveError(MfdgpError, RuntimeError):
-    """An objective evaluation failed mid-campaign."""
+    def __init__(self, message, state):
+        super().__init__(message)
+        self.state = state
 
 
 class SimulationDivergedError(MfdgpError, RuntimeError):

@@ -1,12 +1,14 @@
 """Append-only results log: one JSON record per line.
 
 A log starts with a header line carrying the campaign configuration, then
-one ``eval`` line per objective evaluation in the order they happened,
-optionally an ``error`` marker, and a ``summary`` block after each
-completed run (a resumed log therefore may contain summaries mid-file;
-replay skips them). Line-delimited writes mean a crash loses at most one
-line, and reloading a log reconstructs a campaign state whose budget and
-incumbent invariants hold exactly.
+one ``eval`` line per objective evaluation in the order they happened.
+Every run or resume ends with a ``summary`` line, preceded by an ``error``
+line when it stopped on a failure (an objective error, or a package error
+while training or acquiring); a resumed log therefore may contain errors
+and summaries mid-file. Replay keeps the last error message and skips the
+summaries. Line-delimited writes mean a crash loses at most one line, and
+reloading a log reconstructs a campaign state whose budget and incumbent
+invariants hold exactly.
 
 No timestamps are written anywhere: two runs with the same configuration
 and seed produce byte-identical record sequences.
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .campaign import CampaignState, CostModel, EvaluationRecord, PHASE_INITIAL, PHASE_LOOP
+from .campaign import CampaignState, EvaluationRecord
 from .dgp import FidelityLevel
 from .errors import CorruptLogError
 
@@ -122,30 +124,20 @@ def _record_from_payload(payload: dict, line_no: int) -> EvaluationRecord:
 
 
 def replay(path, ladder) -> CampaignState:
-    """Rebuild a CampaignState from a log's eval lines.
+    """Rebuild a CampaignState from a log's eval lines and its last error marker.
 
-    The cost model is recomputed as the running mean of the replayed costs,
-    which equals what the live campaign held after its last update.
+    The cost model is a function of the records
+    (:meth:`~mfdgp.campaign.CostModel.from_records`), so the replayed tau
+    equals what the live campaign held after its last record, bit for bit.
     """
     state = CampaignState(ladder=tuple(ladder))
-    per_level_costs = {lv.index: [] for lv in state.ladder}
+    levels = {lv.index for lv in state.ladder}
     for i, payload in enumerate(read_log_lines(path), start=1):
-        if payload["type"] != "eval":
-            if payload["type"] == "error":
-                state.error = payload.get("message")
-            continue
-        rec = _record_from_payload(payload, i)
-        if rec.phase not in (PHASE_INITIAL, PHASE_LOOP):
-            raise CorruptLogError(f"unknown phase {rec.phase!r}", i)
-        state.append(rec)
-        per_level_costs[rec.level.index].append(rec.cost)
-    if state.records:
-        levels = sorted(per_level_costs)
-        populated = [i for i in levels if per_level_costs[i]]
-        if populated:
-            state.cost_model = CostModel(
-                levels=tuple(populated),
-                tau=np.asarray([np.mean(per_level_costs[i]) for i in populated]),
-                counts=np.asarray([len(per_level_costs[i]) for i in populated]),
-            )
+        if payload["type"] == "eval":
+            rec = _record_from_payload(payload, i)
+            if rec.level.index not in levels:
+                raise CorruptLogError(f"level {rec.level.index} is not on the ladder", i)
+            state.append(rec)
+        elif payload["type"] == "error":
+            state.error = payload.get("message")
     return state

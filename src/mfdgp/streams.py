@@ -20,7 +20,6 @@ TRAIN = 12
 ACQUISITION = 13
 PROPAGATION = 14
 COST = 15
-OBJECTIVE = 16
 
 
 def _encode(tag) -> int:

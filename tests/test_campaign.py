@@ -121,24 +121,37 @@ def test_select_fidelity_on_model_matches_pure_function(small_model):
 # ---------------------------------------------------------------------------
 
 
-def test_update_costs_running_mean():
-    cm = campaign.CostModel(levels=(1, 2), tau=np.array([2.0, 5.0]), counts=np.array([1, 3]))
-    lv = dgp.FidelityLevel(1, 0.0)
-    updated = campaign.update_costs(cm, lv, 4.0)
-    assert updated.tau[0] == pytest.approx(3.0)  # mean of 2 and 4
+def _records(level_costs):
+    return [
+        campaign.EvaluationRecord(
+            x=[0.5], level=dgp.FidelityLevel(t, (t - 1) / 4), y=0.0, cost=c,
+            iteration=0, phase=campaign.PHASE_INITIAL,
+        )
+        for t, c in level_costs
+    ]
+
+
+def test_cost_model_from_records():
+    records = _records([(1, 2.0), (2, 5.0), (2, 5.0), (2, 5.0)])
+    cm = campaign.CostModel.from_records(records)
+    assert cm.levels == (1, 2) and cm.tau.tolist() == [2.0, 5.0]
+    updated = campaign.CostModel.from_records(records + _records([(1, 4.0)]))
+    assert updated.tau[0] == 3.0  # mean of 2 and 4
     assert updated.tau[1] == 5.0  # other levels untouched
     assert updated.counts.tolist() == [2, 3]
-    # n constant updates keep tau at the constant
-    cm2 = campaign.CostModel(levels=(1,), tau=np.array([7.0]), counts=np.array([1]))
-    for _ in range(5):
-        cm2 = campaign.update_costs(cm2, 1, 7.0)
-    assert cm2.tau[0] == pytest.approx(7.0)
+    # constant costs keep tau at the constant; levels without records are absent
+    cm2 = campaign.CostModel.from_records(_records([(3, 7.0)] * 6))
+    assert cm2.levels == (3,) and cm2.tau.tolist() == [7.0]
+    # tau is the plain mean of the recorded costs, not a running update
+    costs = [0.6, 1.1, 1.9, 0.6, 1.5, 0.4]
+    scripted = campaign.CostModel.from_records(_records([(1, c) for c in costs]))
+    assert scripted.tau[0] == np.mean(costs) == 1.0166666666666668
 
 
-def test_update_costs_rejects_nonpositive():
-    cm = campaign.CostModel(levels=(1,), tau=np.array([1.0]), counts=np.array([1]))
-    with pytest.raises(DomainError):
-        campaign.update_costs(cm, 1, 0.0)
+def test_evaluation_record_rejects_bad_cost():
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite and > 0"):
+            _records([(1, bad)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +258,36 @@ def test_objective_failure_mid_loop_preserves_partial_state(forrester):
     assert len(state.records) == 7  # 5 initial + 2 loop evaluations
 
 
+def test_bad_cost_ends_campaign_through_error(forrester):
+    # on a 1-rung ladder; a cost that is not finite and > 0 stops the
+    # campaign with state.error, in the initial design and in the loop
+    top = tuple(forrester.ladder)[-1:]
+
+    class BadCost:
+        ladder = forrester.ladder
+
+        def __init__(self, bad_call):
+            self.calls, self.bad_call = 0, bad_call
+
+        def evaluate(self, x, level):
+            self.calls += 1
+            y, cost = forrester.evaluate(x, level)
+            return y, (np.nan if self.calls == self.bad_call else cost)
+
+    for bad_call, kept in ((2, 1), (4, 3)):
+        state = campaign.run(
+            BadCost(bad_call), forrester.space, top, 2,
+            campaign.UCBConfig(), budget_total=100.0, rng_seed=0,
+        )
+        assert "finite and > 0" in state.error
+        assert len(state.records) == kept
+        assert state.budget_spent == 16.0 * kept
+
+
 def test_config_surface_is_only_ucb_knobs():
     # the fidelity mechanism exposes no configuration of its own
     names = {f.name for f in dataclasses.fields(campaign.UCBConfig)}
-    assert names == {"beta", "acquisition_restarts", "candidate_pool_size", "beta_schedule"}
+    assert names == {"beta", "acquisition_restarts", "candidate_pool_size"}
     with pytest.raises(DomainError):
         campaign.UCBConfig(beta=-1.0)
 
@@ -261,7 +300,7 @@ def test_recommend_returns_both_candidates(forrester, small_model):
     # beta = 0 solve equals the model_best definitionally
     again = acquisition.solve_ucb(
         model, forrester.space,
-        dataclasses.replace(campaign.UCBConfig(), beta=0.0, beta_schedule=None), 0,
+        dataclasses.replace(campaign.UCBConfig(), beta=0.0), 0,
     )
     assert np.allclose(model_best, again)
     # the observed best can never exceed the true optimum

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfdgp import cli
+from mfdgp import cli, dgp
 from mfdgp.dgp import default_ladder
 from mfdgp import logio
+from mfdgp.errors import ConditioningError
+from mfdgp.objectives import ForresterFamily
 
 # Cheap declared base costs keep CLI campaigns small: initial design with
 # n = 3 costs 45, so a budget of 50 leaves a handful of loop evaluations.
@@ -131,6 +133,57 @@ def test_seed_flag_overrides_config(tmp_path):
     assert eval_lines(tmp_path / "o1" / "records.jsonl") == eval_lines(
         tmp_path / "o2" / "records.jsonl"
     )
+
+
+def test_training_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, capsys):
+    # the 2nd training call (loop iteration 2) fails to factorize
+    train = dgp.train
+    calls = {"n": 0}
+
+    def failing_train(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise ConditioningError("forced factorization failure", (1e-10, 1e-8))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(dgp, "train", failing_train)
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, budget=58.0, out=str(tmp_path / "out"))
+    log = tmp_path / "out" / "records.jsonl"
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OBJECTIVE
+    assert "Traceback" not in capsys.readouterr().err
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [p["type"] for p in lines[-2:]] == ["error", "summary"]
+    assert "forced factorization failure" in lines[-2]["message"]
+    assert len(eval_lines(log)) == 16  # 15 initial + 1 loop evaluation
+    assert lines[-1]["model_best"] is not None  # the final model trained
+
+    # resuming from the failed log finishes the same campaign
+    monkeypatch.setattr(dgp, "train", train)
+    assert cli.main(["resume", "--log", str(log), "--budget", "0.0"]) == 0
+    write_config(cfg, budget=58.0, out=str(tmp_path / "full"))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert eval_lines(log) == eval_lines(tmp_path / "full" / "records.jsonl")
+
+
+def test_resume_of_failed_initial_design_exits_3(tmp_path, monkeypatch):
+    evaluate = ForresterFamily.evaluate
+
+    def failing_evaluate(self, x, level):
+        if level.index == 3:
+            raise RuntimeError("solver exploded")
+        return evaluate(self, x, level)
+
+    monkeypatch.setattr(ForresterFamily, "evaluate", failing_evaluate)
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, out=str(tmp_path / "out"))
+    log = tmp_path / "out" / "records.jsonl"
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OBJECTIVE
+    monkeypatch.setattr(ForresterFamily, "evaluate", evaluate)
+    assert cli.main(["resume", "--log", str(log), "--budget", "5.0"]) == cli.EXIT_OBJECTIVE
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [p["type"] for p in lines] == ["header"] + ["eval"] * 6 + ["error", "summary"] * 2
+    assert "level 3 has no observations" in lines[-2]["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,9 @@ def test_dataset_needs_every_level_populated():
     with pytest.raises(InsufficientDataError, match="level 2"):
         dgp.MultiFidelityDataset.from_arrays([X, np.zeros((0, 1))], [[1.0], []])
     with pytest.raises(InsufficientDataError):
-        dgp.MultiFidelityDataset(levels=(gp.GPDataset(X, [0.0], 0.0),))
+        dgp.MultiFidelityDataset(levels=())
+    # one level is a valid (single-fidelity) dataset
+    assert dgp.MultiFidelityDataset(levels=(gp.GPDataset(X, [0.0], 0.0),)).num_levels == 1
 
 
 def test_train_layer_shapes(correlated_two_level):
@@ -176,25 +178,6 @@ def test_monotone_data_effect():
 
 def test_augmented_coordinate_invariant(five_level_model):
     assert dgp.augmented_residuals(five_level_model) <= 1e-10
-
-
-def test_checkpoint_round_trip(tmp_path, five_level_model):
-    model = five_level_model
-    path = tmp_path / "model.json"
-    dgp.save_checkpoint(model, path)
-    loaded = dgp.load_checkpoint(path)
-    x = np.array([0.77])
-    for t in (1, 3, 5):
-        assert dgp.predict_level(model, x, t, rng_seed=4) == dgp.predict_level(
-            loaded, x, t, rng_seed=4
-        )
-
-
-def test_checkpoint_rejects_other_files(tmp_path):
-    path = tmp_path / "not_model.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(DomainError):
-        dgp.load_checkpoint(path)
 
 
 def test_predict_on_untrained_model_is_state_error():

@@ -32,8 +32,46 @@ def test_replay_reconstructs_state(tmp_path):
     assert replayed.budget_spent == pytest.approx(state.budget_spent, abs=1e-12)
     assert replayed.incumbent.y == state.incumbent.y
     assert np.array_equal(replayed.incumbent.x, state.incumbent.x)
-    np.testing.assert_allclose(replayed.cost_model.tau, state.cost_model.tau)
+    assert np.array_equal(replayed.cost_model.tau, state.cost_model.tau)
     assert np.array_equal(replayed.cost_model.counts, state.cost_model.counts)
+
+
+def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
+    # one level's costs whose running mean (1.0166666666666666) and plain
+    # mean (1.0166666666666668) differ in the last bit; 1-rung ladder
+    costs = [0.6, 1.1, 1.9, 0.6, 1.5, 0.4]
+    obj = ForresterFamily()
+    top = tuple(obj.ladder)[-1:]
+
+    class Scripted:
+        ladder = obj.ladder
+        calls = 0
+
+        def evaluate(self, x, level):
+            y, _ = obj.evaluate(x, level)
+            self.calls += 1
+            return y, costs[self.calls - 1]
+
+    held = []
+    select = campaign.select_fidelity
+
+    def spy(model, x_star, cost, config, rng_seed):
+        held.append(cost.tau.tolist())
+        return select(model, x_star, cost, config, rng_seed)
+
+    monkeypatch.setattr(campaign, "select_fidelity", spy)
+    log_path = tmp_path / "records.jsonl"
+    with logio.ResultsLogWriter(log_path, config_payload={}) as writer:
+        state = campaign.run(
+            Scripted(), obj.space, top, 1, campaign.UCBConfig(), 6.0, 0,
+            on_record=writer.record,
+        )
+    assert [r.cost for r in state.records] == costs
+    replayed = logio.replay(log_path, top)
+    assert np.array_equal(replayed.cost_model.tau, state.cost_model.tau)
+    assert replayed.cost_model.tau[0] == np.mean(costs)
+    # at every pick the loop held the mean of the costs recorded before it
+    assert held == [[np.mean(costs[:j])] for j in range(1, 6)]
 
 
 def test_log_values_round_trip_exactly(tmp_path):
@@ -53,6 +91,16 @@ def test_corrupt_line_number_reported(tmp_path):
     with pytest.raises(CorruptLogError) as err:
         logio.read_log_lines(bad)
     assert err.value.line_number == 4
+
+
+def test_replay_rejects_level_off_the_ladder(tmp_path):
+    p = tmp_path / "off.jsonl"
+    eval_line = {"type": "eval", "iteration": 0, "phase": "initial-design", "level": 7,
+                 "nominal": 1.0, "x": [0.5], "y": 1.0, "cost": 1.0}
+    p.write_text(json.dumps({"type": "header"}) + "\n" + json.dumps(eval_line) + "\n")
+    with pytest.raises(CorruptLogError) as err:
+        logio.replay(p, default_ladder())
+    assert err.value.line_number == 2
 
 
 def test_header_required(tmp_path):
