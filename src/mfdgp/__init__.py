@@ -18,6 +18,7 @@ from .campaign import (
     fidelity_scores,
     initial_design,
     recommend,
+    resume,
     run,
     run_single_fidelity,
     select_fidelity,

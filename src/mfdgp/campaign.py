@@ -1,16 +1,19 @@
 """Cost-aware multi-fidelity Bayesian optimization campaigns.
 
-One campaign iteration retrains the deep GP on all data gathered so far,
+A campaign is a ledger of evaluation records that one entry point,
+:func:`resume`, brings to a budget: it evaluates what the ledger lacks of
+the initial design (an n-point Latin hypercube at every fidelity), then
+runs the BO loop, :func:`continue_run`. :func:`run` is ``resume`` on an
+empty ledger. One loop iteration retrains the deep GP on all data so far,
 maximizes the highest-fidelity UCB to propose a design point, picks the
-fidelity whose cost-weighted predictive uncertainty at that point is
-largest, evaluates the objective there, and appends the record. The
-per-fidelity cost tau_t is always the mean of the costs recorded at level t
+fidelity whose cost-weighted predictive uncertainty there is largest,
+evaluates the objective and appends the record. The per-fidelity cost
+tau_t is the mean of the costs recorded at level t
 (:meth:`CostModel.from_records`), so a campaign rebuilt from its log holds
-the same tau as the live one. The loop spends an evaluation budget measured
-in objective-reported cost units, not wall clock, and the single evaluation
-that crosses the budget line is kept. Any package error while training or
-acquiring, and any objective failure, ends the campaign with ``error`` set
-and the records gathered so far kept.
+the same tau as the live one. The budget is in objective-reported cost
+units, and the single evaluation that crosses it is kept. Any package
+error while training or acquiring, and any objective failure, ends the
+campaign with ``error`` set and the records gathered so far kept.
 
 A ladder may have a single rung: the loop on the top rung alone is the
 single-fidelity baseline, with a one-layer (plain GP) surrogate.
@@ -19,13 +22,14 @@ single-fidelity baseline, with a one-layer (plain GP) surrogate.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import acquisition, dgp
 from .dgp import DGPTrainConfig, FidelityLevel, MFDeepGP, MultiFidelityDataset
-from .errors import CampaignInitError, DomainError, MfdgpError, StateError
+from .errors import DomainError, MfdgpError, StateError
 from .space import DesignSpace
 from .streams import ACQUISITION, DESIGN, PROPAGATION, TRAIN, derive_seed, substream
 
@@ -152,7 +156,6 @@ class CampaignState:
     records: list = field(default_factory=list)
     budget_total: float = 0.0
     budget_spent: float = 0.0
-    rng_seed: int = 0
     error: str | None = None
 
     @property
@@ -217,37 +220,44 @@ def _dataset_from_state(state: CampaignState) -> MultiFidelityDataset:
     return MultiFidelityDataset.from_arrays(merged_x, merged_y, noise_variance=DEFAULT_OBS_NOISE)
 
 
-def initial_design(
-    space: DesignSpace, ladder, n: int, objective, rng_seed: int, on_record=None
-) -> CampaignState:
-    """Evaluate an independent n-point Latin hypercube at every fidelity.
+def _evaluate(state, objective, x, level, iteration, phase, on_record) -> bool:
+    """Evaluate once and append the record; on a raise or a bad cost, set ``state.error``."""
+    try:
+        y, cost = objective.evaluate(x, level)
+        rec = EvaluationRecord(x=x, level=level, y=y, cost=cost, iteration=iteration, phase=phase)
+    except Exception as exc:
+        state.error = (
+            f"objective failed at iteration {iteration} ({phase}), level {level.index}, "
+            f"x={np.asarray(x).tolist()}: {exc}"
+        )
+        return False
+    state.append(rec)
+    if on_record is not None:
+        on_record(rec)
+    return True
 
-    A failing objective raises :class:`CampaignInitError` naming the level;
-    the error carries the state evaluated so far.
+
+def initial_design(
+    state: CampaignState, objective, space: DesignSpace, n: int, rng_seed: int, on_record=None
+) -> None:
+    """Evaluate the n-point Latin hypercube of every fidelity that the ledger lacks.
+
+    Level t's design is the LHS drawn from ``substream(rng_seed, DESIGN, t)``.
+    If the ledger already holds k initial-design records at level t, its
+    first k points are skipped, so a design cut short by a failure is
+    finished from the point where it stopped. A failing objective sets
+    ``state.error``, naming the level, and stops the design.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    ladder = tuple(ladder)
-    if not ladder:
+    if not state.ladder:
         raise DomainError("a campaign needs at least 1 fidelity level")
-    state = CampaignState(ladder=ladder, rng_seed=rng_seed)
-    for level in ladder:
+    done = Counter(rec.level.index for rec in state.records if rec.phase == PHASE_INITIAL)
+    for level in state.ladder:
         points = space.sample_lhs(n, substream(rng_seed, DESIGN, level.index))
-        for x in points:
-            try:
-                y, cost = objective.evaluate(x, level)
-                rec = EvaluationRecord(
-                    x=x, level=level, y=y, cost=cost, iteration=0, phase=PHASE_INITIAL
-                )
-            except Exception as exc:
-                raise CampaignInitError(
-                    f"objective failed at level {level.index}, x={np.asarray(x).tolist()}: {exc}",
-                    state,
-                ) from exc
-            state.append(rec)
-            if on_record is not None:
-                on_record(rec)
-    return state
+        for x in points[done[level.index]:]:
+            if not _evaluate(state, objective, x, level, 0, PHASE_INITIAL, on_record):
+                return
 
 
 def select_fidelity(
@@ -265,10 +275,8 @@ def select_fidelity(
     return model.ladder[argmax_highest(scores)]
 
 
-def _train_from_state(
-    state: CampaignState, train_config: DGPTrainConfig, seed: int
-) -> MFDeepGP:
-    cfg = dataclasses.replace(train_config, rng_seed=seed)
+def _train_from_state(state: CampaignState, seed: int) -> MFDeepGP:
+    cfg = dataclasses.replace(TRAIN_CONFIG, rng_seed=seed)
     return dgp.train(_dataset_from_state(state), cfg, ladder=state.ladder)
 
 
@@ -277,24 +285,20 @@ def continue_run(
     objective,
     space: DesignSpace,
     config: UCBConfig,
-    budget_total: float,
     rng_seed: int,
     on_record=None,
 ) -> CampaignState:
-    """Run the BO loop from an existing state until the budget is spent.
+    """Run the BO loop from an existing state until ``state.budget_total`` is spent.
 
     Each iteration's randomness is derived from (seed, stream, iteration),
     so continuing a reloaded state reproduces an uninterrupted run exactly.
     A package error while training or acquiring, or a failing objective,
     stops the loop with ``state.error`` set; the records so far are kept.
-    An error carried in from an earlier run (a replayed log) is cleared.
     """
-    state.error = None
-    state.budget_total = budget_total
-    while state.budget_spent < budget_total:
+    while state.budget_spent < state.budget_total:
         k = state.loop_iterations + 1
         try:
-            model = _train_from_state(state, TRAIN_CONFIG, derive_seed(rng_seed, TRAIN, k))
+            model = _train_from_state(state, derive_seed(rng_seed, TRAIN, k))
             x_star = acquisition.solve_ucb(
                 model, space, config, derive_seed(rng_seed, ACQUISITION, k)
             )
@@ -305,17 +309,32 @@ def continue_run(
         except MfdgpError as exc:
             state.error = f"model failed at iteration {k}: {exc}"
             break
-        try:
-            y, cost = objective.evaluate(x_star, level)
-            rec = EvaluationRecord(
-                x=x_star, level=level, y=y, cost=cost, iteration=k, phase=PHASE_LOOP
-            )
-        except Exception as exc:
-            state.error = f"objective failed at iteration {k}, level {level.index}: {exc}"
+        if not _evaluate(state, objective, x_star, level, k, PHASE_LOOP, on_record):
             break
-        state.append(rec)
-        if on_record is not None:
-            on_record(rec)
+    return state
+
+
+def resume(
+    state: CampaignState,
+    objective,
+    space: DesignSpace,
+    n: int,
+    config: UCBConfig,
+    budget_total: float,
+    rng_seed: int,
+    on_record=None,
+) -> CampaignState:
+    """Bring any ledger to ``budget_total``: finish its initial design, then loop.
+
+    An error carried in from an earlier run (a replayed log) is cleared. The
+    design points the ledger lacks are evaluated whatever the budget; the
+    loop runs only once the design is complete.
+    """
+    state.error = None
+    state.budget_total = budget_total
+    initial_design(state, objective, space, n, rng_seed, on_record=on_record)
+    if state.error is None:
+        continue_run(state, objective, space, config, rng_seed, on_record=on_record)
     return state
 
 
@@ -329,20 +348,10 @@ def run(
     rng_seed: int,
     on_record=None,
 ) -> CampaignState:
-    """Full campaign: initial design at every fidelity, then the BO loop.
-
-    A failed initial design ends the campaign with ``state.error`` set.
-    """
-    try:
-        state = initial_design(space, ladder, n, objective, rng_seed, on_record=on_record)
-    except CampaignInitError as exc:
-        state = exc.state
-        state.error = str(exc)
-    state.budget_total = budget_total
-    if state.error or state.budget_spent >= budget_total:
-        return state
-    return continue_run(
-        state, objective, space, config, budget_total, rng_seed, on_record=on_record
+    """Full campaign: :func:`resume` on an empty ledger over ``ladder``."""
+    return resume(
+        CampaignState(ladder=tuple(ladder)), objective, space, n, config, budget_total,
+        rng_seed, on_record=on_record,
     )
 
 
@@ -351,7 +360,6 @@ def recommend(
     model: MFDeepGP,
     space: DesignSpace,
     rng_seed: int = 0,
-    config: UCBConfig | None = None,
 ) -> tuple[EvaluationRecord, np.ndarray]:
     """Best observed highest-fidelity record plus the posterior-mean maximizer.
 
@@ -362,8 +370,7 @@ def recommend(
     incumbent = state.incumbent
     if incumbent is None:
         raise StateError("no highest-fidelity record exists yet")
-    mean_config = dataclasses.replace(config or UCBConfig(), beta=0.0)
-    model_best = acquisition.solve_ucb(model, space, mean_config, rng_seed)
+    model_best = acquisition.solve_ucb(model, space, UCBConfig(beta=0.0), rng_seed)
     return incumbent, model_best
 
 

@@ -3,13 +3,16 @@
 Exit codes: 0 success, 2 configuration error, 3 campaign or simulation
 failure, 4 corrupt results log.
 
+``run`` brings an empty ledger to the configured budget, ``resume`` the
+replayed log to its last total plus ``--budget``, through one body.
+
 Exit 3 covers every way a ``run`` or ``resume`` campaign fails part-way:
 the objective raises or returns a cost that is not finite and > 0, or a
-package error is raised while training or acquiring (a ``ConditioningError``,
-or the missing levels of a resumed log whose initial design never finished).
-The log keeps the records so far and ends with an ``error`` line and a
-``summary`` line; the recommendation is skipped if the final model cannot
-be trained. ``validate-fidelity`` exits 3 when the transport solve diverges.
+package error (such as a ``ConditioningError``) is raised while training
+or acquiring. The log keeps the records so far and ends with an ``error``
+line and a ``summary`` line; the recommendation is skipped if the final
+model cannot be trained. ``validate-fidelity`` exits 3 when the transport
+solve diverges.
 """
 
 from __future__ import annotations
@@ -36,22 +39,29 @@ LOG_NAME = "records.jsonl"
 
 def _final_model(state, cfg):
     seed = derive_seed(cfg.seed, TRAIN, state.loop_iterations + 1)
-    return campaign._train_from_state(state, campaign.TRAIN_CONFIG, seed)
+    return campaign._train_from_state(state, seed)
 
 
-def _finish(writer, state, cfg, space) -> int:
-    """Close a run or resume: recommendation, error line, summary line, exit code."""
-    model_best = None
-    if state.incumbent is not None:
-        try:
-            model = _final_model(state, cfg)
-            _, model_best = campaign.recommend(state, model, space)
-        except MfdgpError as exc:
-            state.error = state.error or f"final model failed: {exc}"
-    if state.error:
-        writer.error(state.error)
-        print(f"error: {state.error}", file=sys.stderr)
-    writer.summary(state, model_best)
+def _campaign(args, cfg, state, budget_total, writer) -> int:
+    """Bring ``state`` to ``budget_total``; end the log with any error line, then the summary."""
+    with writer:
+        space = cfg.build_space()
+        campaign.resume(
+            state, cfg.build_objective(), space, cfg.n, campaign.UCBConfig(beta=cfg.beta),
+            budget_total, cfg.seed, on_record=writer.record,
+        )
+        model_best = None
+        if state.incumbent is not None:
+            try:
+                _, model_best = campaign.recommend(state, _final_model(state, cfg), space)
+            except MfdgpError as exc:
+                state.error = state.error or f"final model failed: {exc}"
+        if state.error:
+            writer.error(state.error)
+            print(f"error: {state.error}", file=sys.stderr)
+        writer.summary(state, model_best)
+    print(f"{args.command} complete: {len(state.records)} evaluations, "
+          f"budget {state.budget_spent:g}/{state.budget_total:g}, log at {writer.path}")
     return EXIT_OBJECTIVE if state.error else EXIT_OK
 
 
@@ -82,49 +92,22 @@ def _load_config(args) -> cfgmod.CampaignConfig:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    objective = cfg.build_objective()
-    space = cfg.build_space()
-    ladder = cfg.build_ladder()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / LOG_NAME
-
-    with logio.ResultsLogWriter(log_path, config_payload=cfg.as_payload()) as writer:
-        state = campaign.run(
-            objective, space, ladder, cfg.n, campaign.UCBConfig(beta=cfg.beta),
-            cfg.budget, cfg.seed, on_record=writer.record,
-        )
-        code = _finish(writer, state, cfg, space)
-    print(f"run complete: {len(state.records)} evaluations, "
-          f"budget {state.budget_spent:g}/{state.budget_total:g}, log at {log_path}")
-    return code
+    state = campaign.CampaignState(ladder=tuple(cfg.build_ladder()))
+    writer = logio.ResultsLogWriter(out_dir / LOG_NAME, config_payload=cfg.as_payload())
+    return _campaign(args, cfg, state, cfg.budget, writer)
 
 
 def cmd_resume(args) -> int:
     log_path = Path(args.log)
-    header = logio.read_header(log_path)
-    cfg = cfgmod.CampaignConfig.from_payload(header["config"])
+    cfg = cfgmod.CampaignConfig.from_payload(logio.read_header(log_path)["config"])
     if args.seed is not None:
         cfg.seed = args.seed
-    lines = logio.read_log_lines(log_path)
-    totals = [p["budget_total"] for p in lines if p["type"] == "summary"]
-    base_total = totals[-1] if totals else cfg.budget
-    new_total = base_total + args.budget
-
-    ladder = cfg.build_ladder()
-    state = logio.replay(log_path, ladder)
-    state.rng_seed = cfg.seed
-    objective = cfg.build_objective()
-    space = cfg.build_space()
-
-    with logio.ResultsLogWriter(log_path, append=True) as writer:
-        state = campaign.continue_run(
-            state, objective, space, campaign.UCBConfig(beta=cfg.beta), new_total,
-            cfg.seed, on_record=writer.record,
-        )
-        code = _finish(writer, state, cfg, space)
-    print(f"resume complete: budget {state.budget_spent:g}/{new_total:g}")
-    return code
+    state = logio.replay(log_path, cfg.build_ladder())
+    base_total = state.budget_total or cfg.budget  # a log cut before its first summary
+    writer = logio.ResultsLogWriter(log_path, append=True)
+    return _campaign(args, cfg, state, base_total + args.budget, writer)
 
 
 def cmd_validate_fidelity(args) -> int:

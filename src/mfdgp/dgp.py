@@ -34,7 +34,6 @@ import numpy as np
 
 from . import gp
 from .errors import DomainError, InsufficientDataError, ShapeError, StateError
-from .kernels import KernelSpec
 from .streams import PROPAGATION, point_hash, substream
 
 DEFAULT_NOMINALS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -124,10 +123,8 @@ class MultiFidelityDataset:
 class DGPTrainConfig:
     """Training knobs for the layer stack."""
 
-    kernel_kind: str = "squared-exponential"
     restarts: int = 3
     rng_seed: int = 0
-    propagation_samples: int = REPORTING_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -153,13 +150,6 @@ class MFDeepGP:
     @property
     def dimension(self) -> int:
         return self.layers[0].dataset.dimension
-
-
-def _default_init_kernel(kind: str, inputs: np.ndarray, targets: np.ndarray) -> KernelSpec:
-    ranges = np.ptp(inputs, axis=0)
-    ls = np.where(ranges > 0, 0.5 * ranges, 1.0)
-    sv = float(np.var(targets))
-    return KernelSpec(kind=kind, lengthscales=ls, signal_variance=sv if sv > 0 else 1.0)
 
 
 def compose_mean(layers, X) -> np.ndarray:
@@ -198,7 +188,7 @@ def train(
         layer_data = gp.GPDataset(
             inputs=inputs, targets=targets, noise_variance=ds.noise_variance
         )
-        init = _default_init_kernel(config.kernel_kind, inputs, targets)
+        init = gp.default_init("squared-exponential", layer_data)
         layers.append(
             gp.fit(layer_data, init, restarts=config.restarts, rng_seed=int(seeds[t - 1]))
         )
@@ -206,11 +196,7 @@ def train(
         ladder = ladder_from_nominals(np.linspace(0.0, 1.0, data.num_levels))
     elif len(ladder) != data.num_levels:
         raise ShapeError(f"ladder has {len(ladder)} levels, dataset has {data.num_levels}")
-    return MFDeepGP(
-        layers=tuple(layers),
-        ladder=tuple(ladder),
-        propagation_samples=config.propagation_samples,
-    )
+    return MFDeepGP(layers=tuple(layers), ladder=tuple(ladder))
 
 
 def augmented_residuals(model: MFDeepGP) -> float:

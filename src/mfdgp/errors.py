@@ -33,14 +33,6 @@ class StateError(MfdgpError, RuntimeError):
     """An operation was called on an object in the wrong state."""
 
 
-class CampaignInitError(MfdgpError, RuntimeError):
-    """The initial design failed; ``state`` holds the records evaluated before it."""
-
-    def __init__(self, message, state):
-        super().__init__(message)
-        self.state = state
-
-
 class SimulationDivergedError(MfdgpError, RuntimeError):
     """The transport solve produced non-finite values."""
 

@@ -211,7 +211,21 @@ def _lml_for_kernel(data: GPDataset, kernel: KernelSpec) -> float:
     return log_marginal_likelihood(TrainedGP.from_params(data, kernel))
 
 
-def _param_bounds(data: GPDataset) -> tuple[np.ndarray, np.ndarray]:
+def _data_scales(data: GPDataset) -> tuple[np.ndarray, float]:
+    """Per-dimension input range (1.0 if flat) and target variance (1.0 if constant)."""
+    ranges = np.ptp(data.inputs, axis=0)
+    tv = float(np.var(data.targets))
+    return np.where(ranges > 0, ranges, 1.0), (tv if tv > 0 else 1.0)
+
+
+def default_init(kind: str, data: GPDataset) -> KernelSpec:
+    """Starting kernel: lengthscales 0.5 x input range (1.0 if flat), the target variance."""
+    ranges, tv = _data_scales(data)
+    ls = np.where(np.ptp(data.inputs, axis=0) > 0, 0.5 * ranges, 1.0)
+    return KernelSpec(kind=kind, lengthscales=ls, signal_variance=tv)
+
+
+def _param_bounds(ranges: np.ndarray, tv: float) -> tuple[np.ndarray, np.ndarray]:
     """Log-space hyperparameter box, scaled to the data.
 
     Lengthscales are confined to [1e-3, 3] times the per-dimension input
@@ -222,11 +236,6 @@ def _param_bounds(data: GPDataset) -> tuple[np.ndarray, np.ndarray]:
     signal: beyond a few input ranges a stationary kernel is
     indistinguishable from a trend, but its posterior variance collapses.
     """
-    ranges = np.ptp(data.inputs, axis=0)
-    ranges = np.where(ranges > 0, ranges, 1.0)
-    tv = float(np.var(data.targets))
-    if tv <= 0:
-        tv = 1.0
     lo = np.log(np.concatenate([1e-3 * ranges, [1e-8 * tv]]))
     hi = np.log(np.concatenate([3.0 * ranges, [1e6 * tv]]))
     return lo, hi
@@ -245,33 +254,21 @@ def _nm_objective(log_params, data: GPDataset, kind: str, lo, hi) -> float:
 
 
 def _restart_inits(
-    data: GPDataset, init: KernelSpec, restarts: int, rng: np.random.Generator
+    init: KernelSpec, ranges: np.ndarray, tv: float, restarts: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Log-space starting points: the user's init plus scale-aware draws.
 
     Random lengthscales are log-uniform in [0.05, 2] times the per-dimension
     input range; signal variance starts at the target variance.
     """
-    d = data.dimension
-    ranges = np.ptp(data.inputs, axis=0)
-    ranges = np.where(ranges > 0, ranges, 1.0)
-    sv0 = float(np.var(data.targets))
-    if sv0 <= 0:
-        sv0 = 1.0
     starts = [np.log(np.concatenate([init.lengthscales, [init.signal_variance]]))]
     for _ in range(restarts - 1):
-        frac = np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=d))
-        starts.append(np.log(np.concatenate([frac * ranges, [sv0]])))
+        frac = np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=ranges.size))
+        starts.append(np.log(np.concatenate([frac * ranges, [tv]])))
     return starts
 
 
-def fit(
-    data: GPDataset,
-    init: KernelSpec,
-    restarts: int,
-    rng_seed: int,
-    sv_floor: float | None = None,
-) -> TrainedGP:
+def fit(data: GPDataset, init: KernelSpec, restarts: int, rng_seed: int) -> TrainedGP:
     """Train kernel hyperparameters by marginal-likelihood maximization.
 
     Runs a Nelder-Mead simplex search in log-parameter space from
@@ -279,12 +276,10 @@ def fit(
     randomized ones) and keeps the best optimum found inside the scaled
     hyperparameter box. Deterministic given ``rng_seed``.
 
-    ``sv_floor``, when positive, raises the lower signal-variance bound to
-    ``sv_floor`` (kept just below the upper bound). No caller in the package
-    passes it: ``dgp.train`` and the single-fidelity baseline fit every
-    layer inside the data-scaled box alone. For a one-observation layer
-    that box falls back to unit target variance, and the likelihood puts
-    the signal variance at about the squared target.
+    The box, the random starts and :func:`default_init` are all scaled by
+    :func:`_data_scales`. For a one-observation layer those scales fall
+    back to 1.0, and the likelihood puts the signal variance at about the
+    squared target.
     """
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
@@ -293,13 +288,12 @@ def fit(
             f"init kernel dimension {init.dimension} != data dimension {data.dimension}"
         )
     rng = np.random.default_rng(rng_seed)
-    lo, hi = _param_bounds(data)
-    if sv_floor is not None and sv_floor > 0:
-        lo[-1] = min(np.log(sv_floor), hi[-1] - 1e-3)
+    ranges, tv = _data_scales(data)
+    lo, hi = _param_bounds(ranges, tv)
     inset = 1e-6
     best_val = np.inf
     best_params = None
-    for start in _restart_inits(data, init, restarts, rng):
+    for start in _restart_inits(init, ranges, tv, restarts, rng):
         start = np.clip(start, lo + inset, hi - inset)
         res = minimize(
             _nm_objective,

@@ -5,8 +5,8 @@ one ``eval`` line per objective evaluation in the order they happened.
 Every run or resume ends with a ``summary`` line, preceded by an ``error``
 line when it stopped on a failure (an objective error, or a package error
 while training or acquiring); a resumed log therefore may contain errors
-and summaries mid-file. Replay keeps the last error message and skips the
-summaries. Line-delimited writes mean a crash loses at most one line, and
+and summaries mid-file. Replay keeps the last error and the last summary's
+budget total. Line-delimited writes mean a crash loses at most one line, and
 reloading a log reconstructs a campaign state whose budget and incumbent
 invariants hold exactly.
 
@@ -124,8 +124,9 @@ def _record_from_payload(payload: dict, line_no: int) -> EvaluationRecord:
 
 
 def replay(path, ladder) -> CampaignState:
-    """Rebuild a CampaignState from a log's eval lines and its last error marker.
+    """Rebuild a CampaignState from a log's eval lines, last error and last summary.
 
+    ``budget_total`` is the last summary's total, 0.0 if the log has none.
     The cost model is a function of the records
     (:meth:`~mfdgp.campaign.CostModel.from_records`), so the replayed tau
     equals what the live campaign held after its last record, bit for bit.
@@ -140,4 +141,9 @@ def replay(path, ladder) -> CampaignState:
             state.append(rec)
         elif payload["type"] == "error":
             state.error = payload.get("message")
+        elif payload["type"] == "summary":
+            try:
+                state.budget_total = float(payload["budget_total"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptLogError(f"invalid summary record: {exc!r}", i) from exc
     return state

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfdgp import acquisition, campaign, dgp
-from mfdgp.errors import CampaignInitError, DomainError, StateError
+from mfdgp.errors import DomainError, StateError
 from mfdgp.objectives import ForresterFamily
 from mfdgp.space import DesignSpace
 from mfdgp.streams import ACQUISITION, substream
@@ -15,13 +15,18 @@ def forrester():
     return ForresterFamily()
 
 
+def design(objective, n, rng_seed, state=None):
+    """Run (or finish) the initial design on ``state``, a fresh ledger by default."""
+    state = state or campaign.CampaignState(ladder=tuple(objective.ladder))
+    campaign.initial_design(state, objective, objective.space, n, rng_seed)
+    return state
+
+
 @pytest.fixture(scope="module")
 def small_model(forrester):
     # a trained model on a fixed 5-level design, reused across read-only tests
-    state = campaign.initial_design(
-        forrester.space, forrester.ladder, 3, forrester, rng_seed=5
-    )
-    model = campaign._train_from_state(state, dgp.DGPTrainConfig(restarts=2), 17)
+    state = design(forrester, 3, rng_seed=5)
+    model = campaign._train_from_state(state, 17)
     return state, model
 
 
@@ -31,7 +36,7 @@ def small_model(forrester):
 
 
 def test_initial_design_counts_and_costs(forrester):
-    state = campaign.initial_design(forrester.space, forrester.ladder, 4, forrester, 0)
+    state = design(forrester, 4, 0)
     assert len(state.records) == 20
     counts = state.per_level_counts()
     assert all(counts[t] == 4 for t in range(1, 6))
@@ -41,8 +46,8 @@ def test_initial_design_counts_and_costs(forrester):
 
 
 def test_initial_design_deterministic(forrester):
-    a = campaign.initial_design(forrester.space, forrester.ladder, 3, forrester, 42)
-    b = campaign.initial_design(forrester.space, forrester.ladder, 3, forrester, 42)
+    a = design(forrester, 3, 42)
+    b = design(forrester, 3, 42)
     xa = np.array([r.x for r in a.records])
     xb = np.array([r.x for r in b.records])
     assert np.array_equal(xa, xb)
@@ -51,14 +56,49 @@ def test_initial_design_deterministic(forrester):
 def test_initial_design_failure_names_level(forrester):
     class Broken:
         ladder = forrester.ladder
+        space = forrester.space
 
         def evaluate(self, x, level):
             if level.index == 3:
                 raise RuntimeError("solver exploded")
             return forrester.evaluate(x, level)
 
-    with pytest.raises(CampaignInitError, match="level 3"):
-        campaign.initial_design(forrester.space, forrester.ladder, 1, Broken(), 0)
+    state = design(Broken(), 1, 0)
+    assert "level 3" in state.error and "solver exploded" in state.error
+    # the level 1-2 records are kept
+    assert [r.level.index for r in state.records] == [1, 2]
+
+
+def test_initial_design_finishes_a_partial_ledger(forrester):
+    # a ledger holding the first k = 1 of n = 3 level-3 points is completed
+    # from point 2 on, the same points an uninterrupted design evaluates
+    full = design(forrester, 3, 11)
+    evaluated = []
+
+    class Recording:
+        ladder = forrester.ladder
+        space = forrester.space
+
+        def evaluate(self, x, level):
+            evaluated.append((level.index, np.array(x)))
+            return forrester.evaluate(x, level)
+
+    partial = campaign.CampaignState(ladder=tuple(forrester.ladder))
+    for rec in full.records[:7]:
+        partial.append(rec)
+    design(Recording(), 3, 11, state=partial)
+    assert [t for t, _ in evaluated] == [3, 3, 4, 4, 4, 5, 5, 5]
+    for (t, x), rec in zip(evaluated, full.records[7:]):
+        assert t == rec.level.index and np.array_equal(x, rec.x)
+    assert partial.error is None
+
+    def rows(state):
+        return [(r.level.index, r.x.tolist(), r.y, r.cost, r.phase) for r in state.records]
+
+    assert rows(partial) == rows(full)
+    # a complete ledger evaluates nothing more
+    design(Recording(), 3, 11, state=partial)
+    assert len(evaluated) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,10 @@ def test_training_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, ca
     assert eval_lines(log) == eval_lines(tmp_path / "full" / "records.jsonl")
 
 
-def test_resume_of_failed_initial_design_exits_3(tmp_path, monkeypatch):
+def test_resume_finishes_failed_initial_design(tmp_path, monkeypatch):
+    # level 3 fails once, at the first point of its design: the run stops
+    # after the 6 level 1-2 evaluations; the resume finishes the design and
+    # the loop, record for record like an uninterrupted run
     evaluate = ForresterFamily.evaluate
 
     def failing_evaluate(self, x, level):
@@ -179,11 +182,14 @@ def test_resume_of_failed_initial_design_exits_3(tmp_path, monkeypatch):
     write_config(cfg, out=str(tmp_path / "out"))
     log = tmp_path / "out" / "records.jsonl"
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OBJECTIVE
+    assert len(eval_lines(log)) == 6
     monkeypatch.setattr(ForresterFamily, "evaluate", evaluate)
-    assert cli.main(["resume", "--log", str(log), "--budget", "5.0"]) == cli.EXIT_OBJECTIVE
+    assert cli.main(["resume", "--log", str(log), "--budget", "5.0"]) == 0
     lines = [json.loads(line) for line in log.read_text().splitlines()]
-    assert [p["type"] for p in lines] == ["header"] + ["eval"] * 6 + ["error", "summary"] * 2
-    assert "level 3 has no observations" in lines[-2]["message"]
+    assert lines[-1]["type"] == "summary" and lines[-1]["budget_total"] == 55.0
+    write_config(cfg, budget=55.0, out=str(tmp_path / "full"))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert eval_lines(log) == eval_lines(tmp_path / "full" / "records.jsonl")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,58 @@
+"""Golden records: two short campaigns reproduce their committed logs byte for byte.
+
+``tests/data/golden_*.jsonl`` hold the ``eval`` and ``summary`` lines of
+two ``mfdgp run`` campaigns. A refactor must leave them unchanged. A change
+that moves records on purpose regenerates the files with
+``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from mfdgp import cli
+
+DATA = Path(__file__).parent / "data"
+
+# forrester5: n = 3 at costs 1..5 is a 45-unit design, then 3 loop evals.
+# reactor-proxy: 5 design evals and 2 loop evals on the 4-D box.
+CAMPAIGNS = {
+    "forrester5": (
+        "objective = forrester5\nn = 3\nbudget = 58.0\nseed = 7\n",
+        "lower = 0.0\nupper = 1.0\n"
+        "[fidelity]\nnominals = 0.0, 0.25, 0.5, 0.75, 1.0\nbase_costs = 1, 2, 3, 4, 5\n",
+    ),
+    "reactor_proxy": (
+        "objective = reactor-proxy\nn = 1\nbudget = 34.0\nseed = 0\n",
+        "lower = 5.0, 1.5, 4.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0\n",
+    ),
+}
+
+
+def record_lines(name, workdir) -> str:
+    """Run the named campaign in ``workdir``; return its eval and summary lines."""
+    campaign, space = CAMPAIGNS[name]
+    out = Path(workdir) / name
+    cfg = Path(workdir) / f"{name}.ini"
+    cfg.write_text(
+        f"[campaign]\n{campaign}beta = 2.0\nout = {out}\n[space]\n{space}"
+    )
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    lines = (out / "records.jsonl").read_text().splitlines()
+    return "".join(
+        line + "\n" for line in lines if json.loads(line)["type"] in ("eval", "summary")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_campaign_reproduces_golden_records(name, tmp_path):
+    assert record_lines(name, tmp_path) == (DATA / f"golden_{name}.jsonl").read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CAMPAIGNS):
+            (DATA / f"golden_{name}.jsonl").write_text(record_lines(name, tmp))

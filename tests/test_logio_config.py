@@ -30,6 +30,7 @@ def test_replay_reconstructs_state(tmp_path):
         sum(r.cost for r in replayed.records), abs=1e-9
     )
     assert replayed.budget_spent == pytest.approx(state.budget_spent, abs=1e-12)
+    assert replayed.budget_total == state.budget_total  # from the summary line
     assert replayed.incumbent.y == state.incumbent.y
     assert np.array_equal(replayed.incumbent.x, state.incumbent.x)
     assert np.array_equal(replayed.cost_model.tau, state.cost_model.tau)
@@ -98,6 +99,14 @@ def test_replay_rejects_level_off_the_ladder(tmp_path):
     eval_line = {"type": "eval", "iteration": 0, "phase": "initial-design", "level": 7,
                  "nominal": 1.0, "x": [0.5], "y": 1.0, "cost": 1.0}
     p.write_text(json.dumps({"type": "header"}) + "\n" + json.dumps(eval_line) + "\n")
+    with pytest.raises(CorruptLogError) as err:
+        logio.replay(p, default_ladder())
+    assert err.value.line_number == 2
+
+
+def test_replay_rejects_summary_without_total(tmp_path):
+    p = tmp_path / "summary.jsonl"
+    p.write_text(json.dumps({"type": "header"}) + "\n" + json.dumps({"type": "summary"}) + "\n")
     with pytest.raises(CorruptLogError) as err:
         logio.replay(p, default_ladder())
     assert err.value.line_number == 2
