@@ -8,13 +8,12 @@ observations; a plain GP sees only the 8 expensive ones.
 import numpy as np
 
 from mfdgp import (
-    DGPTrainConfig,
     GPDataset,
     KernelSpec,
     MultiFidelityDataset,
     fit,
     predict,
-    predict_level_many,
+    propagate,
     train,
 )
 
@@ -33,10 +32,12 @@ x_hi = np.linspace(0, 1, 8)[:, None]
 data = MultiFidelityDataset.from_arrays(
     [x_lo, x_hi], [f_low(x_lo[:, 0]), f_high(x_hi[:, 0])], noise_variance=1e-8
 )
-model = train(data, DGPTrainConfig(restarts=4, rng_seed=0))
+model = train(data, 4, 0)
 
+# one set of base draws, shared by every grid point
 grid = np.linspace(0, 1, 201)[:, None]
-mu, sigma = predict_level_many(model, grid, 2, rng_seed=1)
+base_draws = np.random.default_rng(1).standard_normal((1, model.propagation_samples))
+mu = propagate(model, grid, base_draws)[-1].mean
 truth = f_high(grid[:, 0])
 print("deep GP   rmse vs truth:", float(np.sqrt(np.mean((mu - truth) ** 2))))
 

@@ -24,16 +24,13 @@ from .campaign import (
     select_fidelity,
 )
 from .dgp import (
-    DGPTrainConfig,
     FidelityLevel,
     LevelTrace,
     MFDeepGP,
     MultiFidelityDataset,
     default_ladder,
     ladder_from_nominals,
-    predict_all_levels,
-    predict_level,
-    predict_level_many,
+    point_draws,
     propagate,
     train,
 )

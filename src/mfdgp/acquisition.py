@@ -34,11 +34,8 @@ def acquisition_base_draws(
 
 def ucb_values(model: dgp.MFDeepGP, X, beta: float, base_draws: np.ndarray) -> np.ndarray:
     """a(x) = mu_T + sqrt(beta) * sigma_T at each row of X, shared draws."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    mean, sigma = dgp.predict_level_many(
-        model, X, model.num_levels, base_draws=base_draws
-    )
-    return mean + np.sqrt(beta) * sigma
+    top = dgp.propagate(model, X, base_draws)[-1]
+    return top.mean + np.sqrt(beta) * top.sigma
 
 
 def _pattern_search(score, u0: np.ndarray, best0: float) -> tuple[np.ndarray, float]:
@@ -65,24 +62,17 @@ def _pattern_search(score, u0: np.ndarray, best0: float) -> tuple[np.ndarray, fl
     return u, best
 
 
-def solve_ucb(
-    model: dgp.MFDeepGP,
-    space: DesignSpace,
-    config,
-    rng_seed: int,
-    base_draws: np.ndarray | None = None,
-) -> np.ndarray:
+def solve_ucb(model: dgp.MFDeepGP, space: DesignSpace, config, rng_seed: int) -> np.ndarray:
     """Maximize the highest-fidelity UCB over the design box.
 
     Scores ``config.candidate_pool_size`` scrambled Sobol candidates, then
     pattern-searches from the top ``config.acquisition_restarts`` of them.
-    Always returns the best point seen, inside the box.
+    Every score shares the base draws of ``substream(rng_seed, ACQUISITION,
+    "draws")``. Always returns the best point seen, inside the box.
     """
-    if base_draws is None:
-        draw_rng = substream(rng_seed, ACQUISITION, "draws")
-        base_draws = acquisition_base_draws(
-            model.num_levels, dgp.ACQUISITION_SAMPLES, draw_rng
-        )
+    base_draws = acquisition_base_draws(
+        model.num_levels, dgp.ACQUISITION_SAMPLES, substream(rng_seed, ACQUISITION, "draws")
+    )
     pool_rng = substream(rng_seed, ACQUISITION, "pool")
     pool = space.sample_sobol(config.candidate_pool_size, pool_rng)
     values = ucb_values(model, pool, config.beta, base_draws)

@@ -21,14 +21,13 @@ single-fidelity baseline, with a one-layer (plain GP) surrogate.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import acquisition, dgp
-from .dgp import DGPTrainConfig, FidelityLevel, MFDeepGP, MultiFidelityDataset
+from .dgp import FidelityLevel, MFDeepGP, MultiFidelityDataset
 from .errors import DomainError, MfdgpError, StateError
 from .space import DesignSpace
 from .streams import ACQUISITION, DESIGN, PROPAGATION, TRAIN, derive_seed, substream
@@ -40,9 +39,9 @@ DEFAULT_OBS_NOISE = 1e-8
 PHASE_INITIAL = "initial-design"
 PHASE_LOOP = "bo-loop"
 
-# Surrogate training settings of every campaign model: each loop iteration's
-# and the final one a run reports its recommendation from.
-TRAIN_CONFIG = DGPTrainConfig(restarts=4)
+# Optimizer restarts per layer of every campaign model: each loop
+# iteration's and the final one a run reports its recommendation from.
+TRAIN_RESTARTS = 4
 
 
 @dataclass(frozen=True)
@@ -66,24 +65,19 @@ class UCBConfig:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Mean recorded evaluation cost (tau) and record count per fidelity level."""
+    """Mean recorded evaluation cost (tau) per fidelity level."""
 
     levels: tuple
     tau: np.ndarray
-    counts: np.ndarray
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if tau.shape != counts.shape or tau.ndim != 1:
-            raise DomainError("tau and counts must be 1-D arrays of equal length")
-        if len(self.levels) != tau.shape[0]:
-            raise DomainError("one tau entry per level is required")
+        if tau.ndim != 1 or len(self.levels) != tau.shape[0]:
+            raise DomainError("tau must be 1-D with one entry per level")
         if np.any(tau <= 0) or not np.all(np.isfinite(tau)):
             raise DomainError("all tau entries must be finite and > 0")
         object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_records(cls, records) -> "CostModel":
@@ -95,7 +89,6 @@ class CostModel:
         return cls(
             levels=tuple(levels),
             tau=np.asarray([np.mean(costs[i]) for i in levels], dtype=np.float64),
-            counts=np.asarray([len(costs[i]) for i in levels], dtype=np.int64),
         )
 
     def position(self, level) -> int:
@@ -265,19 +258,19 @@ def select_fidelity(
 ) -> FidelityLevel:
     """Pick the level maximizing gamma_t * sqrt(beta) * sigma_t(x*).
 
-    Ties (including the degenerate beta = 0 case where every score is 0)
-    go to the highest level.
+    sigma_t comes from propagating x* with :func:`dgp.point_draws` under
+    ``rng_seed``. Ties (including the degenerate beta = 0 case where every
+    score is 0) go to the highest level.
     """
-    stats = dgp.predict_all_levels(model, np.asarray(x_star), rng_seed=rng_seed)
-    sigmas = np.asarray([s for _, s in stats])
+    traces = dgp.propagate(model, x_star, dgp.point_draws(model, x_star, rng_seed))
+    sigmas = np.asarray([tr.sigma[0] for tr in traces])
     taus = np.asarray([cost.tau[cost.position(lv)] for lv in model.ladder])
     scores = fidelity_scores(sigmas, taus, config.beta)
     return model.ladder[argmax_highest(scores)]
 
 
 def _train_from_state(state: CampaignState, seed: int) -> MFDeepGP:
-    cfg = dataclasses.replace(TRAIN_CONFIG, rng_seed=seed)
-    return dgp.train(_dataset_from_state(state), cfg, ladder=state.ladder)
+    return dgp.train(_dataset_from_state(state), TRAIN_RESTARTS, seed, ladder=state.ladder)
 
 
 def continue_run(

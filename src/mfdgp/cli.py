@@ -99,12 +99,21 @@ def cmd_run(args) -> int:
     return _campaign(args, cfg, state, cfg.budget, writer)
 
 
+def _load_log(log_path) -> tuple[cfgmod.CampaignConfig, campaign.CampaignState]:
+    """The header's config and the replayed state; a bad header config is a corrupt line 1."""
+    header = logio.read_header(log_path)
+    try:
+        cfg = cfgmod.CampaignConfig.from_payload(header["config"])
+    except (KeyError, TypeError) as exc:
+        raise CorruptLogError(f"header has no valid config: {exc!r}", 1) from exc
+    return cfg, logio.replay(log_path, cfg.build_ladder())
+
+
 def cmd_resume(args) -> int:
     log_path = Path(args.log)
-    cfg = cfgmod.CampaignConfig.from_payload(logio.read_header(log_path)["config"])
+    cfg, state = _load_log(log_path)
     if args.seed is not None:
         cfg.seed = args.seed
-    state = logio.replay(log_path, cfg.build_ladder())
     base_total = state.budget_total or cfg.budget  # a log cut before its first summary
     writer = logio.ResultsLogWriter(log_path, append=True)
     return _campaign(args, cfg, state, base_total + args.budget, writer)
@@ -162,9 +171,7 @@ def cmd_validate_fidelity(args) -> int:
 
 def cmd_report(args) -> int:
     log_path = Path(args.log)
-    header = logio.read_header(log_path)
-    cfg = cfgmod.CampaignConfig.from_payload(header["config"])
-    state = logio.replay(log_path, cfg.build_ladder())
+    _, state = _load_log(log_path)
     out_dir = Path(args.out) if args.out else log_path.parent
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,16 +14,18 @@ Training is greedy: layer 1 is fit on (x_1, y_1); layer t's correction GP
 is fit on the level-t inputs augmented with the composed posterior *mean*
 of the layers below, against the residuals y_t minus that mean.
 
-Prediction propagates full uncertainty: samples are drawn level by level
-through the stack and the reported moments at level t are the
+Prediction has one path, :func:`propagate`: samples are drawn level by
+level through the stack from one set of standard-normal base draws that
+every query row shares, and the reported moments at level t are the
 Gaussian-mixture moments over the propagated sample population
 
     mean     = mean of per-sample predictive means
     variance = mean of per-sample predictive variances
                + variance of per-sample predictive means.
 
-Level-1 predictions bypass the Monte Carlo machinery entirely and are the
-plain GP posterior of the first layer.
+Level-1 moments bypass the Monte Carlo machinery entirely and are the
+plain GP posterior of the first layer. :func:`point_draws` derives one
+point's base draws from a seed and the point itself.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ def default_ladder() -> list[FidelityLevel]:
     return ladder_from_nominals(DEFAULT_NOMINALS)
 
 
-def _level_index(level) -> int:
-    return level.index if isinstance(level, FidelityLevel) else int(level)
-
-
 @dataclass(frozen=True)
 class MultiFidelityDataset:
     """Per-level GP datasets sharing one input dimensionality."""
@@ -120,14 +118,6 @@ class MultiFidelityDataset:
 
 
 @dataclass(frozen=True)
-class DGPTrainConfig:
-    """Training knobs for the layer stack."""
-
-    restarts: int = 3
-    rng_seed: int = 0
-
-
-@dataclass(frozen=True)
 class MFDeepGP:
     """Trained layer stack plus the ladder it models."""
 
@@ -162,21 +152,21 @@ def compose_mean(layers, X) -> np.ndarray:
     return m
 
 
-def train(
-    data: MultiFidelityDataset,
-    config: DGPTrainConfig = DGPTrainConfig(),
-    ladder=None,
-) -> MFDeepGP:
-    """Fit the stack bottom-up.
+def train(data: MultiFidelityDataset, restarts: int, rng_seed: int, ladder=None) -> MFDeepGP:
+    """Fit the stack bottom-up, each layer with ``restarts`` optimizer restarts.
 
     Layer 1 is fit on (x_1, y_1). Each later layer t is fit on the level-t
     inputs augmented with the composed posterior mean m of the layers
     below; its GP carries the correction y_t - m(x_t), so the layer's
     predictive is the identity in the augmented coordinate plus that
-    learned mismatch. Deterministic given ``config.rng_seed``. ``ladder``
+    learned mismatch. Deterministic given ``rng_seed``. ``ladder``
     defaults to evenly spaced nominals when not supplied.
     """
-    seeds = np.random.SeedSequence(config.rng_seed).generate_state(data.num_levels)
+    if ladder is None:
+        ladder = ladder_from_nominals(np.linspace(0.0, 1.0, data.num_levels))
+    elif len(ladder) != data.num_levels:
+        raise ShapeError(f"ladder has {len(ladder)} levels, dataset has {data.num_levels}")
+    seeds = np.random.SeedSequence(rng_seed).generate_state(data.num_levels)
     layers = []
     for t, ds in enumerate(data.levels, start=1):
         if t == 1:
@@ -189,13 +179,7 @@ def train(
             inputs=inputs, targets=targets, noise_variance=ds.noise_variance
         )
         init = gp.default_init("squared-exponential", layer_data)
-        layers.append(
-            gp.fit(layer_data, init, restarts=config.restarts, rng_seed=int(seeds[t - 1]))
-        )
-    if ladder is None:
-        ladder = ladder_from_nominals(np.linspace(0.0, 1.0, data.num_levels))
-    elif len(ladder) != data.num_levels:
-        raise ShapeError(f"ladder has {len(ladder)} levels, dataset has {data.num_levels}")
+        layers.append(gp.fit(layer_data, init, restarts=restarts, rng_seed=int(seeds[t - 1])))
     return MFDeepGP(layers=tuple(layers), ladder=tuple(ladder))
 
 
@@ -221,8 +205,8 @@ class LevelTrace:
 
     ``sample_means``/``sample_variances`` hold the per-draw predictive
     moments (None at level 1, which is exact), and ``draws`` the propagated
-    output samples that feed the next layer (None at the last propagated
-    level, where they are not needed).
+    output samples that feed the next layer (None at the top level, where
+    they are not needed).
     """
 
     level: int
@@ -232,68 +216,59 @@ class LevelTrace:
     sample_variances: np.ndarray | None
     draws: np.ndarray | None
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """Predictive standard deviation, sqrt(max(variance, 0))."""
+        return np.sqrt(np.maximum(self.variance, 0.0))
 
-def _level_normals(model, X, seed, num_samples, base_draws, level, m):
-    """Standard-normal draws (m, S) used to sample from the level-`level` predictive."""
-    if base_draws is not None:
-        z = np.asarray(base_draws[level - 1], dtype=np.float64)
-        if z.shape != (num_samples,):
-            raise ShapeError(
-                f"base draw row {level - 1} has shape {z.shape}, expected ({num_samples},)"
-            )
-        return np.broadcast_to(z, (m, num_samples))
+
+def point_draws(model: MFDeepGP, x, rng_seed: int, num_samples: int | None = None) -> np.ndarray:
+    """Base draws of one query point, shape (T-1, S), S defaulting to the model's.
+
+    Row t-1 is ``substream(rng_seed, PROPAGATION, point_hash(x), t)``, so a
+    point's draws depend only on the seed and the point itself.
+    """
+    S = model.propagation_samples if num_samples is None else int(num_samples)
     rows = [
-        substream(seed, PROPAGATION, point_hash(X[i]), level).standard_normal(num_samples)
-        for i in range(m)
+        substream(rng_seed, PROPAGATION, point_hash(x), t).standard_normal(S)
+        for t in range(1, model.num_levels)
     ]
-    return np.vstack(rows)
+    return np.asarray(rows, dtype=np.float64).reshape(model.num_levels - 1, S)
 
 
-def propagate(
-    model: MFDeepGP,
-    X,
-    rng_seed: int = 0,
-    num_samples: int | None = None,
-    base_draws: np.ndarray | None = None,
-    up_to_level: int | None = None,
-) -> list[LevelTrace]:
-    """Run the sampling recursion and retain the per-level populations.
+def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
+    """Run the sampling recursion through every level and retain the populations.
 
-    With ``base_draws`` (shape (T-1, S) of standard normals) the same draws
-    are reused for every query row, which makes downstream functions of the
-    output continuous in x (common random numbers). Without it, each row
-    owns a stream derived from (seed, point hash, level), so results do not
-    depend on batch composition or call order.
+    ``base_draws`` holds standard normals, at least T-1 rows of S columns;
+    row t-1 samples the level-t predictive. Every query row uses the same
+    draws (common random numbers), so downstream functions of the output
+    are continuous in x, and a row's moments depend on the other rows of
+    the batch only through floating-point rounding.
     """
     if not model.layers:
         raise StateError("model has no trained layers")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
         raise ShapeError(f"query dimension {X.shape[1]} != model dimension {model.dimension}")
-    top = model.num_levels if up_to_level is None else _level_index(up_to_level)
-    if not 1 <= top <= model.num_levels:
-        raise DomainError(f"level {top} outside 1..{model.num_levels}")
-    if base_draws is not None:
-        base_draws = np.atleast_2d(np.asarray(base_draws, dtype=np.float64))
-        S = base_draws.shape[1]
-    else:
-        S = model.propagation_samples if num_samples is None else int(num_samples)
+    base_draws = np.atleast_2d(np.asarray(base_draws, dtype=np.float64))
+    top = model.num_levels
+    S = base_draws.shape[1]
     if S < 1:
         raise DomainError("need at least one propagation sample")
+    if base_draws.shape[0] < top - 1:
+        raise ShapeError(f"{base_draws.shape[0]} base draw rows, need {top - 1}")
 
     m = X.shape[0]
     mean, variance = gp.predict(model.layers[0], X)
-    traces = []
     draws = None
     if top > 1:
-        z = _level_normals(model, X, rng_seed, S, base_draws, 1, m)
-        draws = mean[:, None] + np.sqrt(variance)[:, None] * z
-    traces.append(
+        draws = mean[:, None] + np.sqrt(variance)[:, None] * base_draws[0]
+    traces = [
         LevelTrace(
             level=1, mean=mean, variance=variance,
             sample_means=None, sample_variances=None, draws=draws,
         )
-    )
+    ]
     for t in range(2, top + 1):
         prev = traces[-1].draws
         aug = np.column_stack([np.repeat(X, S, axis=0), prev.reshape(-1)])
@@ -305,8 +280,7 @@ def propagate(
         mix_var = np.mean(vars_, axis=1) + np.var(mus, axis=1)
         draws = None
         if t < top:
-            z = _level_normals(model, X, rng_seed, S, base_draws, t, m)
-            draws = mus + np.sqrt(vars_) * z
+            draws = mus + np.sqrt(vars_) * base_draws[t - 1]
         traces.append(
             LevelTrace(
                 level=t, mean=mix_mean, variance=mix_var,
@@ -314,58 +288,3 @@ def propagate(
             )
         )
     return traces
-
-
-def predict_level(
-    model: MFDeepGP,
-    x,
-    level,
-    rng_seed: int = 0,
-    num_samples: int | None = None,
-    base_draws: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Mean and standard deviation of the level-t predictive at one point."""
-    t = _level_index(level)
-    traces = propagate(
-        model, np.atleast_1d(x)[None, :] if np.ndim(x) == 1 else x,
-        rng_seed=rng_seed, num_samples=num_samples,
-        base_draws=base_draws, up_to_level=t,
-    )
-    tr = traces[-1]
-    return float(tr.mean[0]), float(np.sqrt(max(tr.variance[0], 0.0)))
-
-
-def predict_all_levels(
-    model: MFDeepGP,
-    x,
-    rng_seed: int = 0,
-    num_samples: int | None = None,
-    base_draws: np.ndarray | None = None,
-) -> list[tuple[float, float]]:
-    """(mean, sigma) at every level from one shared propagation pass."""
-    traces = propagate(
-        model, np.atleast_1d(x)[None, :] if np.ndim(x) == 1 else x,
-        rng_seed=rng_seed, num_samples=num_samples, base_draws=base_draws,
-    )
-    return [
-        (float(tr.mean[0]), float(np.sqrt(max(tr.variance[0], 0.0)))) for tr in traces
-    ]
-
-
-def predict_level_many(
-    model: MFDeepGP,
-    X,
-    level,
-    rng_seed: int = 0,
-    num_samples: int | None = None,
-    base_draws: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized predict_level over the rows of X: returns (means, sigmas)."""
-    t = _level_index(level)
-    traces = propagate(
-        model, X, rng_seed=rng_seed, num_samples=num_samples,
-        base_draws=base_draws, up_to_level=t,
-    )
-    tr = traces[-1]
-    return tr.mean, np.sqrt(np.maximum(tr.variance, 0.0))
-

@@ -85,28 +85,31 @@ class ResultsLogWriter:
         self.close()
 
 
+def _decode(line: str, line_no: int) -> dict:
+    if not line.strip():
+        raise CorruptLogError("blank line in results log", line_no)
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorruptLogError(f"unparseable record: {exc.msg}", line_no) from exc
+    if not isinstance(payload, dict) or "type" not in payload:
+        raise CorruptLogError("record is not an object with a 'type'", line_no)
+    return payload
+
+
 def read_log_lines(path) -> list[dict]:
     """Parse every line; a malformed line raises naming its 1-based number."""
     lines = Path(path).read_text().splitlines()
-    out = []
-    for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            raise CorruptLogError("blank line in results log", i)
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorruptLogError(f"unparseable record: {exc.msg}", i) from exc
-        if not isinstance(payload, dict) or "type" not in payload:
-            raise CorruptLogError("record is not an object with a 'type'", i)
-        out.append(payload)
-    return out
+    return [_decode(line, i) for i, line in enumerate(lines, start=1)]
 
 
 def read_header(path) -> dict:
-    lines = read_log_lines(path)
-    if not lines or lines[0].get("type") != "header":
+    """Decode line 1 only; it must be a results-log header."""
+    with Path(path).open() as fh:
+        header = _decode(fh.readline(), 1)
+    if header["type"] != "header":
         raise CorruptLogError("first line is not a results-log header", 1)
-    return lines[0]
+    return header
 
 
 def _record_from_payload(payload: dict, line_no: int) -> EvaluationRecord:

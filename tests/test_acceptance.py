@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 
 from mfdgp import acquisition, campaign, cli, dgp, gp, logio
-from mfdgp.dgp import DGPTrainConfig, default_ladder
+from mfdgp.dgp import default_ladder
 from mfdgp.kernels import KernelSpec
 from mfdgp.objectives import ForresterFamily, reactor
 
@@ -137,16 +137,18 @@ def test_criterion_3_dgp_degeneracy():
     X = np.linspace(0, 1, 8)[:, None]
     y = np.sin(4 * X[:, 0])
     data = dgp.MultiFidelityDataset.from_arrays([X, X], [y, y], noise_variance=1e-10)
-    model = dgp.train(data, DGPTrainConfig(restarts=2, rng_seed=5))
+    model = dgp.train(data, 2, 5)
 
     bitwise = True
     for x in (np.array([0.11]), np.array([0.53]), np.array([0.97])):
-        mu, sigma = dgp.predict_level(model, x, 1, rng_seed=3)
+        level1 = dgp.propagate(model, x, dgp.point_draws(model, x, 3))[0]
+        mu, sigma = level1.mean[0], level1.sigma[0]
         m, v = gp.predict(model.layers[0], x[None, :])
         bitwise = bitwise and mu == m[0] and sigma == np.sqrt(v[0])
 
     worst = max(
-        abs(dgp.predict_level(model, X[i], 2, rng_seed=9)[0] - y[i]) for i in range(8)
+        abs(dgp.propagate(model, X[i], dgp.point_draws(model, X[i], 9))[1].mean[0] - y[i])
+        for i in range(8)
     )
     _criterion(
         3,
@@ -166,16 +168,16 @@ def test_criterion_4_monte_carlo_consistency():
     xs = [np.sort(rng.uniform(size=n))[:, None] for n in (6, 4, 3)]
     ys = [np.sin(4 * x[:, 0]) * (1 + 0.1 * t) for t, x in enumerate(xs)]
     data = dgp.MultiFidelityDataset.from_arrays(xs, ys)
-    model = dgp.train(data, DGPTrainConfig(restarts=2, rng_seed=0))
+    model = dgp.train(data, 2, 0)
     x = np.array([[0.37]])
 
     decomposition_ok = True
-    for tr in dgp.propagate(model, x, rng_seed=1, num_samples=700)[1:]:
+    for tr in dgp.propagate(model, x, dgp.point_draws(model, x, 1, 700))[1:]:
         recomputed = np.mean(tr.sample_variances, axis=1) + np.var(tr.sample_means, axis=1)
         decomposition_ok = decomposition_ok and abs(recomputed[0] - tr.variance[0]) <= 1e-12
 
-    a = dgp.propagate(model, x, rng_seed=11, num_samples=5000)[-1]
-    b = dgp.propagate(model, x, rng_seed=22, num_samples=5000)[-1]
+    a = dgp.propagate(model, x, dgp.point_draws(model, x, 11, 5000))[-1]
+    b = dgp.propagate(model, x, dgp.point_draws(model, x, 22, 5000))[-1]
     se = np.sqrt(np.var(a.sample_means) / 5000) + np.sqrt(np.var(b.sample_means) / 5000)
     gap = abs(a.mean[0] - b.mean[0])
     _criterion(

@@ -149,9 +149,9 @@ def test_select_fidelity_on_model_matches_pure_function(small_model):
     cfg = campaign.UCBConfig()
     x = np.array([0.31])
     level = campaign.select_fidelity(model, x, state.cost_model, cfg, rng_seed=9)
-    stats = dgp.predict_all_levels(model, x, rng_seed=9)
+    traces = dgp.propagate(model, x, dgp.point_draws(model, x, 9))
     scores = campaign.fidelity_scores(
-        [s for _, s in stats], state.cost_model.tau, cfg.beta
+        [tr.sigma[0] for tr in traces], state.cost_model.tau, cfg.beta
     )
     assert level.index == campaign.argmax_highest(scores) + 1
 
@@ -178,7 +178,6 @@ def test_cost_model_from_records():
     updated = campaign.CostModel.from_records(records + _records([(1, 4.0)]))
     assert updated.tau[0] == 3.0  # mean of 2 and 4
     assert updated.tau[1] == 5.0  # other levels untouched
-    assert updated.counts.tolist() == [2, 3]
     # constant costs keep tau at the constant; levels without records are absent
     cm2 = campaign.CostModel.from_records(_records([(3, 7.0)] * 6))
     assert cm2.levels == (3,) and cm2.tau.tolist() == [7.0]
@@ -210,8 +209,8 @@ def test_solve_ucb_beta_zero_maximizes_posterior_mean(small_model, forrester):
     draw_rng = substream(seed, ACQUISITION, "draws")
     base = acquisition.acquisition_base_draws(model.num_levels, dgp.ACQUISITION_SAMPLES, draw_rng)
     grid = np.linspace(0, 1, 2001)[:, None]
-    mu, _ = dgp.predict_level_many(model, grid, 5, base_draws=base)
-    mu_star, _ = dgp.predict_level_many(model, x_star[None, :], 5, base_draws=base)
+    mu = dgp.propagate(model, grid, base)[-1].mean
+    mu_star = dgp.propagate(model, x_star[None, :], base)[-1].mean
     assert mu_star[0] >= np.max(mu) - 1e-3
 
 

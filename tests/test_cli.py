@@ -309,3 +309,15 @@ def test_report_corrupt_log_exit_4(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"type": "header", "format": "mfdgp-results", "config": {}}\nnot json\n')
     assert cli.main(["report", "--log", str(bad)]) == cli.EXIT_CORRUPT_LOG
+
+
+@pytest.mark.parametrize("command", ["resume", "report"])
+@pytest.mark.parametrize(
+    "config", [{"config": {"bogus": 1}}, {}], ids=["unknown-key", "no-config"]
+)
+def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
+    log = tmp_path / "records.jsonl"
+    log.write_text(json.dumps({"type": "header", "format": "mfdgp-results", **config}) + "\n")
+    argv = [command, "--log", str(log)] + (["--budget", "5.0"] if command == "resume" else [])
+    assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
+    assert "(line 1)" in capsys.readouterr().err

@@ -3,6 +3,13 @@ import pytest
 
 from mfdgp import dgp, gp
 from mfdgp.errors import DomainError, InsufficientDataError, ShapeError
+from mfdgp.streams import PROPAGATION, point_hash, substream
+
+
+def point_traces(model, x, rng_seed, num_samples=None):
+    """Propagate one point with its own seeded draws (dgp.point_draws)."""
+    x = np.atleast_2d(x)
+    return dgp.propagate(model, x, dgp.point_draws(model, x, rng_seed, num_samples))
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +19,7 @@ def correlated_two_level():
     X = np.linspace(0, 1, 8)[:, None]
     y = np.sin(4 * X[:, 0])
     data = dgp.MultiFidelityDataset.from_arrays([X, X], [y, y], noise_variance=1e-10)
-    model = dgp.train(data, dgp.DGPTrainConfig(restarts=2, rng_seed=5))
+    model = dgp.train(data, 2, 5)
     return X, y, model
 
 
@@ -22,7 +29,7 @@ def five_level_model():
     xs = [np.sort(rng.uniform(size=n))[:, None] for n in (6, 5, 4, 3, 2)]
     ys = [np.sin(5 * x[:, 0]) + 0.1 * t * x[:, 0] for t, x in enumerate(xs)]
     data = dgp.MultiFidelityDataset.from_arrays(xs, ys, noise_variance=1e-8)
-    return dgp.train(data, dgp.DGPTrainConfig(restarts=2, rng_seed=1))
+    return dgp.train(data, 2, 1)
 
 
 def test_ladder_construction():
@@ -54,7 +61,7 @@ def test_train_layer_shapes(correlated_two_level):
 def test_perfectly_correlated_round_trip(correlated_two_level):
     X, y, model = correlated_two_level
     for i in range(len(X)):
-        mu, _ = dgp.predict_level(model, X[i], 2, rng_seed=7)
+        mu = point_traces(model, X[i], 7)[1].mean[0]
         assert mu == pytest.approx(y[i], abs=1e-4)
 
 
@@ -65,7 +72,7 @@ def test_train_accepts_single_point_top_level():
     data = dgp.MultiFidelityDataset.from_arrays(
         [X1, X2], [np.sin(X1[:, 0]), np.sin(X2[:, 0])]
     )
-    model = dgp.train(data, dgp.DGPTrainConfig(restarts=2, rng_seed=0))
+    model = dgp.train(data, 2, 0)
     assert model.num_levels == 2
 
 
@@ -74,9 +81,8 @@ def test_train_deterministic():
     xs = [rng.uniform(size=(4, 1)) for _ in range(2)]
     ys = [np.cos(3 * x[:, 0]) for x in xs]
     data = dgp.MultiFidelityDataset.from_arrays(xs, ys)
-    cfg = dgp.DGPTrainConfig(restarts=3, rng_seed=11)
-    a = dgp.train(data, cfg)
-    b = dgp.train(data, cfg)
+    a = dgp.train(data, 3, 11)
+    b = dgp.train(data, 3, 11)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.kernel.lengthscales, lb.kernel.lengthscales)
         assert la.kernel.signal_variance == lb.kernel.signal_variance
@@ -87,34 +93,61 @@ def test_ladder_length_must_match_levels():
     xs = [rng.uniform(size=(3, 1)) for _ in range(2)]
     data = dgp.MultiFidelityDataset.from_arrays(xs, [x[:, 0] for x in xs])
     with pytest.raises(ShapeError):
-        dgp.train(data, ladder=dgp.default_ladder())
+        dgp.train(data, 2, 0, ladder=dgp.default_ladder())
 
 
 def test_level_one_is_plain_gp_bit_for_bit(five_level_model):
     model = five_level_model
     x = np.array([0.37])
-    mu, sigma = dgp.predict_level(model, x, 1, rng_seed=123)
+    level1 = point_traces(model, x, 123)[0]
     m, v = gp.predict(model.layers[0], x[None, :])
-    assert mu == m[0]
-    assert sigma == np.sqrt(v[0])
+    assert level1.mean[0] == m[0]
+    assert level1.sigma[0] == np.sqrt(v[0])
 
 
 def test_all_levels_shape_and_consistency(five_level_model):
     model = five_level_model
-    x = np.array([0.61])
-    stats = dgp.predict_all_levels(model, x, rng_seed=21)
-    assert len(stats) == 5
-    assert all(s >= 0 for _, s in stats)
-    # per-level calls with the shared seed reproduce the one-pass results
-    for t, (mu, sigma) in enumerate(stats, start=1):
-        mu_t, sigma_t = dgp.predict_level(model, x, t, rng_seed=21)
-        assert abs(mu_t - mu) <= 1e-12
-        assert abs(sigma_t - sigma) <= 1e-12
+    traces = point_traces(model, np.array([0.61]), 21)
+    assert [tr.level for tr in traces] == [1, 2, 3, 4, 5]
+    assert all(tr.sigma[0] >= 0 for tr in traces)
+    assert traces[-1].draws is None
+    assert all(tr.draws.shape == (1, model.propagation_samples) for tr in traces[:-1])
+
+
+def test_propagate_rows_do_not_depend_on_the_batch(five_level_model):
+    # shared draws: each row of a batch gets the moments it gets alone
+    model = five_level_model
+    X = np.random.default_rng(4).uniform(size=(7, 1))
+    draws = np.random.default_rng(5).standard_normal((4, 300))
+    batch = dgp.propagate(model, X, draws)
+    for i in range(len(X)):
+        alone = dgp.propagate(model, X[i : i + 1], draws)
+        for b, a in zip(batch, alone):
+            assert abs(b.mean[i] - a.mean[0]) <= 1e-12
+            assert abs(b.variance[i] - a.variance[0]) <= 1e-12
+
+
+def test_point_draws_are_the_point_substreams(five_level_model):
+    model = five_level_model
+    x = np.array([0.27])
+    draws = dgp.point_draws(model, x, 21, 50)
+    assert draws.shape == (4, 50)
+    for t in range(1, 5):
+        expected = substream(21, PROPAGATION, point_hash(x), t).standard_normal(50)
+        assert np.array_equal(draws[t - 1], expected)
+    assert dgp.point_draws(model, x, 21).shape == (4, model.propagation_samples)
+
+
+def test_propagate_needs_a_draw_row_per_lower_level(five_level_model):
+    with pytest.raises(ShapeError):
+        dgp.propagate(five_level_model, np.array([[0.5]]), np.zeros((3, 10)))
+    with pytest.raises(DomainError):
+        dgp.propagate(five_level_model, np.array([[0.5]]), np.zeros((4, 0)))
 
 
 def test_variance_decomposition_recomputable(five_level_model):
     model = five_level_model
-    traces = dgp.propagate(model, np.array([[0.44]]), rng_seed=5, num_samples=800)
+    traces = point_traces(model, np.array([[0.44]]), 5, 800)
     for tr in traces[1:]:
         recomputed = np.mean(tr.sample_variances, axis=1) + np.var(tr.sample_means, axis=1)
         assert abs(recomputed[0] - tr.variance[0]) <= 1e-12
@@ -125,8 +158,8 @@ def test_monte_carlo_self_consistency(correlated_two_level):
     # the spread measured from the retained sample population
     _, _, model = correlated_two_level
     x = np.array([[0.415]])
-    t1 = dgp.propagate(model, x, rng_seed=101, num_samples=5000)[-1]
-    t2 = dgp.propagate(model, x, rng_seed=202, num_samples=5000)[-1]
+    t1 = point_traces(model, x, 101, 5000)[-1]
+    t2 = point_traces(model, x, 202, 5000)[-1]
     se1 = np.sqrt(np.var(t1.sample_means) / 5000)
     se2 = np.sqrt(np.var(t2.sample_means) / 5000)
     assert abs(t1.mean[0] - t2.mean[0]) <= 3 * (se1 + se2) + 1e-12
@@ -136,9 +169,8 @@ def test_sigma_never_negative(five_level_model):
     model = five_level_model
     rng = np.random.default_rng(6)
     for x in rng.uniform(size=(10, 1)):
-        for t in range(1, 6):
-            _, sigma = dgp.predict_level(model, x, t, rng_seed=int(x[0] * 1e6))
-            assert sigma >= 0
+        for tr in point_traces(model, x, int(x[0] * 1e6)):
+            assert tr.sigma[0] >= 0
 
 
 def test_monotone_data_effect():
@@ -150,11 +182,12 @@ def test_monotone_data_effect():
     X2 = np.array([[0.2], [0.8]])
     y2 = np.sin(4 * X2[:, 0])
     data = dgp.MultiFidelityDataset.from_arrays([X1, X2], [y1, y2], noise_variance=1e-10)
-    model = dgp.train(data, dgp.DGPTrainConfig(restarts=2, rng_seed=3))
+    model = dgp.train(data, 2, 3)
 
     x_new = np.array([0.5])
     draws = np.random.default_rng(77).standard_normal((1, 10_000))
-    mu, sigma_before = dgp.predict_level(model, x_new, 2, base_draws=draws)
+    before = dgp.propagate(model, x_new, draws)[-1]
+    mu, sigma_before = before.mean[0], before.sigma[0]
 
     # condition layer 2 on the new observation, keeping hyperparameters fixed
     aug = dgp.compose_mean(model.layers[:1], x_new[None, :])
@@ -165,7 +198,7 @@ def test_monotone_data_effect():
         gp.GPDataset(new_inputs, new_targets, old.noise_variance), model.layers[1].kernel
     )
     grown = dgp.MFDeepGP(layers=(model.layers[0], layer2), ladder=model.ladder)
-    _, sigma_after = dgp.predict_level(grown, x_new, 2, base_draws=draws)
+    sigma_after = dgp.propagate(grown, x_new, draws)[-1].sigma[0]
 
     blocks = dgp.propagate(model, x_new[None, :], base_draws=draws)[-1]
     block_sigmas = [
@@ -188,4 +221,4 @@ def test_predict_on_untrained_model_is_state_error():
         object.__setattr__(broken, "layers", ())
         object.__setattr__(broken, "ladder", ())
         object.__setattr__(broken, "propagation_samples", 100)
-        dgp.propagate(broken, np.array([[0.5]]))
+        dgp.propagate(broken, np.array([[0.5]]), np.zeros((1, 10)))

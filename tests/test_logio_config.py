@@ -34,7 +34,6 @@ def test_replay_reconstructs_state(tmp_path):
     assert replayed.incumbent.y == state.incumbent.y
     assert np.array_equal(replayed.incumbent.x, state.incumbent.x)
     assert np.array_equal(replayed.cost_model.tau, state.cost_model.tau)
-    assert np.array_equal(replayed.cost_model.counts, state.cost_model.counts)
 
 
 def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
