@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 configuration error, 3 campaign or simulation
 failure, 4 corrupt results log.
 
+Exit 2 covers any config file value that fails its checks and a
+``--budget`` that is not finite and >= 0. A results-log header whose
+config fails the same checks is a corrupt line 1: exit 4.
+
 ``run`` brings an empty ledger to the configured budget, ``resume`` the
 replayed log to its last total plus ``--budget``, through one body.
 
@@ -19,12 +23,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import campaign, config as cfgmod, dgp, logio
+from . import campaign, config as cfgmod, logio
 from .errors import ConfigError, CorruptLogError, MfdgpError, SimulationDivergedError
 from .objectives import reactor
 from .streams import TRAIN, derive_seed
@@ -94,7 +97,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = campaign.CampaignState(ladder=tuple(cfg.build_ladder()))
+    state = campaign.CampaignState(ladder=cfg.build_objective().ladder)
     writer = logio.ResultsLogWriter(out_dir / LOG_NAME, config_payload=cfg.as_payload())
     return _campaign(args, cfg, state, cfg.budget, writer)
 
@@ -104,12 +107,14 @@ def _load_log(log_path) -> tuple[cfgmod.CampaignConfig, campaign.CampaignState]:
     header = logio.read_header(log_path)
     try:
         cfg = cfgmod.CampaignConfig.from_payload(header["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers ConfigError
         raise CorruptLogError(f"header has no valid config: {exc!r}", 1) from exc
-    return cfg, logio.replay(log_path, cfg.build_ladder())
+    return cfg, logio.replay(log_path, cfg.build_objective().ladder)
 
 
 def cmd_resume(args) -> int:
+    if not (math.isfinite(args.budget) and args.budget >= 0):
+        raise ConfigError("--budget must be finite and >= 0")
     log_path = Path(args.log)
     cfg, state = _load_log(log_path)
     if args.seed is not None:
@@ -126,12 +131,10 @@ def cmd_validate_fidelity(args) -> int:
             print("error: validate-fidelity requires the reactor-proxy objective",
                   file=sys.stderr)
             return EXIT_CONFIG
-        seed = cfg.seed
-        base_costs = cfg.base_costs or reactor.DEFAULT_BASE_COSTS
+        objective = cfg.build_objective()
         out_dir = Path(cfg.out)
     else:
-        seed = args.seed if args.seed is not None else 0
-        base_costs = reactor.DEFAULT_BASE_COSTS
+        objective = reactor.ReactorProxyObjective(seed=args.seed if args.seed is not None else 0)
         out_dir = Path(args.out) if args.out else Path("validate-out")
 
     try:
@@ -148,9 +151,9 @@ def cmd_validate_fidelity(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for level in dgp.default_ladder():
+    for level in objective.ladder:
         curve, cost = reactor.reactor_proxy_simulate(
-            geom, level, seed=seed, base_cost=base_costs[level.index - 1]
+            geom, level, seed=objective.seed, base_cost=objective.base_costs[level.index - 1]
         )
         metric = reactor.fit_tanks_in_series(curve)
         reactor.write_rtd_csv(curve, out_dir / f"rtd_level_{level.index}.csv")

@@ -4,25 +4,35 @@ The format is INI-style with three sections. Unknown sections or keys are
 errors (fail-closed), so typos cannot silently fall back to defaults.
 ``cmd_init`` writes a fully commented template that parses back equal to
 the built-in defaults.
+
+A config file and a results-log header pass the same checks: both enter
+through :meth:`CampaignConfig.from_payload`. The objective name, ladder,
+base costs and design box are checked by the objects built from them.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .dgp import DEFAULT_NOMINALS, ladder_from_nominals
-from .errors import ConfigError
-from .objectives import get_objective, objective_names
+from .dgp import DEFAULT_NOMINALS
+from .errors import ConfigError, DomainError, ShapeError
+from .objectives import get_objective
 from .space import DesignSpace
 
+
+def _float_list(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+# Each section's keys and the converter for their text values.
 _SCHEMA = {
-    "campaign": {"objective", "n", "beta", "budget", "seed", "out"},
-    "space": {"lower", "upper"},
-    "fidelity": {"nominals", "base_costs"},
+    "campaign": {"objective": str, "n": int, "beta": float, "budget": float,
+                 "seed": int, "out": str},
+    "space": {"lower": _float_list, "upper": _float_list},
+    "fidelity": {"nominals": _float_list, "base_costs": _float_list},
 }
 
 
@@ -42,26 +52,21 @@ class CampaignConfig:
     base_costs: list | None = None
 
     def validate(self) -> "CampaignConfig":
-        if self.objective not in objective_names():
-            raise ConfigError(
-                f"unknown objective {self.objective!r}; known: {objective_names()}"
-            )
+        """Check n, beta, budget and the box's dimension against the objective's;
+        the objective and the box check the rest while they are built here."""
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
-        if self.budget <= 0:
-            raise ConfigError("budget must be > 0")
-        if len(self.lower) != len(self.upper):
-            raise ConfigError("lower and upper bounds must have the same length")
-        if any(a >= b for a, b in zip(self.lower, self.upper)):
-            raise ConfigError("each lower bound must be strictly below its upper bound")
-        if self.base_costs is not None and len(self.base_costs) != len(self.nominals):
-            raise ConfigError("base_costs must have one entry per fidelity level")
-        objective = self.build_objective()
-        if len(self.lower) != objective.dimension:
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError("beta must be finite and >= 0")
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise ConfigError("budget must be finite and > 0")
+        try:
+            objective, space = self.build_objective(), self.build_space()
+        except (DomainError, ShapeError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if space.dimension != objective.dimension:
             raise ConfigError(
-                f"bounds have dimension {len(self.lower)}, objective "
+                f"bounds have dimension {space.dimension}, objective "
                 f"{self.objective!r} expects {objective.dimension}"
             )
         return self
@@ -77,34 +82,16 @@ class CampaignConfig:
     def build_space(self) -> DesignSpace:
         return DesignSpace(lower=self.lower, upper=self.upper)
 
-    def build_ladder(self):
-        return ladder_from_nominals(self.nominals)
-
     def as_payload(self) -> dict:
-        return {
-            "objective": self.objective,
-            "n": self.n,
-            "beta": self.beta,
-            "budget": self.budget,
-            "seed": self.seed,
-            "out": self.out,
-            "lower": list(map(float, self.lower)),
-            "upper": list(map(float, self.upper)),
-            "nominals": list(map(float, self.nominals)),
-            "base_costs": None if self.base_costs is None else list(map(float, self.base_costs)),
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CampaignConfig":
         return cls(**payload).validate()
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
-
-
 def parse_config(path) -> CampaignConfig:
-    """Read and validate a config file; unknown keys are errors."""
+    """Read a config file into a payload and check it; unknown keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     text = Path(path).read_text()
     try:
@@ -112,42 +99,20 @@ def parse_config(path) -> CampaignConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    payload = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
-
-    cfg = CampaignConfig()
-    try:
-        camp = parser["campaign"] if parser.has_section("campaign") else {}
-        if "objective" in camp:
-            cfg.objective = camp["objective"].strip()
-        if "n" in camp:
-            cfg.n = int(camp["n"])
-        if "beta" in camp:
-            cfg.beta = float(camp["beta"])
-        if "budget" in camp:
-            cfg.budget = float(camp["budget"])
-        if "seed" in camp:
-            cfg.seed = int(camp["seed"])
-        if "out" in camp:
-            cfg.out = camp["out"].strip()
-        if parser.has_section("space"):
-            if "lower" in parser["space"]:
-                cfg.lower = _float_list(parser["space"]["lower"])
-            if "upper" in parser["space"]:
-                cfg.upper = _float_list(parser["space"]["upper"])
-        if parser.has_section("fidelity"):
-            fid = parser["fidelity"]
-            if "nominals" in fid and fid["nominals"].strip():
-                cfg.nominals = _float_list(fid["nominals"])
-            if "base_costs" in fid and fid["base_costs"].strip():
-                cfg.base_costs = _float_list(fid["base_costs"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid value in {path}: {exc}") from exc
-    return cfg.validate()
+            if section == "fidelity" and not raw.strip():
+                continue  # a blank nominals or base_costs keeps its default
+            try:
+                payload[key] = _SCHEMA[section][key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"invalid value in {path}: {exc}") from exc
+    return CampaignConfig.from_payload(payload)
 
 
 TEMPLATE = """\

@@ -6,7 +6,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..dgp import FidelityLevel
+from ..dgp import FidelityLevel, default_ladder, ladder_from_nominals
 from ..errors import DomainError
 from ..space import DesignSpace
 
@@ -29,6 +29,19 @@ class MultiFidelityObjective(ABC):
     def known_optimum(self):
         """(x*, f*) when the true optimum is known, else None."""
         return None
+
+    def _set_ladder(self, nominals, base_costs, default_costs) -> None:
+        """Build the ladder from ``nominals`` (default ladder when None) and check its
+        base costs, which are ``default_costs(levels)`` when ``base_costs`` is None."""
+        ladder = default_ladder() if nominals is None else ladder_from_nominals(nominals)
+        self.ladder = tuple(ladder)
+        if base_costs is None:
+            base_costs = default_costs(len(self.ladder))
+        if len(base_costs) != len(self.ladder):
+            raise DomainError("need one base cost per fidelity level")
+        if not all(0.0 < c < np.inf for c in base_costs):
+            raise DomainError(f"base costs must be > 0 and finite, got {list(base_costs)}")
+        self.base_costs = tuple(float(c) for c in base_costs)
 
     def resolve_level(self, level) -> FidelityLevel:
         idx = level.index if isinstance(level, FidelityLevel) else int(level)

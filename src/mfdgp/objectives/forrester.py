@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dgp import default_ladder, ladder_from_nominals
-from ..errors import DomainError
 from ..space import DesignSpace
 from .base import MultiFidelityObjective
 
@@ -35,16 +33,7 @@ class ForresterFamily(MultiFidelityObjective):
     dimension = 1
 
     def __init__(self, nominals=None, base_costs=None):
-        self.ladder = tuple(
-            default_ladder() if nominals is None else ladder_from_nominals(nominals)
-        )
-        if base_costs is None:
-            base_costs = [2.0 ** (lv.index - 1) for lv in self.ladder]
-        if len(base_costs) != len(self.ladder):
-            raise DomainError("need one base cost per fidelity level")
-        if any(c <= 0 for c in base_costs):
-            raise DomainError("base costs must be > 0")
-        self.base_costs = tuple(float(c) for c in base_costs)
+        self._set_ladder(nominals, base_costs, lambda levels: [2.0 ** i for i in range(levels)])
         self.space = DesignSpace(lower=[0.0], upper=[1.0])
 
     def evaluate(self, x, level):

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import erf, gammaln
 
-from ..dgp import default_ladder, ladder_from_nominals
 from ..errors import DomainError, RTDFitError, SimulationDivergedError
 from ..space import DesignSpace
 from ..streams import COST, point_hash, substream
@@ -286,21 +285,12 @@ class ReactorProxyObjective(MultiFidelityObjective):
 
     def __init__(self, seed: int = 0, nominals=None, base_costs=None,
                  total_volume: float = DEFAULT_TOTAL_VOLUME):
-        self.ladder = tuple(
-            default_ladder() if nominals is None else ladder_from_nominals(nominals)
-        )
-        if len(self.ladder) != len(CELLS_PER_LEVEL):
+        if nominals is not None and len(nominals) != len(CELLS_PER_LEVEL):
             raise DomainError(
                 f"reactor proxy defines {len(CELLS_PER_LEVEL)} fidelities, "
-                f"got a {len(self.ladder)}-level ladder"
+                f"got a {len(nominals)}-level ladder"
             )
-        if base_costs is None:
-            base_costs = DEFAULT_BASE_COSTS
-        if len(base_costs) != len(self.ladder):
-            raise DomainError("need one base cost per fidelity level")
-        if any(c <= 0 for c in base_costs):
-            raise DomainError("base costs must be > 0")
-        self.base_costs = tuple(float(c) for c in base_costs)
+        self._set_ladder(nominals, base_costs, lambda levels: DEFAULT_BASE_COSTS)
         self.seed = int(seed)
         self.total_volume = float(total_volume)
         self.space = GEOMETRY_BOX

@@ -124,6 +124,34 @@ def test_run_rejects_bad_config_before_evaluating(tmp_path):
     assert cli.main(["run"]) == cli.EXIT_CONFIG  # --config missing
 
 
+FORRESTER_BOX = "[space]\nlower = 0.0\nupper = 1.0\n"
+REACTOR_BOX = "[space]\nlower = 5.0, 1.5, 4.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[campaign]\nobjective = forrester5\n" + FORRESTER_BOX
+        + "[fidelity]\nnominals = 0.5, 0.2\n",
+        "[campaign]\nobjective = forrester5\n" + FORRESTER_BOX
+        + "[fidelity]\nnominals = 0, 1.5\n",
+        "[campaign]\nobjective = forrester5\n" + FORRESTER_BOX
+        + "[fidelity]\nbase_costs = 1, 0, 4, 8, 16\n",
+        "[campaign]\nobjective = forrester5\n[space]\nlower = nan\nupper = 1.0\n",
+        "[campaign]\nobjective = reactor-proxy\n" + REACTOR_BOX
+        + "[fidelity]\nnominals = 0, 0.5, 1\n",
+    ],
+    ids=["decreasing-nominals", "nominal-above-1", "zero-base-cost", "nan-bound",
+         "reactor-3-levels"],
+)
+def test_values_the_built_objects_reject_exit_2(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    Path("c.ini").write_text(text)
+    assert cli.main(["run", "--config", "c.ini"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not Path("campaign-out").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "c.ini"
     write_config(cfg, seed=7, out=str(tmp_path / "o1"))
@@ -222,6 +250,17 @@ def test_resume_zero_budget_is_noop(tmp_path):
     assert eval_lines(log) == before
 
 
+@pytest.mark.parametrize("budget", ["inf", "nan", "-1.0"])
+def test_resume_rejects_bad_budget_exit_2(tmp_path, budget):
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, n=1, budget=15.0, out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    log = tmp_path / "out" / "records.jsonl"
+    before = log.read_text()
+    assert cli.main(["resume", "--log", str(log), "--budget", budget]) == cli.EXIT_CONFIG
+    assert log.read_text() == before
+
+
 def test_resume_truncated_log_exit_4(tmp_path):
     cfg = tmp_path / "c.ini"
     write_config(cfg, out=str(tmp_path / "out"))
@@ -313,7 +352,9 @@ def test_report_corrupt_log_exit_4(tmp_path):
 
 @pytest.mark.parametrize("command", ["resume", "report"])
 @pytest.mark.parametrize(
-    "config", [{"config": {"bogus": 1}}, {}], ids=["unknown-key", "no-config"]
+    "config",
+    [{"config": {"bogus": 1}}, {}, {"config": {"n": 0}}, {"config": {"lower": [0.0, 1.0]}}],
+    ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"

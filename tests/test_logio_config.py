@@ -170,6 +170,10 @@ def test_bad_values_rejected(tmp_path):
     path.write_text("[campaign]\nbudget = -5\n")
     with pytest.raises(ConfigError):
         cfgmod.parse_config(path)
+    for line in ("budget = inf", "budget = nan", "beta = nan", "beta = inf"):
+        path.write_text(f"[campaign]\n{line}\n")
+        with pytest.raises(ConfigError, match="finite"):
+            cfgmod.parse_config(path)
 
 
 def test_payload_round_trip():
