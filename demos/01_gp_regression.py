@@ -6,7 +6,7 @@ kernel, and checks the posterior against the observations.
 
 import numpy as np
 
-from mfdgp import GPDataset, KernelSpec, fit, log_marginal_likelihood, predict, sample_posterior
+from mfdgp import GPDataset, KernelSpec, fit, log_marginal_likelihood, predict
 
 rng = np.random.default_rng(0)
 X = np.sort(rng.uniform(0, 1, 9))[:, None]
@@ -25,7 +25,3 @@ mean, var = predict(model, grid)
 print("\n  x      truth    mean     sd")
 for g, m, v in zip(grid[:, 0], mean, np.sqrt(var)):
     print(f"{g:5.2f}  {np.sin(6 * g):+7.3f}  {m:+7.3f}  {np.sqrt(max(v, 0)):6.3f}")
-
-draws = sample_posterior(model, grid, count=2000, rng_seed=2)
-print("\nposterior sample mean tracks predictive mean:",
-      np.allclose(draws.mean(axis=0), mean, atol=0.05))

@@ -7,7 +7,7 @@ benchmarks and a coiled-tube reactor proxy (tracer transport plus
 tanks-in-series scoring) are included as pluggable objectives.
 """
 
-from .acquisition import acquisition_base_draws, solve_ucb, ucb_values
+from .acquisition import solve_ucb, ucb_values
 from .campaign import (
     CampaignState,
     CostModel,
@@ -39,11 +39,9 @@ from .gp import (
     TrainedGP,
     fit,
     log_marginal_likelihood,
-    posterior_covariance,
     predict,
-    sample_posterior,
 )
-from .kernels import KernelSpec, kernel_eval, kernel_matrix
+from .kernels import KernelSpec, kernel_matrix
 from .space import DesignSpace
 
 __version__ = "0.1.0"

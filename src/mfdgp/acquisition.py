@@ -25,13 +25,6 @@ _REFINE_STEP0 = 0.1
 _REFINE_TOL = 1e-6
 
 
-def acquisition_base_draws(
-    num_levels: int, num_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Standard-normal base draws, one row per propagated level."""
-    return rng.standard_normal((max(num_levels - 1, 1), num_samples))
-
-
 def ucb_values(model: dgp.MFDeepGP, X, beta: float, base_draws: np.ndarray) -> np.ndarray:
     """a(x) = mu_T + sqrt(beta) * sigma_T at each row of X, shared draws."""
     top = dgp.propagate(model, X, base_draws)[-1]
@@ -70,9 +63,8 @@ def solve_ucb(model: dgp.MFDeepGP, space: DesignSpace, config, rng_seed: int) ->
     Every score shares the base draws of ``substream(rng_seed, ACQUISITION,
     "draws")``. Always returns the best point seen, inside the box.
     """
-    base_draws = acquisition_base_draws(
-        model.num_levels, dgp.ACQUISITION_SAMPLES, substream(rng_seed, ACQUISITION, "draws")
-    )
+    draw_rng = substream(rng_seed, ACQUISITION, "draws")
+    base_draws = draw_rng.standard_normal((max(model.num_levels - 1, 1), dgp.ACQUISITION_SAMPLES))
     pool_rng = substream(rng_seed, ACQUISITION, "pool")
     pool = space.sample_sobol(config.candidate_pool_size, pool_rng)
     values = ucb_values(model, pool, config.beta, base_draws)

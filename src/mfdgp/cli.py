@@ -86,9 +86,9 @@ def _load_config(args) -> cfgmod.CampaignConfig:
     if args.config is None:
         raise ConfigError("--config PATH is required for this command")
     cfg = cfgmod.parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.out = args.out
     return cfg.validate()
 
@@ -212,13 +212,11 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="campaign configuration file")
-    common.add_argument("--seed", type=int, metavar="INT",
-                        help="override the configured random seed")
-    common.add_argument("--out", metavar="DIR", help="override the output directory")
-    common.add_argument("--force", action="store_true",
-                        help="overwrite existing files where applicable")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", metavar="PATH", help="campaign configuration file")
+    configured.add_argument("--seed", type=int, metavar="INT",
+                            help="override the configured random seed")
+    configured.add_argument("--out", metavar="DIR", help="override the output directory")
 
     parser = argparse.ArgumentParser(
         prog="mfdgp",
@@ -226,30 +224,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("init", parents=[common],
-                       help="write a commented configuration template")
+    p = sub.add_parser("init", help="write a commented configuration template")
     p.add_argument("path", help="where to write the template")
+    p.add_argument("--force", action="store_true", help="overwrite an existing file")
     p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("run", parents=[common], help="run a campaign from a config file")
+    p = sub.add_parser("run", parents=[configured], help="run a campaign from a config file")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("resume", parents=[common],
-                       help="continue a finished or interrupted campaign")
+    p = sub.add_parser("resume", help="continue a finished or interrupted campaign")
     p.add_argument("--log", required=True, metavar="PATH", help="existing results log")
     p.add_argument("--budget", type=float, required=True, metavar="COST",
                    help="extra budget to spend on top of the previous total")
+    p.add_argument("--seed", type=int, metavar="INT",
+                   help="override the random seed recorded in the log header")
     p.set_defaults(func=cmd_resume)
 
-    p = sub.add_parser("validate-fidelity", parents=[common],
+    p = sub.add_parser("validate-fidelity", parents=[configured],
                        help="simulate all reactor fidelities at one geometry")
     p.add_argument("--geometry", default="12.5,2.5,10.0,0.0", metavar="C,T,P,I",
                    help="coil radius, tube radius, pitch, inversion fraction")
     p.set_defaults(func=cmd_validate_fidelity)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="emit convergence and fidelity-timeline CSVs from a log")
+    p = sub.add_parser("report", help="emit convergence and fidelity-timeline CSVs from a log")
     p.add_argument("--log", required=True, metavar="PATH", help="results log to analyze")
+    p.add_argument("--out", metavar="DIR", help="output directory (default: the log's)")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -52,8 +52,12 @@ class CampaignConfig:
     base_costs: list | None = None
 
     def validate(self) -> "CampaignConfig":
-        """Check n, beta, budget and the box's dimension against the objective's;
+        """Check n, seed, beta, budget and the box's dimension against the objective's;
         the objective and the box check the rest while they are built here."""
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if not (math.isfinite(self.beta) and self.beta >= 0):
@@ -149,6 +153,3 @@ base_costs =
 def write_template(path) -> None:
     Path(path).write_text(TEMPLATE)
 
-
-def default_config() -> CampaignConfig:
-    return CampaignConfig().validate()

@@ -183,22 +183,6 @@ def train(data: MultiFidelityDataset, restarts: int, rng_seed: int, ladder=None)
     return MFDeepGP(layers=tuple(layers), ladder=tuple(ladder))
 
 
-def augmented_residuals(model: MFDeepGP) -> float:
-    """Max deviation between stored augmenting coordinates and a recompute.
-
-    Recomputes the composed mean of layers 1..t-1 at every layer-t training
-    input; returns the largest absolute difference from the stored value.
-    """
-    worst = 0.0
-    for t in range(2, model.num_levels + 1):
-        layer = model.layers[t - 1]
-        x = layer.dataset.inputs[:, :-1]
-        stored = layer.dataset.inputs[:, -1]
-        recomputed = compose_mean(model.layers[: t - 1], x)
-        worst = max(worst, float(np.max(np.abs(stored - recomputed))))
-    return worst
-
-
 @dataclass(frozen=True)
 class LevelTrace:
     """Retained Monte-Carlo state for one level of a propagation pass.

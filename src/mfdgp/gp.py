@@ -1,10 +1,10 @@
 """Exact Gaussian process regression.
 
 A :class:`TrainedGP` bundles a dataset, a kernel and the cached Cholesky
-factorization of ``K + noise * I``; prediction, posterior sampling and the
-log marginal likelihood all reuse that factorization. Hyperparameters are
-trained by maximizing the log marginal likelihood with a derivative-free
-simplex search in log-parameter space, restarted from scale-aware random
+factorization of ``K + noise * I``; prediction and the log marginal
+likelihood both reuse that factorization. Hyperparameters are trained by
+maximizing the log marginal likelihood with a derivative-free simplex
+search in log-parameter space, restarted from scale-aware random
 initializations.
 """
 
@@ -172,45 +172,6 @@ def _spectral_variance(gp: TrainedGP, k_star: np.ndarray) -> np.ndarray:
     return gp.kernel.signal_variance - quad
 
 
-def posterior_covariance(gp: TrainedGP, queries) -> np.ndarray:
-    """Full posterior covariance matrix over the query rows."""
-    X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    k_star = kernel_matrix(gp.kernel, gp.dataset.inputs, X)
-    k_ss = kernel_matrix(gp.kernel, X)
-    v = solve_triangular(gp.chol_factor, k_star, lower=True)
-    return k_ss - v.T @ v
-
-
-def sample_posterior(gp: TrainedGP, queries, count: int, rng_seed: int) -> np.ndarray:
-    """Draw ``count`` joint posterior samples at the query rows.
-
-    Sampling factors the posterior covariance by symmetric eigendecomposition
-    with negative eigenvalues clamped to zero, which tolerates the degenerate
-    (zero-variance) posteriors that arise at noise-free training inputs.
-    """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    mean, _ = predict(gp, X)
-    cov = posterior_covariance(gp, X)
-    cov = 0.5 * (cov + cov.T)
-    try:
-        w, u = np.linalg.eigh(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"posterior covariance factorization failed: {exc}") from exc
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    if float(np.min(w)) < -1e-8 * scale:
-        raise ConditioningError(f"posterior covariance has eigenvalue {np.min(w)}")
-    factor = u * np.sqrt(np.maximum(w, 0.0))
-    rng = np.random.default_rng(rng_seed)
-    z = rng.standard_normal((X.shape[0], count))
-    return (mean[:, None] + factor @ z).T
-
-
-def _lml_for_kernel(data: GPDataset, kernel: KernelSpec) -> float:
-    return log_marginal_likelihood(TrainedGP.from_params(data, kernel))
-
-
 def _data_scales(data: GPDataset) -> tuple[np.ndarray, float]:
     """Per-dimension input range (1.0 if flat) and target variance (1.0 if constant)."""
     ranges = np.ptp(data.inputs, axis=0)
@@ -248,7 +209,7 @@ def _nm_objective(log_params, data: GPDataset, kind: str, lo, hi) -> float:
     sv = float(np.exp(log_params[-1]))
     try:
         kernel = KernelSpec(kind=kind, lengthscales=ls, signal_variance=sv)
-        return -_lml_for_kernel(data, kernel)
+        return -log_marginal_likelihood(TrainedGP.from_params(data, kernel))
     except ConditioningError:
         return np.inf
 
@@ -302,12 +263,11 @@ def fit(data: GPDataset, init: KernelSpec, restarts: int, rng_seed: int) -> Trai
             method="Nelder-Mead",
             options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400 * start.size},
         )
-        candidate = np.clip(res.x, lo, hi)
-        val = _nm_objective(candidate, data, init.kind, lo, hi)
-        if val < best_val:
-            best_val = val
-            best_params = candidate
-    if best_params is None or not np.isfinite(best_val):
+        # a vertex outside the box scores inf, so a finite res.fun has res.x inside it
+        if res.fun < best_val:
+            best_val = res.fun
+            best_params = res.x
+    if best_params is None:
         raise ConditioningError("no restart produced a finite marginal likelihood")
     kernel = KernelSpec(
         kind=init.kind,

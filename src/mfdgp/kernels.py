@@ -11,7 +11,7 @@ its lengthscale and s2 is the signal variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +82,3 @@ def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     r = np.sqrt(5.0 * sq)
     return spec.signal_variance * (1.0 + r + r**2 / 3.0) * np.exp(-r)
 
-
-def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """Covariance between two single points."""
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    if a.shape != b.shape:
-        raise ShapeError(f"point shapes differ: {a.shape} vs {b.shape}")
-    return float(kernel_matrix(spec, a[None, :], b[None, :])[0, 0])

@@ -61,10 +61,9 @@ class ReactorGeometry:
     tube_radius: float
     pitch: float
     inversion_fraction: float
-    total_volume: float = DEFAULT_TOTAL_VOLUME
 
     def __post_init__(self):
-        for name in ("coil_radius", "tube_radius", "pitch", "total_volume"):
+        for name in ("coil_radius", "tube_radius", "pitch"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
         if not self.tube_radius < self.coil_radius:
@@ -73,9 +72,10 @@ class ReactorGeometry:
             raise DomainError("inversion_fraction must lie in [0, 1]")
 
     def as_array(self) -> np.ndarray:
+        """The four parameters and the fixed total volume, the point the cost stream hashes."""
         return np.asarray(
             [self.coil_radius, self.tube_radius, self.pitch,
-             self.inversion_fraction, self.total_volume]
+             self.inversion_fraction, DEFAULT_TOTAL_VOLUME]
         )
 
 
@@ -227,12 +227,7 @@ def fit_tanks_in_series(curve: RTDCurve) -> PlugFlowMetric:
     refined by bounded scalar minimization in log N over
     [max(0.5, N0/10), 10*N0].
     """
-    _, var = curve.moments()
-    if var <= 1e-12:
-        raise RTDFitError(
-            "curve variance is zero: the response is at the plug-flow limit N -> infinity"
-        )
-    n0 = 1.0 / var
+    n0 = moments_tank_estimate(curve)
     lo, hi = max(0.5, n0 / 10.0), 10.0 * n0
 
     def sse(log_n: float) -> float:
@@ -248,10 +243,12 @@ def fit_tanks_in_series(curve: RTDCurve) -> PlugFlowMetric:
 
 
 def moments_tank_estimate(curve: RTDCurve) -> float:
-    """The method-of-moments initializer N0 = 1 / var(theta) on its own."""
+    """The method-of-moments tank count N0 = 1 / var(theta), the fit's starting point."""
     _, var = curve.moments()
     if var <= 1e-12:
-        raise RTDFitError("curve variance is zero")
+        raise RTDFitError(
+            "curve variance is zero: the response is at the plug-flow limit N -> infinity"
+        )
     return 1.0 / var
 
 
@@ -283,8 +280,7 @@ class ReactorProxyObjective(MultiFidelityObjective):
 
     dimension = 4
 
-    def __init__(self, seed: int = 0, nominals=None, base_costs=None,
-                 total_volume: float = DEFAULT_TOTAL_VOLUME):
+    def __init__(self, seed: int = 0, nominals=None, base_costs=None):
         if nominals is not None and len(nominals) != len(CELLS_PER_LEVEL):
             raise DomainError(
                 f"reactor proxy defines {len(CELLS_PER_LEVEL)} fidelities, "
@@ -292,14 +288,13 @@ class ReactorProxyObjective(MultiFidelityObjective):
             )
         self._set_ladder(nominals, base_costs, lambda levels: DEFAULT_BASE_COSTS)
         self.seed = int(seed)
-        self.total_volume = float(total_volume)
         self.space = GEOMETRY_BOX
 
     def geometry(self, x) -> ReactorGeometry:
         x = self.check_point(x)
         return ReactorGeometry(
             coil_radius=float(x[0]), tube_radius=float(x[1]), pitch=float(x[2]),
-            inversion_fraction=float(x[3]), total_volume=self.total_volume,
+            inversion_fraction=float(x[3]),
         )
 
     def evaluate(self, x, level):
@@ -315,6 +310,5 @@ class ReactorProxyObjective(MultiFidelityObjective):
 def default_geometry() -> ReactorGeometry:
     """Declared default coil used by demos and the fidelity-validation study."""
     return ReactorGeometry(
-        coil_radius=12.5, tube_radius=2.5, pitch=10.0,
-        inversion_fraction=0.0, total_volume=DEFAULT_TOTAL_VOLUME,
+        coil_radius=12.5, tube_radius=2.5, pitch=10.0, inversion_fraction=0.0,
     )

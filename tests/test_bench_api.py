@@ -1,8 +1,10 @@
 """The package calls the benchmark scripts make directly, kept working.
 
 ``perfbench/micro.py`` builds a model by hand and times one
-``dgp.propagate`` over the 512-point acquisition pool; a change to those
-signatures would otherwise surface only in a benchmark run.
+``dgp.propagate`` over the 512-point acquisition pool, and
+``perfbench/tracing.py`` wraps package functions by module or class
+attribute. A change to those signatures or names would otherwise surface
+only in a benchmark run.
 """
 
 import sys
@@ -15,6 +17,7 @@ from mfdgp.objectives.reactor import GEOMETRY_BOX
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import micro  # noqa: E402
+import tracing  # noqa: E402
 
 
 def test_micro_propagate_over_the_pool():
@@ -27,3 +30,9 @@ def test_micro_propagate_over_the_pool():
     top = traces[-1]
     assert top.mean.shape == (512,) and np.all(np.isfinite(top.mean))
     assert np.all(top.sigma >= 0)
+
+
+def test_every_trace_target_resolves():
+    # snapshot looks each attribute up in its owner's __dict__, so a removed name raises KeyError
+    targets = tracing.package_targets(full=True)
+    assert len(tracing.snapshot(targets)) == len(targets)

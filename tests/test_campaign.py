@@ -207,7 +207,7 @@ def test_solve_ucb_beta_zero_maximizes_posterior_mean(small_model, forrester):
     seed = 3
     x_star = acquisition.solve_ucb(model, forrester.space, cfg, rng_seed=seed)
     draw_rng = substream(seed, ACQUISITION, "draws")
-    base = acquisition.acquisition_base_draws(model.num_levels, dgp.ACQUISITION_SAMPLES, draw_rng)
+    base = draw_rng.standard_normal((model.num_levels - 1, dgp.ACQUISITION_SAMPLES))
     grid = np.linspace(0, 1, 2001)[:, None]
     mu = dgp.propagate(model, grid, base)[-1].mean
     mu_star = dgp.propagate(model, x_star[None, :], base)[-1].mean
@@ -222,7 +222,7 @@ def test_solve_ucb_beats_dense_grid(small_model, forrester):
     x_star = acquisition.solve_ucb(model, forrester.space, cfg, rng_seed=seed)
     assert forrester.space.contains(x_star)
     draw_rng = substream(seed, ACQUISITION, "draws")
-    base = acquisition.acquisition_base_draws(model.num_levels, dgp.ACQUISITION_SAMPLES, draw_rng)
+    base = draw_rng.standard_normal((model.num_levels - 1, dgp.ACQUISITION_SAMPLES))
     grid = np.linspace(0, 1, 10_001)[:, None]
     grid_vals = acquisition.ucb_values(model, grid, cfg.beta, base)
     star_val = acquisition.ucb_values(model, x_star[None, :], cfg.beta, base)[0]

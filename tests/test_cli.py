@@ -72,6 +72,38 @@ def test_init_template_runs_end_to_end(tmp_path, monkeypatch):
     assert (tmp_path / "tpl-out" / "records.jsonl").exists()
 
 
+# each subcommand takes only the flags it reads; the others are argparse errors
+_LOG = ["--log", "r.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["init", "c.ini", "--config", "x.ini"],
+        ["init", "c.ini", "--seed", "1"],
+        ["init", "c.ini", "--out", "d"],
+        ["run", "--config", "c.ini", "--force"],
+        ["resume", *_LOG, "--budget", "1", "--config", "c.ini"],
+        ["resume", *_LOG, "--budget", "1", "--out", "d"],
+        ["resume", *_LOG, "--budget", "1", "--force"],
+        ["validate-fidelity", "--force"],
+        ["report", *_LOG, "--config", "c.ini"],
+        ["report", *_LOG, "--seed", "1"],
+        ["report", *_LOG, "--force"],
+    ],
+    ids=["init-config", "init-seed", "init-out", "run-force", "resume-config", "resume-out",
+         "resume-force", "validate-fidelity-force", "report-config", "report-seed",
+         "report-force"],
+)
+def test_flag_the_subcommand_ignores_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -353,8 +385,10 @@ def test_report_corrupt_log_exit_4(tmp_path):
 @pytest.mark.parametrize("command", ["resume", "report"])
 @pytest.mark.parametrize(
     "config",
-    [{"config": {"bogus": 1}}, {}, {"config": {"n": 0}}, {"config": {"lower": [0.0, 1.0]}}],
-    ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch"],
+    [{"config": {"bogus": 1}}, {}, {"config": {"n": 0}}, {"config": {"lower": [0.0, 1.0]}},
+     {"config": {"n": 1.5}}, {"config": {"n": True}}, {"config": {"seed": "a"}}],
+    ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch",
+         "n-float", "n-bool", "seed-str"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"

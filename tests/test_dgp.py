@@ -210,7 +210,12 @@ def test_monotone_data_effect():
 
 
 def test_augmented_coordinate_invariant(five_level_model):
-    assert dgp.augmented_residuals(five_level_model) <= 1e-10
+    # each layer's stored augmenting coordinate is the composed mean of the layers below
+    layers = five_level_model.layers
+    for t in range(1, len(layers)):
+        inputs = layers[t].dataset.inputs
+        recomputed = dgp.compose_mean(layers[:t], inputs[:, :-1])
+        assert np.max(np.abs(inputs[:, -1] - recomputed)) <= 1e-10
 
 
 def test_predict_on_untrained_model_is_state_error():

@@ -155,9 +155,6 @@ def test_predictions_are_pure():
     m1, v1 = gp.predict(model, Q)
     m2, v2 = gp.predict(model, Q)
     assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
-    s1 = gp.sample_posterior(model, Q, count=3, rng_seed=9)
-    s2 = gp.sample_posterior(model, Q, count=3, rng_seed=9)
-    assert np.array_equal(s1, s2)
 
 
 def test_variance_shrinks_when_observation_added():
@@ -172,43 +169,6 @@ def test_variance_shrinks_when_observation_added():
     y2 = np.append(y, 0.123)
     after = gp.predict(make_gp(spec, X2, y2, 0.0), q)[1][0]
     assert after <= before + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def test_sample_posterior_monte_carlo_mean():
-    rng = np.random.default_rng(17)
-    X = rng.uniform(size=(5, 1))
-    y = np.sin(3 * X[:, 0])
-    spec = KernelSpec(kind="squared-exponential", lengthscales=[0.5], signal_variance=1.0)
-    model = make_gp(spec, X, y, 1e-6)
-    q = np.array([[0.8]])
-    mean, var = gp.predict(model, q)
-    draws = gp.sample_posterior(model, q, count=10_000, rng_seed=3)
-    assert draws.shape == (10_000, 1)
-    # empirical mean within 4 posterior standard deviations / sqrt(n)
-    assert abs(draws.mean() - mean[0]) <= 4 * np.sqrt(var[0]) / 100.0
-
-
-def test_sample_posterior_degenerate_at_training_point():
-    X = np.array([[0.2], [0.7]])
-    y = np.array([1.0, -0.5])
-    spec = KernelSpec(kind="squared-exponential", lengthscales=[0.4], signal_variance=1.0)
-    model = make_gp(spec, X, y, 0.0)
-    draws = gp.sample_posterior(model, X[:1], count=64, rng_seed=0)
-    assert np.max(np.abs(draws - 1.0)) <= 1e-4
-
-
-def test_sample_posterior_count_validation():
-    model = make_gp(
-        KernelSpec(kind="squared-exponential", lengthscales=[1.0], signal_variance=1.0),
-        np.array([[0.0]]), np.array([1.0]), 1e-8,
-    )
-    with pytest.raises(DomainError):
-        gp.sample_posterior(model, np.array([[0.5]]), count=0, rng_seed=0)
 
 
 # ---------------------------------------------------------------------------

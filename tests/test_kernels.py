@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfdgp.errors import DomainError, ShapeError
-from mfdgp.kernels import KernelSpec, kernel_eval, kernel_matrix
+from mfdgp.kernels import KernelSpec, kernel_matrix
 
 
 def se(ls=(1.0,), sv=1.0):
@@ -14,20 +14,20 @@ def m52(ls=(1.0,), sv=1.0):
 
 
 def test_zero_distance_returns_signal_variance():
-    assert kernel_eval(se(), [0.3], [0.3]) == 1.0
-    assert kernel_eval(se(sv=2.5), [0.7], [0.7]) == 2.5
-    assert kernel_eval(m52(sv=0.3), [0.1], [0.1]) == pytest.approx(0.3, abs=1e-15)
+    assert kernel_matrix(se(), [0.3], [0.3])[0, 0] == 1.0
+    assert kernel_matrix(se(sv=2.5), [0.7], [0.7])[0, 0] == 2.5
+    assert kernel_matrix(m52(sv=0.3), [0.1], [0.1])[0, 0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_se_unit_distance_closed_form():
     # exp(-r^2 / (2 l^2)) at r = 1, l = 1
-    assert kernel_eval(se(), [0.0], [1.0]) == pytest.approx(np.exp(-0.5), abs=1e-12)
+    assert kernel_matrix(se(), [0.0], [1.0])[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-12)
 
 
 def test_matern52_unit_distance_closed_form():
     # independent evaluation of (1 + sqrt5 r + 5 r^2/3) exp(-sqrt5 r) at r=1
     expected = (1.0 + np.sqrt(5.0) + 5.0 / 3.0) * np.exp(-np.sqrt(5.0))
-    assert kernel_eval(m52(), [0.0], [1.0]) == pytest.approx(expected, abs=1e-12)
+    assert kernel_matrix(m52(), [0.0], [1.0])[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_symmetry_in_arguments():
@@ -35,18 +35,21 @@ def test_symmetry_in_arguments():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a, b = rng.normal(size=2 * 2).reshape(2, 2)
-        assert kernel_eval(spec, a, b) == pytest.approx(kernel_eval(spec, b, a), rel=1e-14)
+        assert kernel_matrix(spec, a, b)[0, 0] == pytest.approx(
+            kernel_matrix(spec, b, a)[0, 0], rel=1e-14
+        )
 
 
 def test_anisotropic_lengthscales_scale_each_dimension():
     spec = se(ls=(1.0, 10.0))
     # a unit step along the long-lengthscale axis decays far less
-    k_short = kernel_eval(spec, [0.0, 0.0], [1.0, 0.0])
-    k_long = kernel_eval(spec, [0.0, 0.0], [0.0, 1.0])
+    k_short = kernel_matrix(spec, [0.0, 0.0], [1.0, 0.0])[0, 0]
+    k_long = kernel_matrix(spec, [0.0, 0.0], [0.0, 1.0])[0, 0]
     assert k_long > k_short
 
 
 def test_kernel_matrix_matches_pairwise_eval():
+    # oracle: the Matern-5/2 closed form on each pair's scaled distance
     spec = m52(ls=(0.8, 2.0), sv=1.6)
     rng = np.random.default_rng(3)
     A = rng.normal(size=(5, 2))
@@ -54,12 +57,14 @@ def test_kernel_matrix_matches_pairwise_eval():
     K = kernel_matrix(spec, A, B)
     for i in range(5):
         for j in range(4):
-            assert K[i, j] == pytest.approx(kernel_eval(spec, A[i], B[j]), rel=1e-12)
+            r = np.sqrt(5.0) * np.linalg.norm((A[i] - B[j]) / spec.lengthscales)
+            expected = 1.6 * (1.0 + r + r**2 / 3.0) * np.exp(-r)
+            assert K[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_dimension_mismatch_is_shape_error():
     with pytest.raises(ShapeError):
-        kernel_eval(se(ls=(1.0, 1.0)), [0.0], [1.0])
+        kernel_matrix(se(ls=(1.0, 1.0)), [0.0], [1.0])
     with pytest.raises(ShapeError):
         kernel_matrix(se(), np.zeros((3, 2)))
 
@@ -75,4 +80,4 @@ def test_invalid_hyperparameters_rejected():
 
 def test_non_finite_inputs_rejected():
     with pytest.raises(DomainError):
-        kernel_eval(se(), [np.nan], [0.0])
+        kernel_matrix(se(), [np.nan], [0.0])

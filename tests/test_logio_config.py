@@ -135,7 +135,7 @@ def test_error_marker_survives_replay(tmp_path):
 def test_template_parses_to_defaults(tmp_path):
     path = tmp_path / "c.ini"
     cfgmod.write_template(path)
-    assert cfgmod.parse_config(path) == cfgmod.default_config()
+    assert cfgmod.parse_config(path) == cfgmod.CampaignConfig()
 
 
 def test_unknown_key_fails_closed(tmp_path):
