@@ -52,14 +52,20 @@ class CampaignConfig:
     base_costs: list | None = None
 
     def validate(self) -> "CampaignConfig":
-        """Check n, seed, beta, budget and the box's dimension against the objective's;
-        the objective and the box check the rest while they are built here."""
+        """Check n, seed, beta, budget, that no number is a bool, and the box's dimension
+        against the objective's; the objective and the box check the rest while they are
+        built here."""
         for name in ("n", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        for name in ("beta", "budget", "lower", "upper", "nominals", "base_costs"):
+            value = getattr(self, name)
+            items = value if isinstance(value, list) else [value]
+            if any(isinstance(v, bool) for v in items):
+                raise ConfigError(f"{name} must hold numbers, got {value!r}")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigError("beta must be finite and >= 0")
         if not (math.isfinite(self.budget) and self.budget > 0):

@@ -6,6 +6,13 @@ likelihood both reuse that factorization. Hyperparameters are trained by
 maximizing the log marginal likelihood with a derivative-free simplex
 search in log-parameter space, restarted from scale-aware random
 initializations.
+
+The factorization and the triangular solves call LAPACK ``potrf`` and
+``trtrs`` directly: on the 1-32 row matrices the training loop builds,
+scipy's general wrappers cost many times the LAPACK work. Inputs are kept
+finite by :class:`GPDataset`, by ``kernels._scaled`` (the kernel inputs),
+by :func:`_factorize` (the covariance) and by :func:`_solve_lower` (both
+operands of every solve).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import minimize
 
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
@@ -88,9 +95,7 @@ class TrainedGP:
             )
         K = kernel_matrix(kernel, dataset.inputs)
         L = _factorize(K, dataset.noise_variance)
-        alpha = solve_triangular(
-            L.T, solve_triangular(L, dataset.targets, lower=True), lower=False
-        )
+        alpha = _solve_lower(L, _solve_lower(L, dataset.targets), trans=1)
         return cls(dataset=dataset, kernel=kernel, chol_factor=L, alpha=alpha)
 
 
@@ -104,10 +109,12 @@ def _factorize(K: np.ndarray, noise_variance: float) -> np.ndarray:
     attempted = []
     jitter = 0.0
     while True:
-        try:
-            return cholesky(base + jitter * np.eye(n), lower=True)
-        except np.linalg.LinAlgError:
-            pass
+        L, info = dpotrf(base + jitter * np.eye(n), lower=1, clean=1)
+        if info == 0:
+            return L
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
+        # info > 0: a leading minor is not positive definite, so add jitter
         jitter = _JITTER_START * mean_diag if jitter == 0.0 else jitter * _JITTER_FACTOR
         if jitter > _JITTER_STOP * mean_diag:
             raise ConditioningError(
@@ -115,6 +122,18 @@ def _factorize(K: np.ndarray, noise_variance: float) -> np.ndarray:
                 jitter_levels=attempted,
             )
         attempted.append(jitter)
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve ``L x = b`` (``trans=1``: ``L.T x = b``) for lower-triangular ``L``."""
+    if not (np.isfinite(L).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dtrtrs(L, b, lower=1, trans=trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero diagonal at row {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK trtrs")
+    return x
 
 
 def log_marginal_likelihood(gp: TrainedGP) -> float:
@@ -142,7 +161,7 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
         )
     k_star = kernel_matrix(gp.kernel, gp.dataset.inputs, X)
     mean = k_star.T @ gp.alpha
-    v = solve_triangular(gp.chol_factor, k_star, lower=True)
+    v = _solve_lower(gp.chol_factor, k_star)
     variance = gp.kernel.signal_variance - np.sum(v**2, axis=0)
     low = float(np.min(variance)) if variance.size else 0.0
     if low < -_VAR_CLAMP:

@@ -386,9 +386,12 @@ def test_report_corrupt_log_exit_4(tmp_path):
 @pytest.mark.parametrize(
     "config",
     [{"config": {"bogus": 1}}, {}, {"config": {"n": 0}}, {"config": {"lower": [0.0, 1.0]}},
-     {"config": {"n": 1.5}}, {"config": {"n": True}}, {"config": {"seed": "a"}}],
+     {"config": {"n": 1.5}}, {"config": {"n": True}}, {"config": {"seed": "a"}},
+     {"config": {"beta": True}}, {"config": {"budget": True}},
+     {"config": {"lower": [False]}}, {"config": {"upper": [True]}}],
     ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch",
-         "n-float", "n-bool", "seed-str"],
+         "n-float", "n-bool", "seed-str", "beta-bool", "budget-bool", "lower-bool",
+         "upper-bool"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"

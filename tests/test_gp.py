@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 from mfdgp import gp
 from mfdgp.errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
-from mfdgp.kernels import KernelSpec
+from mfdgp.kernels import KernelSpec, kernel_matrix
 
 # ---------------------------------------------------------------------------
 # Independent dense-inverse oracle: explicit kernel formulas, np.linalg.inv
@@ -227,4 +228,98 @@ def test_factorize_failure_reports_jitter_levels():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite: jitter ladder runs out
     with pytest.raises(ConditioningError) as err:
         gp._factorize(bad, 0.0)
-    assert len(err.value.jitter_levels) > 0
+    # mean diagonal 1: the ladder runs 1e-10, 1e-9, ... by repeated x10 up to 1e-4
+    assert err.value.jitter_levels == (
+        1e-10, 1e-09, 1e-08, 1e-07, 1e-06, 9.999999999999999e-06, 9.999999999999999e-05
+    )
+
+
+# ---------------------------------------------------------------------------
+# LAPACK parity: the direct potrf/trtrs calls give the very arrays that
+# scipy.linalg's cholesky and solve_triangular give on the same input
+# ---------------------------------------------------------------------------
+
+PARITY_SIZES = [1, 2, 5, 16, 32]
+
+
+def random_spd(n, seed):
+    M = np.random.default_rng(seed).standard_normal((n, n))
+    return M @ M.T + n * np.eye(n)
+
+
+def parity_gp(n, seed):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec("matern-5/2", lengthscales=[0.4, 0.7], signal_variance=1.3)
+    X = rng.uniform(size=(n, 2))
+    return make_gp(spec, X, rng.standard_normal(n), 1e-4), rng
+
+
+def reference_factor(model):
+    K = kernel_matrix(model.kernel, model.dataset.inputs)
+    return cholesky(K + model.dataset.noise_variance * np.eye(model.dataset.n), lower=True)
+
+
+@pytest.mark.parametrize("n", PARITY_SIZES)
+def test_factorize_matches_scipy_cholesky(n):
+    K = random_spd(n, seed=n)
+    L = gp._factorize(K, 0.25)
+    assert np.array_equal(L, cholesky(K + 0.25 * np.eye(n), lower=True))
+    assert np.array_equal(L, np.tril(L))
+
+
+@pytest.mark.parametrize("n", PARITY_SIZES)
+def test_alpha_matches_scipy_solves(n):
+    model, _ = parity_gp(n, seed=10 + n)
+    L = reference_factor(model)
+    alpha = solve_triangular(
+        L.T, solve_triangular(L, model.dataset.targets, lower=True), lower=False
+    )
+    assert np.array_equal(model.chol_factor, L)
+    assert np.array_equal(model.alpha, alpha)
+
+
+@pytest.mark.parametrize("n", PARITY_SIZES)
+@pytest.mark.parametrize("m", [1, 7])
+def test_predict_matches_scipy_solves(n, m):
+    model, rng = parity_gp(n, seed=20 + n)
+    Q = rng.uniform(size=(m, 2))
+    mean, var = gp.predict(model, Q)
+    k_star = kernel_matrix(model.kernel, model.dataset.inputs, Q)
+    v = solve_triangular(reference_factor(model), k_star, lower=True)
+    assert np.array_equal(mean, k_star.T @ model.alpha)
+    expected_var = model.kernel.signal_variance - np.sum(v**2, axis=0)
+    assert np.array_equal(var, np.maximum(expected_var, 0.0))
+
+
+@pytest.mark.parametrize("n", PARITY_SIZES)
+@pytest.mark.parametrize("trans", [0, 1])
+@pytest.mark.parametrize("rhs_shape", [(), (3,)], ids=["vector", "matrix"])
+def test_solve_lower_matches_solve_triangular(n, trans, rhs_shape):
+    L = cholesky(random_spd(n, seed=30 + n), lower=True)
+    b = np.random.default_rng(n).standard_normal((n, *rhs_shape))
+    if trans:
+        expected = solve_triangular(L.T, b, lower=False)
+    else:
+        expected = solve_triangular(L, b, lower=True)
+    assert np.array_equal(gp._solve_lower(L, b, trans=trans), expected)
+
+
+def test_factorize_near_singular_takes_one_jitter_step():
+    K = np.full((3, 3), 2.0)  # rank one: the unjittered factorization fails
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky(K, lower=True)
+    one_step = gp._JITTER_START * 2.0  # the first rung, scaled by the mean diagonal
+    assert np.array_equal(gp._factorize(K, 0.0), cholesky(K + one_step * np.eye(3), lower=True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_lower_rejects_non_finite_operands(bad):
+    L = cholesky(random_spd(3, seed=3), lower=True)
+    b = np.ones(3)
+    L_bad, b_bad = L.copy(), b.copy()
+    L_bad[1, 0] = bad
+    b_bad[2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gp._solve_lower(L_bad, b)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gp._solve_lower(L, b_bad)

@@ -187,3 +187,16 @@ def test_payload_round_trip():
     ).validate()
     again = cfgmod.CampaignConfig.from_payload(cfg.as_payload())
     assert again == cfg
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"beta": True}, {"budget": True}, {"lower": [False]}, {"upper": [True]},
+     {"lower": [False], "upper": [True]}, {"nominals": [False, 0.25, 0.5, 0.75, 1.0]},
+     {"base_costs": [True, 2, 4, 8, 16]}],
+    ids=["beta", "budget", "lower", "upper", "lower-and-upper", "nominals", "base-costs"],
+)
+def test_bool_numbers_rejected(payload):
+    # bool is an int subclass, so True would otherwise pass as 1 and False as 0
+    with pytest.raises(ConfigError, match="must hold numbers"):
+        cfgmod.CampaignConfig.from_payload(payload)
