@@ -9,10 +9,31 @@ initializations.
 
 The factorization and the triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly: on the 1-32 row matrices the training loop builds,
-scipy's general wrappers cost many times the LAPACK work. Inputs are kept
-finite by :class:`GPDataset`, by ``kernels._scaled`` (the kernel inputs),
-by :func:`_factorize` (the covariance) and by :func:`_solve_lower` (both
-operands of every solve).
+scipy's general wrappers cost many times the LAPACK work.
+
+Where each check lives:
+
+* :class:`GPDataset`: input rank, target length, at least one row, finite
+  inputs and targets, a finite noise variance >= 0.
+* :class:`~mfdgp.kernels.KernelSpec`: the kernel kind, 1-D finite positive
+  lengthscales, a finite positive signal variance.
+* ``kernels._scaled``: kernel inputs are finite (n, d) matrices whose d
+  matches the lengthscales.
+* :meth:`TrainedGP.from_params` and :func:`predict`: the kernel, data and
+  query dimensions agree.
+* :func:`_factorize`: the covariance is finite; the jitter ladder.
+* :func:`_solve_lower`: both operands of every solve are finite, and LAPACK
+  reports no zero pivot or illegal argument.
+* :func:`_nm_objective`: the simplex vertex lies inside the box.
+
+A likelihood evaluation (:func:`_nm_objective`) does no work beyond its
+arithmetic and these checks: arrays that already are float64 pass
+through without conversion, each row's squared norm is computed once,
+the kernel matrix is finished in place, the noise goes onto the diagonal
+of one copy, and the jitter scale is computed only after a failed
+factorization. It calls ``kernel_matrix``, ``TrainedGP.from_params`` and
+``log_marginal_likelihood`` through their module and class attributes, so
+a wrapper put on those attributes sees every evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +45,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import minimize
 
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, as_float_array, kernel_matrix
 
 # Jitter escalation ladder: fractions of the mean diagonal of K, tried in
 # order until the Cholesky succeeds.
@@ -35,6 +56,8 @@ _JITTER_FACTOR = 10.0
 # Predictive variances in [-VAR_CLAMP, 0) are rounding noise and clamped to 0;
 # anything below -VAR_CLAMP indicates real conditioning trouble.
 _VAR_CLAMP = 1e-10
+
+_LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -99,29 +122,37 @@ class TrainedGP:
         return cls(dataset=dataset, kernel=kernel, chol_factor=L, alpha=alpha)
 
 
+def _plus_diagonal(A: np.ndarray, value: float) -> np.ndarray:
+    """A copy of the square matrix ``A`` with ``value`` added to its diagonal."""
+    out = A.copy()
+    out.reshape(-1)[:: out.shape[0] + 1] += value
+    return out
+
+
 def _factorize(K: np.ndarray, noise_variance: float) -> np.ndarray:
     """Lower Cholesky of K + noise * I, escalating jitter on failure."""
-    n = K.shape[0]
-    base = K + noise_variance * np.eye(n)
-    if not np.all(np.isfinite(base)):
+    base = _plus_diagonal(K, noise_variance)
+    if not np.isfinite(base).all():
         raise ConditioningError("covariance matrix contains non-finite entries")
-    mean_diag = max(float(np.mean(np.diag(K))), np.finfo(np.float64).tiny)
     attempted = []
-    jitter = 0.0
-    while True:
-        L, info = dpotrf(base + jitter * np.eye(n), lower=1, clean=1)
-        if info == 0:
-            return L
+    L, info = dpotrf(base, lower=1, clean=1)
+    while info != 0:
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
         # info > 0: a leading minor is not positive definite, so add jitter
-        jitter = _JITTER_START * mean_diag if jitter == 0.0 else jitter * _JITTER_FACTOR
+        if attempted:
+            jitter *= _JITTER_FACTOR
+        else:
+            mean_diag = max(float(np.mean(np.diag(K))), np.finfo(np.float64).tiny)
+            jitter = _JITTER_START * mean_diag
         if jitter > _JITTER_STOP * mean_diag:
             raise ConditioningError(
                 f"Cholesky failed after jitter escalation (attempted {attempted})",
                 jitter_levels=attempted,
             )
         attempted.append(jitter)
+        L, info = dpotrf(_plus_diagonal(base, jitter), lower=1, clean=1)
+    return L
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -138,10 +169,9 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 
 def log_marginal_likelihood(gp: TrainedGP) -> float:
     """log p(y | X, kernel) from the cached factorization."""
-    n = gp.dataset.n
     fit_term = -0.5 * float(gp.dataset.targets @ gp.alpha)
-    logdet_term = -float(np.sum(np.log(np.diag(gp.chol_factor))))
-    return fit_term + logdet_term - 0.5 * n * np.log(2.0 * np.pi)
+    logdet_term = -float(np.log(gp.chol_factor.diagonal()).sum())
+    return fit_term + logdet_term - 0.5 * gp.dataset.n * _LOG_2PI
 
 
 def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +184,7 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
         truncated-spectral recomputation raise a conditioning error rather
         than being silently repaired.
     """
-    X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    X = as_float_array(queries, 2)
     if X.shape[1] != gp.dataset.dimension:
         raise ShapeError(
             f"query dimension {X.shape[1]} != training dimension {gp.dataset.dimension}"
@@ -162,14 +192,14 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
     k_star = kernel_matrix(gp.kernel, gp.dataset.inputs, X)
     mean = k_star.T @ gp.alpha
     v = _solve_lower(gp.chol_factor, k_star)
-    variance = gp.kernel.signal_variance - np.sum(v**2, axis=0)
-    low = float(np.min(variance)) if variance.size else 0.0
+    variance = gp.kernel.signal_variance - (v**2).sum(axis=0)
+    low = float(variance.min()) if variance.size else 0.0
     if low < -_VAR_CLAMP:
         variance = _spectral_variance(gp, k_star)
         low = float(np.min(variance))
         if low < -_VAR_CLAMP:
             raise ConditioningError(f"predictive variance {low} below clamp threshold")
-    return mean, np.maximum(variance, 0.0)
+    return mean, np.maximum(variance, 0.0, out=variance)
 
 
 def _spectral_variance(gp: TrainedGP, k_star: np.ndarray) -> np.ndarray:
@@ -222,7 +252,7 @@ def _param_bounds(ranges: np.ndarray, tv: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _nm_objective(log_params, data: GPDataset, kind: str, lo, hi) -> float:
-    if np.any(log_params < lo) or np.any(log_params > hi):
+    if (log_params < lo).any() or (log_params > hi).any():
         return np.inf
     ls = np.exp(log_params[:-1])
     sv = float(np.exp(log_params[-1]))

@@ -7,10 +7,18 @@ Two families are supported:
 
 where r is the Euclidean distance after dividing each input dimension by
 its lengthscale and s2 is the signal variance.
+
+:class:`KernelSpec` checks the hyperparameters once, when it is built.
+:func:`kernel_matrix` reads its inputs as (n, d) matrices: an input of
+rank below two is one row (``np.atleast_2d``), an input of rank above two
+or with a d other than the lengthscales' is a ``ShapeError``, and a
+non-finite input is a ``DomainError``. Inputs that already are float64
+arrays are used without conversion or copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,19 @@ from .errors import DomainError, ShapeError
 SQUARED_EXPONENTIAL = "squared-exponential"
 MATERN52 = "matern-5/2"
 _KINDS = (SQUARED_EXPONENTIAL, MATERN52)
+_FLOAT64 = np.dtype(np.float64)
+
+
+def as_float_array(x, ndim: int) -> np.ndarray:
+    """``np.atleast_1d`` (``ndim=1``) or ``np.atleast_2d`` (``ndim=2``) of ``x`` as float64.
+
+    A float64 ndarray of at least ``ndim`` dimensions comes back as the
+    very object, as those calls would return it, without their call cost.
+    """
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim >= ndim:
+        return x
+    x = np.asarray(x, dtype=np.float64)
+    return np.atleast_2d(x) if ndim == 2 else np.atleast_1d(x)
 
 
 @dataclass(frozen=True)
@@ -43,13 +64,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
-        ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))
+        ls = as_float_array(self.lengthscales, 1)
         if ls.ndim != 1:
             raise ShapeError("lengthscales must be a 1-D array with one entry per dimension")
-        if not np.all(np.isfinite(ls)) or np.any(ls <= 0):
+        if not np.isfinite(ls).all() or (ls <= 0).any():
             raise DomainError("all lengthscales must be finite and > 0")
         sv = float(self.signal_variance)
-        if not np.isfinite(sv) or sv <= 0:
+        if not math.isfinite(sv) or sv <= 0:
             raise DomainError("signal_variance must be finite and > 0")
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "signal_variance", sv)
@@ -59,13 +80,15 @@ class KernelSpec:
         return self.lengthscales.shape[0]
 
 
-def _scaled(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+def _scaled(spec: KernelSpec, x) -> np.ndarray:
+    x = as_float_array(x, 2)
+    if x.ndim != 2:
+        raise ShapeError(f"kernel inputs must be an (n, d) matrix, got {x.ndim} dimensions")
     if x.shape[1] != spec.dimension:
         raise ShapeError(
             f"input dimension {x.shape[1]} does not match {spec.dimension} lengthscales"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("kernel inputs must be finite")
     return x / spec.lengthscales
 
@@ -73,12 +96,19 @@ def _scaled(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     """Covariance matrix between rows of ``a`` and rows of ``b`` (or ``a``)."""
     xa = _scaled(spec, a)
-    xb = xa if b is None else _scaled(spec, b)
+    norms_a = (xa**2).sum(axis=1)
+    if b is None:
+        xb, norms_b = xa, norms_a
+    else:
+        xb = _scaled(spec, b)
+        norms_b = (xb**2).sum(axis=1)
     # squared distances via the expanded form; clip tiny negatives from cancellation
-    sq = np.sum(xa**2, axis=1)[:, None] + np.sum(xb**2, axis=1)[None, :] - 2.0 * xa @ xb.T
-    sq = np.maximum(sq, 0.0)
+    sq = norms_a[:, None] + norms_b[None, :] - 2.0 * xa @ xb.T
+    np.maximum(sq, 0.0, out=sq)
     if spec.kind == SQUARED_EXPONENTIAL:
-        return spec.signal_variance * np.exp(-0.5 * sq)
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= spec.signal_variance
+        return sq
     r = np.sqrt(5.0 * sq)
     return spec.signal_variance * (1.0 + r + r**2 / 3.0) * np.exp(-r)
-

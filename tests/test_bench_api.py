@@ -3,8 +3,9 @@
 ``perfbench/micro.py`` builds a model by hand and times one
 ``dgp.propagate`` over the 512-point acquisition pool, and
 ``perfbench/tracing.py`` wraps package functions by module or class
-attribute. A change to those signatures or names would otherwise surface
-only in a benchmark run.
+attribute. A change to those signatures or names, or a call that stops
+going through those attributes, would otherwise surface only in a
+benchmark run.
 """
 
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mfdgp import dgp
+from mfdgp import dgp, gp
 from mfdgp.objectives.reactor import GEOMETRY_BOX
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -36,3 +37,27 @@ def test_every_trace_target_resolves():
     # snapshot looks each attribute up in its owner's __dict__, so a removed name raises KeyError
     targets = tracing.package_targets(full=True)
     assert len(tracing.snapshot(targets)) == len(targets)
+
+
+def test_every_likelihood_evaluation_goes_through_the_traced_attributes(monkeypatch):
+    # each in-box simplex vertex builds one kernel matrix and one posterior and
+    # scores it; the fit then builds the winner's posterior once more, unscored
+    calls = {"kernel_matrix": 0, "from_params": 0, "log_marginal_likelihood": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gp, "kernel_matrix", counted("kernel_matrix", gp.kernel_matrix))
+    monkeypatch.setattr(gp, "log_marginal_likelihood",
+                        counted("log_marginal_likelihood", gp.log_marginal_likelihood))
+    monkeypatch.setattr(gp.TrainedGP, "from_params",
+                        counted("from_params", gp.TrainedGP.from_params))
+    rng = np.random.default_rng(9)
+    x = rng.uniform(size=(6, 2))
+    data = gp.GPDataset(inputs=x, targets=np.sin(3.0 * x.sum(axis=1)), noise_variance=1e-4)
+    gp.fit(data, gp.default_init("squared-exponential", data), restarts=2, rng_seed=0)
+    assert calls["log_marginal_likelihood"] > 100
+    assert calls["kernel_matrix"] == calls["from_params"] == calls["log_marginal_likelihood"] + 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from mfdgp import gp
 from mfdgp.errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
@@ -142,6 +143,8 @@ def test_predict_dimension_mismatch():
     )
     with pytest.raises(ShapeError):
         gp.predict(model, np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        gp.predict(model, np.zeros((1, 1, 1)))
 
 
 def test_predictions_are_pure():
@@ -323,3 +326,66 @@ def test_solve_lower_rejects_non_finite_operands(bad):
         gp._solve_lower(L_bad, b)
     with pytest.raises(ValueError, match="infs or NaNs"):
         gp._solve_lower(L, b_bad)
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit parity with the plain expressions: the noise and each jitter
+# rung added as a multiple of np.eye, the jitter scale computed up front and
+# the log-determinant summed with np.sum/np.diag give the same factor, the
+# same ladder and the same log marginal likelihood
+# ---------------------------------------------------------------------------
+
+
+def reference_factorize(K, noise_variance):
+    """(factor or None, jitter levels tried) by the plain ladder."""
+    n = K.shape[0]
+    base = K + noise_variance * np.eye(n)
+    mean_diag = max(float(np.mean(np.diag(K))), np.finfo(np.float64).tiny)
+    attempted = []
+    jitter = 0.0
+    while True:
+        L, info = dpotrf(base + jitter * np.eye(n), lower=1, clean=1)
+        if info == 0:
+            return L, attempted
+        jitter = gp._JITTER_START * mean_diag if jitter == 0.0 else jitter * gp._JITTER_FACTOR
+        if jitter > gp._JITTER_STOP * mean_diag:
+            return None, attempted
+        attempted.append(jitter)
+
+
+FACTORIZE_CASES = {
+    # no jitter needed
+    "spd-1": (random_spd(1, seed=41), 0.0),
+    "spd-6": (random_spd(6, seed=42), 1e-3),
+    "spd-16": (random_spd(16, seed=43), 1e-8),
+    # rank one: the first rung factors it
+    "one-rung": (np.full((3, 3), 2.0), 0.0),
+    # smallest eigenvalue -5e-10 of a unit-diagonal matrix: the second rung, 1e-9, factors it
+    "two-rungs": (np.ones((2, 2)) - 5e-10 * np.eye(2), 0.0),
+    # the noise lifts the smallest eigenvalue to -5e-10: the second rung again
+    "two-rungs-noise": (np.ones((2, 2)) - 6e-10 * np.eye(2), 1e-10),
+    # indefinite: the ladder runs out
+    "indefinite": (np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTORIZE_CASES))
+def test_factorize_matches_plain_ladder(case):
+    K, noise = FACTORIZE_CASES[case]
+    expected, ladder = reference_factorize(K, noise)
+    if expected is None:
+        with pytest.raises(ConditioningError) as err:
+            gp._factorize(K, noise)
+        assert err.value.jitter_levels == tuple(ladder)
+        return
+    assert len(ladder) == {"one-rung": 1, "two-rungs": 2, "two-rungs-noise": 2}.get(case, 0)
+    assert np.array_equal(gp._factorize(K, noise), expected)
+
+
+@pytest.mark.parametrize("n", [1, 6, 16])
+def test_lml_matches_plain_expression(n):
+    model, _ = parity_gp(n, seed=50 + n)
+    fit_term = -0.5 * float(model.dataset.targets @ model.alpha)
+    logdet_term = -float(np.sum(np.log(np.diag(model.chol_factor))))
+    expected = fit_term + logdet_term - 0.5 * n * np.log(2.0 * np.pi)
+    assert gp.log_marginal_likelihood(model) == expected

@@ -81,3 +81,52 @@ def test_invalid_hyperparameters_rejected():
 def test_non_finite_inputs_rejected():
     with pytest.raises(DomainError):
         kernel_matrix(se(), [np.nan], [0.0])
+
+
+def test_three_dimensional_inputs_are_shape_errors():
+    spec = KernelSpec("squared-exponential", [0.3, 0.2], 1.0)
+    with pytest.raises(ShapeError):
+        kernel_matrix(spec, np.zeros((1, 2, 1)))
+    with pytest.raises(ShapeError):
+        kernel_matrix(spec, np.zeros((1, 2)), np.zeros((1, 1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit parity with the plain expressions: converting every input with
+# np.asarray/np.atleast_2d, both row norms summed separately and the kernel
+# finished out of place must give the very same matrix
+# ---------------------------------------------------------------------------
+
+
+def reference_kernel_matrix(spec, a, b=None):
+    xa = np.atleast_2d(np.asarray(a, dtype=np.float64)) / spec.lengthscales
+    xb = xa if b is None else np.atleast_2d(np.asarray(b, dtype=np.float64)) / spec.lengthscales
+    sq = np.sum(xa**2, axis=1)[:, None] + np.sum(xb**2, axis=1)[None, :] - 2.0 * xa @ xb.T
+    sq = np.maximum(sq, 0.0)
+    if spec.kind == "squared-exponential":
+        return spec.signal_variance * np.exp(-0.5 * sq)
+    r = np.sqrt(5.0 * sq)
+    return spec.signal_variance * (1.0 + r + r**2 / 3.0) * np.exp(-r)
+
+
+PARITY_INPUTS = {
+    "one-row": lambda rng: rng.uniform(size=(1, 3)),
+    "flat-sequence": lambda rng: list(rng.uniform(size=3)),
+    "identical-rows": lambda rng: np.tile(rng.uniform(size=3), (4, 1)),
+    "six-rows": lambda rng: rng.uniform(size=(6, 3)),
+    "sixteen-rows": lambda rng: rng.normal(size=(16, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", ["squared-exponential", "matern-5/2"])
+@pytest.mark.parametrize("with_b", [False, True], ids=["b-none", "b-given"])
+@pytest.mark.parametrize("inputs", sorted(PARITY_INPUTS))
+def test_kernel_matrix_matches_plain_expressions(kind, with_b, inputs):
+    rng = np.random.default_rng(len(inputs))
+    spec = KernelSpec(kind, lengthscales=rng.uniform(0.1, 2.0, size=3), signal_variance=1.7)
+    a = PARITY_INPUTS[inputs](rng)
+    b = rng.uniform(size=(5, 3)) if with_b else None
+    K = kernel_matrix(spec, a, b)
+    assert np.array_equal(K, reference_kernel_matrix(spec, a, b))
+    if with_b:
+        assert np.array_equal(kernel_matrix(spec, b, a), reference_kernel_matrix(spec, b, a))
