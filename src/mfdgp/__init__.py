@@ -10,7 +10,6 @@ tanks-in-series scoring) are included as pluggable objectives.
 from .acquisition import solve_ucb, ucb_values
 from .campaign import (
     CampaignState,
-    CostModel,
     EvaluationRecord,
     UCBConfig,
     argmax_highest,

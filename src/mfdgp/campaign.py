@@ -7,11 +7,11 @@ runs the BO loop, :func:`continue_run`. :func:`run` is ``resume`` on an
 empty ledger. One loop iteration retrains the deep GP on all data so far,
 maximizes the highest-fidelity UCB to propose a design point, picks the
 fidelity whose cost-weighted predictive uncertainty there is largest,
-evaluates the objective and appends the record. The per-fidelity cost
-tau_t is the mean of the costs recorded at level t
-(:meth:`CostModel.from_records`), so a campaign rebuilt from its log holds
-the same tau as the live one. The budget is in objective-reported cost
-units, and the single evaluation that crosses it is kept. Any package
+evaluates the objective and appends the record. The spend, the per-fidelity
+cost tau_t (:attr:`CampaignState.tau`) and the training data all derive
+from the records, so a campaign rebuilt from its log holds the same state
+as the live one. The budget is in objective-reported cost units, and the
+single evaluation that crosses it is kept. Any package
 error while training or acquiring, and any objective failure, ends the
 campaign with ``error`` set and the records gathered so far kept.
 
@@ -63,42 +63,6 @@ class UCBConfig:
             raise DomainError("restarts and pool size must be positive")
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Mean recorded evaluation cost (tau) per fidelity level."""
-
-    levels: tuple
-    tau: np.ndarray
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=np.float64)
-        if tau.ndim != 1 or len(self.levels) != tau.shape[0]:
-            raise DomainError("tau must be 1-D with one entry per level")
-        if np.any(tau <= 0) or not np.all(np.isfinite(tau)):
-            raise DomainError("all tau entries must be finite and > 0")
-        object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
-        object.__setattr__(self, "tau", tau)
-
-    @classmethod
-    def from_records(cls, records) -> "CostModel":
-        """tau_t = mean of the costs recorded at level t, for every level with a record."""
-        costs = {}
-        for rec in records:
-            costs.setdefault(rec.level.index, []).append(rec.cost)
-        levels = sorted(costs)
-        return cls(
-            levels=tuple(levels),
-            tau=np.asarray([np.mean(costs[i]) for i in levels], dtype=np.float64),
-        )
-
-    def position(self, level) -> int:
-        idx = level.index if isinstance(level, FidelityLevel) else int(level)
-        try:
-            return self.levels.index(idx)
-        except ValueError:
-            raise DomainError(f"level {idx} not tracked by this cost model") from None
-
-
 def fidelity_scores(sigmas, taus, beta: float) -> np.ndarray:
     """Cost-weighted exploration scores gamma_t * sqrt(beta) * sigma_t.
 
@@ -143,12 +107,11 @@ class EvaluationRecord:
 
 @dataclass
 class CampaignState:
-    """Full optimization ledger for one campaign."""
+    """Full optimization ledger for one campaign; ``records`` is its only campaign data."""
 
     ladder: tuple
     records: list = field(default_factory=list)
     budget_total: float = 0.0
-    budget_spent: float = 0.0
     error: str | None = None
 
     @property
@@ -157,55 +120,53 @@ class CampaignState:
 
     @property
     def incumbent(self) -> EvaluationRecord | None:
-        """Best observed record at the highest fidelity, None before one exists."""
-        best = None
-        for rec in self.records:
-            if rec.level.index != self.top_index:
-                continue
-            if best is None or rec.y > best.y:
-                best = rec
-        return best
+        """Best observed record at the highest fidelity (the first of equals), else None."""
+        top = [rec for rec in self.records if rec.level.index == self.top_index]
+        return max(top, key=lambda rec: rec.y, default=None)
 
     @property
-    def cost_model(self) -> CostModel:
-        """Tau from the records so far: :meth:`CostModel.from_records`."""
-        return CostModel.from_records(self.records)
+    def budget_spent(self) -> float:
+        """The recorded costs summed left to right, the bits of a running total."""
+        return sum((rec.cost for rec in self.records), 0.0)
+
+    @property
+    def tau(self) -> np.ndarray:
+        """tau_t = mean of the costs recorded at level t, one entry per level in ladder order.
+
+        A function of the records alone, so a state replayed from a log holds
+        the live campaign's tau after its last record, bit for bit. Costs are
+        finite and > 0 (:class:`EvaluationRecord` checks them). A level with no
+        record has no mean, but ``dgp.train`` then stops with
+        ``InsufficientDataError`` before the loop reads tau.
+        """
+        return np.asarray(
+            [np.mean([rec.cost for rec in group]) for group in self._by_level()],
+            dtype=np.float64,
+        )
 
     @property
     def loop_iterations(self) -> int:
         return sum(1 for rec in self.records if rec.phase == PHASE_LOOP)
 
-    def append(self, record: EvaluationRecord) -> None:
-        self.records.append(record)
-        self.budget_spent += record.cost
-
     def per_level_counts(self) -> dict[int, int]:
-        counts = {lv.index: 0 for lv in self.ladder}
-        for rec in self.records:
-            counts[rec.level.index] = counts.get(rec.level.index, 0) + 1
-        return counts
+        return {lv.index: len(group) for lv, group in zip(self.ladder, self._by_level())}
 
-    def level_arrays(self) -> tuple[list, list]:
-        """Per-level (inputs, targets) in record order, for model training."""
-        xs = {lv.index: [] for lv in self.ladder}
-        ys = {lv.index: [] for lv in self.ladder}
+    def _by_level(self) -> list[list[EvaluationRecord]]:
+        """Each ladder level's records, in ladder order and in record order within a level."""
+        groups = {lv.index: [] for lv in self.ladder}
         for rec in self.records:
-            xs[rec.level.index].append(rec.x)
-            ys[rec.level.index].append(rec.y)
-        ordered = sorted(xs)
-        return (
-            [np.asarray(xs[i], dtype=np.float64) for i in ordered],
-            [np.asarray(ys[i], dtype=np.float64) for i in ordered],
-        )
+            groups[rec.level.index].append(rec)
+        return list(groups.values())
 
 
 def _dataset_from_state(state: CampaignState) -> MultiFidelityDataset:
-    xs, ys = state.level_arrays()
     # The acquisition may re-propose an already-evaluated point; objectives
     # are deterministic, so merging exact duplicates loses nothing and keeps
     # the kernel matrices well conditioned.
     merged_x, merged_y = [], []
-    for x, y in zip(xs, ys):
+    for group in state._by_level():
+        x = np.asarray([rec.x for rec in group], dtype=np.float64)
+        y = np.asarray([rec.y for rec in group], dtype=np.float64)
         _, keep = np.unique(x, axis=0, return_index=True)
         keep.sort()
         merged_x.append(x[keep])
@@ -224,7 +185,7 @@ def _evaluate(state, objective, x, level, iteration, phase, on_record) -> bool:
             f"x={np.asarray(x).tolist()}: {exc}"
         )
         return False
-    state.append(rec)
+    state.records.append(rec)
     if on_record is not None:
         on_record(rec)
     return True
@@ -254,18 +215,18 @@ def initial_design(
 
 
 def select_fidelity(
-    model: MFDeepGP, x_star, cost: CostModel, config: UCBConfig, rng_seed: int
+    model: MFDeepGP, x_star, tau, config: UCBConfig, rng_seed: int
 ) -> FidelityLevel:
     """Pick the level maximizing gamma_t * sqrt(beta) * sigma_t(x*).
 
-    sigma_t comes from propagating x* with :func:`dgp.point_draws` under
-    ``rng_seed``. Ties (including the degenerate beta = 0 case where every
-    score is 0) go to the highest level.
+    ``tau`` holds one cost per level of ``model.ladder``, in ladder order
+    (:attr:`CampaignState.tau`). sigma_t comes from propagating x* with
+    :func:`dgp.point_draws` under ``rng_seed``. Ties (including the
+    degenerate beta = 0 case where every score is 0) go to the highest level.
     """
     traces = dgp.propagate(model, x_star, dgp.point_draws(model, x_star, rng_seed))
     sigmas = np.asarray([tr.sigma[0] for tr in traces])
-    taus = np.asarray([cost.tau[cost.position(lv)] for lv in model.ladder])
-    scores = fidelity_scores(sigmas, taus, config.beta)
+    scores = fidelity_scores(sigmas, tau, config.beta)
     return model.ladder[argmax_highest(scores)]
 
 
@@ -296,7 +257,7 @@ def continue_run(
                 model, space, config, derive_seed(rng_seed, ACQUISITION, k)
             )
             level = select_fidelity(
-                model, x_star, state.cost_model, config,
+                model, x_star, state.tau, config,
                 derive_seed(rng_seed, PROPAGATION, k),
             )
         except MfdgpError as exc:

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 campaign or simulation
 failure, 4 corrupt results log.
 
-Exit 2 covers any config file value that fails its checks and a
-``--budget`` that is not finite and >= 0. A results-log header whose
+Exit 2 covers any config file value that fails its checks, a ``--budget``
+that is not finite and >= 0, and a ``--geometry`` outside the reactor's
+design box. A results-log header whose
 config fails the same checks is a corrupt line 1: exit 4.
 
 ``run`` brings an empty ledger to the configured budget, ``resume`` the
@@ -138,13 +139,7 @@ def cmd_validate_fidelity(args) -> int:
         out_dir = Path(args.out) if args.out else Path("validate-out")
 
     try:
-        values = [float(v) for v in args.geometry.split(",")]
-        if len(values) != 4:
-            raise ValueError("expected 4 comma-separated values")
-        geom = reactor.ReactorGeometry(
-            coil_radius=values[0], tube_radius=values[1],
-            pitch=values[2], inversion_fraction=values[3],
-        )
+        geom = objective.geometry([float(v) for v in args.geometry.split(",")])
     except (ValueError, MfdgpError) as exc:
         print(f"error: bad --geometry: {exc}", file=sys.stderr)
         return EXIT_CONFIG

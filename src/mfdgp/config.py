@@ -52,9 +52,9 @@ class CampaignConfig:
     base_costs: list | None = None
 
     def validate(self) -> "CampaignConfig":
-        """Check n, seed, beta, budget, that no number is a bool, and the box's dimension
-        against the objective's; the objective and the box check the rest while they are
-        built here."""
+        """Check n, seed, beta, budget, that no number is a bool, and the box against the
+        objective's (same dimension, inside its box); the objective and the box check the
+        rest while they are built here."""
         for name in ("n", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -78,6 +78,12 @@ class CampaignConfig:
             raise ConfigError(
                 f"bounds have dimension {space.dimension}, objective "
                 f"{self.objective!r} expects {objective.dimension}"
+            )
+        box = objective.space
+        if not (box.contains(space.lower) and box.contains(space.upper)):
+            raise ConfigError(
+                f"bounds reach outside objective {self.objective!r}'s box "
+                f"[{box.lower.tolist()}, {box.upper.tolist()}]"
             )
         return self
 

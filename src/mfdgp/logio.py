@@ -130,9 +130,8 @@ def replay(path, ladder) -> CampaignState:
     """Rebuild a CampaignState from a log's eval lines, last error and last summary.
 
     ``budget_total`` is the last summary's total, 0.0 if the log has none.
-    The cost model is a function of the records
-    (:meth:`~mfdgp.campaign.CostModel.from_records`), so the replayed tau
-    equals what the live campaign held after its last record, bit for bit.
+    Every eval must sit on ``ladder`` and have an ``x`` of the first eval's
+    shape.
     """
     state = CampaignState(ladder=tuple(ladder))
     levels = {lv.index for lv in state.ladder}
@@ -141,7 +140,10 @@ def replay(path, ladder) -> CampaignState:
             rec = _record_from_payload(payload, i)
             if rec.level.index not in levels:
                 raise CorruptLogError(f"level {rec.level.index} is not on the ladder", i)
-            state.append(rec)
+            first = state.records[0].x.shape if state.records else rec.x.shape
+            if rec.x.shape != first:
+                raise CorruptLogError(f"x has shape {rec.x.shape}, the first eval's {first}", i)
+            state.records.append(rec)
         elif payload["type"] == "error":
             state.error = payload.get("message")
         elif payload["type"] == "summary":

@@ -55,7 +55,7 @@ _MAX_CURVE_POINTS = 2000
 
 @dataclass(frozen=True)
 class ReactorGeometry:
-    """Coil parameterization: all lengths positive, tube inside the coil."""
+    """Coil parameterization: all lengths finite and positive, tube inside the coil."""
 
     coil_radius: float
     tube_radius: float
@@ -64,8 +64,8 @@ class ReactorGeometry:
 
     def __post_init__(self):
         for name in ("coil_radius", "tube_radius", "pitch"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and > 0")
         if not self.tube_radius < self.coil_radius:
             raise DomainError("tube_radius must be smaller than coil_radius")
         if not 0.0 <= self.inversion_fraction <= 1.0:

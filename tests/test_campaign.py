@@ -41,7 +41,7 @@ def test_initial_design_counts_and_costs(forrester):
     counts = state.per_level_counts()
     assert all(counts[t] == 4 for t in range(1, 6))
     # constant per-level costs make tau exactly those constants
-    np.testing.assert_allclose(state.cost_model.tau, [1, 2, 4, 8, 16])
+    np.testing.assert_allclose(state.tau, [1, 2, 4, 8, 16])
     assert state.budget_spent == pytest.approx(4 * 31.0)
 
 
@@ -85,7 +85,7 @@ def test_initial_design_finishes_a_partial_ledger(forrester):
 
     partial = campaign.CampaignState(ladder=tuple(forrester.ladder))
     for rec in full.records[:7]:
-        partial.append(rec)
+        partial.records.append(rec)
     design(Recording(), 3, 11, state=partial)
     assert [t for t, _ in evaluated] == [3, 3, 4, 4, 4, 5, 5, 5]
     for (t, x), rec in zip(evaluated, full.records[7:]):
@@ -140,7 +140,7 @@ def test_tau_and_beta_rescaling_invariance():
 def test_beta_zero_degenerates_to_highest_level(small_model, forrester):
     state, model = small_model
     cfg = campaign.UCBConfig(beta=0.0)
-    level = campaign.select_fidelity(model, np.array([0.5]), state.cost_model, cfg, 0)
+    level = campaign.select_fidelity(model, np.array([0.5]), state.tau, cfg, 0)
     assert level.index == 5
 
 
@@ -148,16 +148,16 @@ def test_select_fidelity_on_model_matches_pure_function(small_model):
     state, model = small_model
     cfg = campaign.UCBConfig()
     x = np.array([0.31])
-    level = campaign.select_fidelity(model, x, state.cost_model, cfg, rng_seed=9)
+    level = campaign.select_fidelity(model, x, state.tau, cfg, rng_seed=9)
     traces = dgp.propagate(model, x, dgp.point_draws(model, x, 9))
     scores = campaign.fidelity_scores(
-        [tr.sigma[0] for tr in traces], state.cost_model.tau, cfg.beta
+        [tr.sigma[0] for tr in traces], state.tau, cfg.beta
     )
     assert level.index == campaign.argmax_highest(scores) + 1
 
 
 # ---------------------------------------------------------------------------
-# cost model
+# recorded costs: tau and spend
 # ---------------------------------------------------------------------------
 
 
@@ -171,20 +171,29 @@ def _records(level_costs):
     ]
 
 
-def test_cost_model_from_records():
-    records = _records([(1, 2.0), (2, 5.0), (2, 5.0), (2, 5.0)])
-    cm = campaign.CostModel.from_records(records)
-    assert cm.levels == (1, 2) and cm.tau.tolist() == [2.0, 5.0]
-    updated = campaign.CostModel.from_records(records + _records([(1, 4.0)]))
+def _state(levels, level_costs):
+    ladder = tuple(dgp.FidelityLevel(t, (t - 1) / 4) for t in levels)
+    return campaign.CampaignState(ladder=ladder, records=_records(level_costs))
+
+
+def test_tau_from_records():
+    level_costs = [(1, 2.0), (2, 5.0), (2, 5.0), (2, 5.0)]
+    assert _state((1, 2), level_costs).tau.tolist() == [2.0, 5.0]
+    updated = _state((1, 2), level_costs + [(1, 4.0)])
     assert updated.tau[0] == 3.0  # mean of 2 and 4
     assert updated.tau[1] == 5.0  # other levels untouched
-    # constant costs keep tau at the constant; levels without records are absent
-    cm2 = campaign.CostModel.from_records(_records([(3, 7.0)] * 6))
-    assert cm2.levels == (3,) and cm2.tau.tolist() == [7.0]
+    # constant costs keep tau at the constant, on a 1-rung ladder
+    assert _state((3,), [(3, 7.0)] * 6).tau.tolist() == [7.0]
     # tau is the plain mean of the recorded costs, not a running update
     costs = [0.6, 1.1, 1.9, 0.6, 1.5, 0.4]
-    scripted = campaign.CostModel.from_records(_records([(1, c) for c in costs]))
+    scripted = _state((1,), [(1, c) for c in costs])
     assert scripted.tau[0] == np.mean(costs) == 1.0166666666666668
+    # the spend is the running total's bits (6.1000000000000005), not math.fsum's 6.1
+    running = 0.0
+    for c in costs:
+        running += c
+    assert scripted.budget_spent == running == 6.1000000000000005
+    assert repr(_state((1,), []).budget_spent) == "0.0"
 
 
 def test_evaluation_record_rejects_bad_cost():

@@ -172,9 +172,12 @@ REACTOR_BOX = "[space]\nlower = 5.0, 1.5, 4.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0
         "[campaign]\nobjective = forrester5\n[space]\nlower = nan\nupper = 1.0\n",
         "[campaign]\nobjective = reactor-proxy\n" + REACTOR_BOX
         + "[fidelity]\nnominals = 0, 0.5, 1\n",
+        "[campaign]\nobjective = forrester5\n[space]\nlower = 0.0\nupper = 2.0\n",
+        "[campaign]\nobjective = reactor-proxy\n"
+        "[space]\nlower = 5.0, 1.5, 3.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0\n",
     ],
     ids=["decreasing-nominals", "nominal-above-1", "zero-base-cost", "nan-bound",
-         "reactor-3-levels"],
+         "reactor-3-levels", "upper-outside-box", "reactor-lower-outside-box"],
 )
 def test_values_the_built_objects_reject_exit_2(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)
@@ -302,6 +305,25 @@ def test_resume_truncated_log_exit_4(tmp_path):
     assert cli.main(["resume", "--log", str(log), "--budget", "5.0"]) == cli.EXIT_CORRUPT_LOG
 
 
+def test_eval_x_of_another_shape_exit_4(tmp_path, capsys):
+    # the second level-1 eval of a 1-D campaign gets a 2-entry x
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, n=2, budget=1.0, out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    log = tmp_path / "out" / "records.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    bad = json.loads(lines[2])
+    assert bad["level"] == 1
+    lines[2] = json.dumps({**bad, "x": [0.1, 0.2]}) + "\n"
+    log.write_text("".join(lines))
+    before = log.read_text()
+    for argv in (["resume", "--log", str(log), "--budget", "5.0"], ["report", "--log", str(log)]):
+        assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
+        assert "(line 3)" in capsys.readouterr().err
+        assert log.read_text() == before
+    assert [p.name for p in log.parent.iterdir()] == ["records.jsonl"]
+
+
 # ---------------------------------------------------------------------------
 # validate-fidelity
 # ---------------------------------------------------------------------------
@@ -334,9 +356,14 @@ def test_validate_fidelity_requires_reactor_config(tmp_path):
 
 
 def test_validate_fidelity_rejects_bad_geometry(tmp_path):
-    assert cli.main(
-        ["validate-fidelity", "--out", str(tmp_path), "--geometry", "1,2,3"]
-    ) == cli.EXIT_CONFIG
+    # a wrong count, non-finite values and pitches outside the design box's [4, 15]
+    out = tmp_path / "out"
+    for geometry in ("1,2,3", "12.5,2.5,inf,0", "12.5,2.5,nan,0", "12.5,2.5,0,0",
+                     "12.5,2.5,3.9,0", "12.5,2.5,1e6,0"):
+        assert cli.main(
+            ["validate-fidelity", "--out", str(out), "--geometry", geometry]
+        ) == cli.EXIT_CONFIG
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +415,13 @@ def test_report_corrupt_log_exit_4(tmp_path):
     [{"config": {"bogus": 1}}, {}, {"config": {"n": 0}}, {"config": {"lower": [0.0, 1.0]}},
      {"config": {"n": 1.5}}, {"config": {"n": True}}, {"config": {"seed": "a"}},
      {"config": {"beta": True}}, {"config": {"budget": True}},
-     {"config": {"lower": [False]}}, {"config": {"upper": [True]}}],
+     {"config": {"lower": [False]}}, {"config": {"upper": [True]}},
+     {"config": {"upper": [2.0]}},
+     {"config": {"objective": "reactor-proxy", "lower": [5.0, 1.5, 3.0, 0.0],
+                 "upper": [20.0, 4.0, 15.0, 1.0]}}],
     ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch",
          "n-float", "n-bool", "seed-str", "beta-bool", "budget-bool", "lower-bool",
-         "upper-bool"],
+         "upper-bool", "upper-outside-box", "reactor-lower-outside-box"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"

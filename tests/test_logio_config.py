@@ -33,7 +33,7 @@ def test_replay_reconstructs_state(tmp_path):
     assert replayed.budget_total == state.budget_total  # from the summary line
     assert replayed.incumbent.y == state.incumbent.y
     assert np.array_equal(replayed.incumbent.x, state.incumbent.x)
-    assert np.array_equal(replayed.cost_model.tau, state.cost_model.tau)
+    assert np.array_equal(replayed.tau, state.tau)
 
 
 def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
@@ -55,9 +55,9 @@ def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
     held = []
     select = campaign.select_fidelity
 
-    def spy(model, x_star, cost, config, rng_seed):
-        held.append(cost.tau.tolist())
-        return select(model, x_star, cost, config, rng_seed)
+    def spy(model, x_star, tau, config, rng_seed):
+        held.append(tau.tolist())
+        return select(model, x_star, tau, config, rng_seed)
 
     monkeypatch.setattr(campaign, "select_fidelity", spy)
     log_path = tmp_path / "records.jsonl"
@@ -68,8 +68,8 @@ def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
         )
     assert [r.cost for r in state.records] == costs
     replayed = logio.replay(log_path, top)
-    assert np.array_equal(replayed.cost_model.tau, state.cost_model.tau)
-    assert replayed.cost_model.tau[0] == np.mean(costs)
+    assert np.array_equal(replayed.tau, state.tau)
+    assert replayed.tau[0] == np.mean(costs)
     # at every pick the loop held the mean of the costs recorded before it
     assert held == [[np.mean(costs[:j])] for j in range(1, 6)]
 

@@ -27,6 +27,11 @@ def test_geometry_validation():
         reactor.ReactorGeometry(coil_radius=10, tube_radius=2, pitch=-1, inversion_fraction=0)
     with pytest.raises(DomainError):
         reactor.ReactorGeometry(coil_radius=10, tube_radius=2, pitch=5, inversion_fraction=1.5)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="finite and > 0"):
+            reactor.ReactorGeometry(coil_radius=10, tube_radius=2, pitch=bad, inversion_fraction=0)
+        with pytest.raises(DomainError, match="finite and > 0"):
+            reactor.ReactorGeometry(coil_radius=bad, tube_radius=2, pitch=5, inversion_fraction=0)
 
 
 def test_peclet_closed_form_at_default_geometry():
