@@ -6,14 +6,14 @@ timeline and compares the incumbent against the known optimum.
 
 import numpy as np
 
-from mfdgp import UCBConfig, recommend, run
+from mfdgp import recommend, run
 from mfdgp.campaign import _train_from_state
 from mfdgp.objectives import ForresterFamily
 
 objective = ForresterFamily()
 state = run(
     objective, objective.space, objective.ladder,
-    n=1, config=UCBConfig(), budget_total=60.0, rng_seed=1,
+    n=1, beta=2.0, budget_total=60.0, rng_seed=1,
 )
 
 print("fidelity timeline (level per evaluation):")

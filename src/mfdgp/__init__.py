@@ -11,9 +11,7 @@ from .acquisition import solve_ucb, ucb_values
 from .campaign import (
     CampaignState,
     EvaluationRecord,
-    UCBConfig,
     argmax_highest,
-    continue_run,
     fidelity_scores,
     initial_design,
     recommend,

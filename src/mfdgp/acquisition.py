@@ -7,8 +7,9 @@ The acquisition is evaluated at the highest fidelity,
 with one fixed set of base propagation draws shared by every candidate
 (common random numbers), so a(x) is a continuous deterministic function of
 x during a solve. The inner optimizer scores a scrambled quasi-random
-candidate pool and refines the best few candidates with a derivative-free
-pattern search in normalized coordinates.
+candidate pool of ``_POOL_SIZE`` points and refines the best
+``_RESTARTS`` of them with a derivative-free pattern search in normalized
+coordinates.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .streams import ACQUISITION, substream
 # this initial step down to the convergence tolerance.
 _REFINE_STEP0 = 0.1
 _REFINE_TOL = 1e-6
+
+# Sobol candidates scored per solve; the best _RESTARTS start a pattern search.
+_POOL_SIZE = 512
+_RESTARTS = 8
 
 
 def ucb_values(model: dgp.MFDeepGP, X, beta: float, base_draws: np.ndarray) -> np.ndarray:
@@ -55,25 +60,25 @@ def _pattern_search(score, u0: np.ndarray, best0: float) -> tuple[np.ndarray, fl
     return u, best
 
 
-def solve_ucb(model: dgp.MFDeepGP, space: DesignSpace, config, rng_seed: int) -> np.ndarray:
-    """Maximize the highest-fidelity UCB over the design box.
+def solve_ucb(model: dgp.MFDeepGP, space: DesignSpace, beta: float, rng_seed: int) -> np.ndarray:
+    """Maximize the highest-fidelity UCB mu_T + sqrt(beta) * sigma_T over the design box.
 
-    Scores ``config.candidate_pool_size`` scrambled Sobol candidates, then
-    pattern-searches from the top ``config.acquisition_restarts`` of them.
-    Every score shares the base draws of ``substream(rng_seed, ACQUISITION,
-    "draws")``. Always returns the best point seen, inside the box.
+    Scores ``_POOL_SIZE`` scrambled Sobol candidates, then pattern-searches
+    from the top ``_RESTARTS`` of them. Every score shares the base draws of
+    ``substream(rng_seed, ACQUISITION, "draws")``. Always returns the best
+    point seen, inside the box.
     """
     draw_rng = substream(rng_seed, ACQUISITION, "draws")
     base_draws = draw_rng.standard_normal((max(model.num_levels - 1, 1), dgp.ACQUISITION_SAMPLES))
     pool_rng = substream(rng_seed, ACQUISITION, "pool")
-    pool = space.sample_sobol(config.candidate_pool_size, pool_rng)
-    values = ucb_values(model, pool, config.beta, base_draws)
+    pool = space.sample_sobol(_POOL_SIZE, pool_rng)
+    values = ucb_values(model, pool, beta, base_draws)
 
     def score(U: np.ndarray) -> np.ndarray:
-        return ucb_values(model, space.denormalize(U), config.beta, base_draws)
+        return ucb_values(model, space.denormalize(U), beta, base_draws)
 
     order = np.argsort(values)[::-1]
-    top = order[: max(config.acquisition_restarts, 1)]
+    top = order[:_RESTARTS]
     best_x = pool[order[0]]
     best_val = float(values[order[0]])
     for idx in top:

@@ -44,25 +44,6 @@ PHASE_LOOP = "bo-loop"
 TRAIN_RESTARTS = 4
 
 
-@dataclass(frozen=True)
-class UCBConfig:
-    """Acquisition settings: this is the whole tunable surface of the loop.
-
-    The fidelity-selection rule has no knobs of its own; it is a pure
-    function of predictive sigmas and recorded costs.
-    """
-
-    beta: float = 2.0
-    acquisition_restarts: int = 8
-    candidate_pool_size: int = 512
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise DomainError("beta must be >= 0")
-        if self.acquisition_restarts < 1 or self.candidate_pool_size < 1:
-            raise DomainError("restarts and pool size must be positive")
-
-
 def fidelity_scores(sigmas, taus, beta: float) -> np.ndarray:
     """Cost-weighted exploration scores gamma_t * sqrt(beta) * sigma_t.
 
@@ -84,7 +65,7 @@ def argmax_highest(scores) -> int:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One objective evaluation in a campaign ledger; its cost must be finite and > 0."""
+    """One objective evaluation in a ledger: ``x`` a read-only copy, ``cost`` finite and > 0."""
 
     x: np.ndarray
     level: FidelityLevel
@@ -94,7 +75,8 @@ class EvaluationRecord:
     phase: str
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=np.float64))
+        x = np.atleast_1d(np.array(self.x, dtype=np.float64))
+        x.flags.writeable = False
         cost = float(self.cost)
         if not np.isfinite(cost) or cost <= 0:
             raise DomainError(f"record cost must be finite and > 0, got {self.cost!r}")
@@ -115,14 +97,11 @@ class CampaignState:
     error: str | None = None
 
     @property
-    def top_index(self) -> int:
-        return max(lv.index for lv in self.ladder)
-
-    @property
     def incumbent(self) -> EvaluationRecord | None:
         """Best observed record at the highest fidelity (the first of equals), else None."""
-        top = [rec for rec in self.records if rec.level.index == self.top_index]
-        return max(top, key=lambda rec: rec.y, default=None)
+        top = max(lv.index for lv in self.ladder)
+        at_top = [rec for rec in self.records if rec.level.index == top]
+        return max(at_top, key=lambda rec: rec.y, default=None)
 
     @property
     def budget_spent(self) -> float:
@@ -214,9 +193,7 @@ def initial_design(
                 return
 
 
-def select_fidelity(
-    model: MFDeepGP, x_star, tau, config: UCBConfig, rng_seed: int
-) -> FidelityLevel:
+def select_fidelity(model: MFDeepGP, x_star, tau, beta: float, rng_seed: int) -> FidelityLevel:
     """Pick the level maximizing gamma_t * sqrt(beta) * sigma_t(x*).
 
     ``tau`` holds one cost per level of ``model.ladder``, in ladder order
@@ -226,7 +203,7 @@ def select_fidelity(
     """
     traces = dgp.propagate(model, x_star, dgp.point_draws(model, x_star, rng_seed))
     sigmas = np.asarray([tr.sigma[0] for tr in traces])
-    scores = fidelity_scores(sigmas, tau, config.beta)
+    scores = fidelity_scores(sigmas, tau, beta)
     return model.ladder[argmax_highest(scores)]
 
 
@@ -238,7 +215,7 @@ def continue_run(
     state: CampaignState,
     objective,
     space: DesignSpace,
-    config: UCBConfig,
+    beta: float,
     rng_seed: int,
     on_record=None,
 ) -> CampaignState:
@@ -254,11 +231,10 @@ def continue_run(
         try:
             model = _train_from_state(state, derive_seed(rng_seed, TRAIN, k))
             x_star = acquisition.solve_ucb(
-                model, space, config, derive_seed(rng_seed, ACQUISITION, k)
+                model, space, beta, derive_seed(rng_seed, ACQUISITION, k)
             )
             level = select_fidelity(
-                model, x_star, state.tau, config,
-                derive_seed(rng_seed, PROPAGATION, k),
+                model, x_star, state.tau, beta, derive_seed(rng_seed, PROPAGATION, k)
             )
         except MfdgpError as exc:
             state.error = f"model failed at iteration {k}: {exc}"
@@ -273,22 +249,29 @@ def resume(
     objective,
     space: DesignSpace,
     n: int,
-    config: UCBConfig,
+    beta: float,
     budget_total: float,
     rng_seed: int,
     on_record=None,
 ) -> CampaignState:
     """Bring any ledger to ``budget_total``: finish its initial design, then loop.
 
+    ``beta``, the UCB exploration weight, is the loop's only setting: the
+    fidelity-selection rule has no knobs of its own, being a pure function
+    of predictive sigmas and recorded costs. It must be finite and >= 0, and
+    is checked here, before any evaluation.
+
     An error carried in from an earlier run (a replayed log) is cleared. The
     design points the ledger lacks are evaluated whatever the budget; the
     loop runs only once the design is complete.
     """
+    if not (np.isfinite(beta) and beta >= 0):
+        raise DomainError(f"beta must be finite and >= 0, got {beta!r}")
     state.error = None
     state.budget_total = budget_total
     initial_design(state, objective, space, n, rng_seed, on_record=on_record)
     if state.error is None:
-        continue_run(state, objective, space, config, rng_seed, on_record=on_record)
+        continue_run(state, objective, space, beta, rng_seed, on_record=on_record)
     return state
 
 
@@ -297,14 +280,14 @@ def run(
     space: DesignSpace,
     ladder,
     n: int,
-    config: UCBConfig,
+    beta: float,
     budget_total: float,
     rng_seed: int,
     on_record=None,
 ) -> CampaignState:
     """Full campaign: :func:`resume` on an empty ledger over ``ladder``."""
     return resume(
-        CampaignState(ladder=tuple(ladder)), objective, space, n, config, budget_total,
+        CampaignState(ladder=tuple(ladder)), objective, space, n, beta, budget_total,
         rng_seed, on_record=on_record,
     )
 
@@ -324,7 +307,7 @@ def recommend(
     incumbent = state.incumbent
     if incumbent is None:
         raise StateError("no highest-fidelity record exists yet")
-    model_best = acquisition.solve_ucb(model, space, UCBConfig(beta=0.0), rng_seed)
+    model_best = acquisition.solve_ucb(model, space, 0.0, rng_seed)
     return incumbent, model_best
 
 
@@ -332,7 +315,7 @@ def run_single_fidelity(
     objective,
     space: DesignSpace,
     n: int,
-    config: UCBConfig,
+    beta: float,
     budget_total: float,
     rng_seed: int,
     on_record=None,
@@ -344,4 +327,4 @@ def run_single_fidelity(
     training and failure handling, with a one-layer (plain GP) surrogate.
     """
     top = tuple(objective.ladder)[-1:]
-    return run(objective, space, top, n, config, budget_total, rng_seed, on_record=on_record)
+    return run(objective, space, top, n, beta, budget_total, rng_seed, on_record=on_record)

@@ -51,8 +51,8 @@ def _campaign(args, cfg, state, budget_total, writer) -> int:
     with writer:
         space = cfg.build_space()
         campaign.resume(
-            state, cfg.build_objective(), space, cfg.n, campaign.UCBConfig(beta=cfg.beta),
-            budget_total, cfg.seed, on_record=writer.record,
+            state, cfg.build_objective(), space, cfg.n, cfg.beta, budget_total, cfg.seed,
+            on_record=writer.record,
         )
         model_best = None
         if state.incumbent is not None:
@@ -110,7 +110,8 @@ def _load_log(log_path) -> tuple[cfgmod.CampaignConfig, campaign.CampaignState]:
         cfg = cfgmod.CampaignConfig.from_payload(header["config"])
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers ConfigError
         raise CorruptLogError(f"header has no valid config: {exc!r}", 1) from exc
-    return cfg, logio.replay(log_path, cfg.build_objective().ladder)
+    objective = cfg.build_objective()
+    return cfg, logio.replay(log_path, objective.ladder, objective.dimension)
 
 
 def cmd_resume(args) -> int:
@@ -173,18 +174,13 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out) if args.out else log_path.parent
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    top = state.top_index
-    best = None
-    cumulative = 0.0
     with (out_dir / "convergence.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "cumulative_cost", "incumbent_value"])
-        for rec in state.records:
-            cumulative += rec.cost
-            if rec.level.index == top and (best is None or rec.y > best):
-                best = rec.y
-            if best is not None:
-                writer.writerow([rec.iteration, repr(cumulative), repr(best)])
+        for i, rec in enumerate(state.records, start=1):
+            seen = campaign.CampaignState(state.ladder, state.records[:i])
+            if seen.incumbent is not None:
+                writer.writerow([rec.iteration, repr(seen.budget_spent), repr(seen.incumbent.y)])
     with (out_dir / "fidelity_timeline.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "level", "cost"])

@@ -14,7 +14,8 @@ scipy's general wrappers cost many times the LAPACK work.
 Where each check lives:
 
 * :class:`GPDataset`: input rank, target length, at least one row, finite
-  inputs and targets, a finite noise variance >= 0.
+  inputs and targets, a finite noise variance >= 0. It keeps read-only
+  copies of the arrays, so a checked dataset cannot change under a model.
 * :class:`~mfdgp.kernels.KernelSpec`: the kernel kind, 1-D finite positive
   lengthscales, a finite positive signal variance.
 * ``kernels._scaled``: kernel inputs are finite (n, d) matrices whose d
@@ -62,15 +63,15 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class GPDataset:
-    """Inputs (n, d), targets (n,) and a fixed observation noise variance."""
+    """Inputs (n, d), targets (n,) and a fixed observation noise variance; read-only copies."""
 
     inputs: np.ndarray
     targets: np.ndarray
     noise_variance: float
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
-        y = np.atleast_1d(np.asarray(self.targets, dtype=np.float64))
+        x = np.atleast_2d(np.array(self.inputs, dtype=np.float64))
+        y = np.atleast_1d(np.array(self.targets, dtype=np.float64))
         if x.ndim != 2:
             raise ShapeError("inputs must be an (n, d) matrix")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
@@ -82,6 +83,7 @@ class GPDataset:
         nv = float(self.noise_variance)
         if not np.isfinite(nv) or nv < 0:
             raise DomainError("noise_variance must be finite and >= 0")
+        x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "noise_variance", nv)

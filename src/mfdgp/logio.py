@@ -126,12 +126,12 @@ def _record_from_payload(payload: dict, line_no: int) -> EvaluationRecord:
         raise CorruptLogError(f"invalid eval record: {exc}", line_no) from exc
 
 
-def replay(path, ladder) -> CampaignState:
+def replay(path, ladder, dimension: int) -> CampaignState:
     """Rebuild a CampaignState from a log's eval lines, last error and last summary.
 
     ``budget_total`` is the last summary's total, 0.0 if the log has none.
-    Every eval must sit on ``ladder`` and have an ``x`` of the first eval's
-    shape.
+    Every eval must sit on ``ladder`` and have an ``x`` of the objective's
+    ``dimension``.
     """
     state = CampaignState(ladder=tuple(ladder))
     levels = {lv.index for lv in state.ladder}
@@ -140,9 +140,8 @@ def replay(path, ladder) -> CampaignState:
             rec = _record_from_payload(payload, i)
             if rec.level.index not in levels:
                 raise CorruptLogError(f"level {rec.level.index} is not on the ladder", i)
-            first = state.records[0].x.shape if state.records else rec.x.shape
-            if rec.x.shape != first:
-                raise CorruptLogError(f"x has shape {rec.x.shape}, the first eval's {first}", i)
+            if rec.x.shape != (dimension,):
+                raise CorruptLogError(f"x has shape {rec.x.shape}, not ({dimension},)", i)
             state.records.append(rec)
         elif payload["type"] == "error":
             state.error = payload.get("message")

@@ -38,10 +38,10 @@ def main() -> None:
     for seed in SEEDS:
         state = campaign.run(
             objective, objective.space, objective.ladder,
-            n=1, config=campaign.UCBConfig(), budget_total=BUDGET, rng_seed=seed,
+            n=1, beta=2.0, budget_total=BUDGET, rng_seed=seed,
         )
         baseline = campaign.run_single_fidelity(
-            objective, objective.space, 1, campaign.UCBConfig(),
+            objective, objective.space, 1, 2.0,
             budget_total=BUDGET, rng_seed=seed,
         )
         inc = state.incumbent

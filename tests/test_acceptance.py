@@ -242,7 +242,7 @@ def test_criterion_6_optimization_at_desk_scale():
     for seed in range(5):
         state = campaign.run(
             objective, objective.space, objective.ladder,
-            n=1, config=campaign.UCBConfig(), budget_total=60.0, rng_seed=seed,
+            n=1, beta=2.0, budget_total=60.0, rng_seed=seed,
         )
         inc = state.incumbent
         errors.append(abs(inc.x[0] - x_grid))
@@ -253,7 +253,7 @@ def test_criterion_6_optimization_at_desk_scale():
         )
         top_evals.append(sum(1 for r in loop if r.level.index == 5))
         baseline = campaign.run_single_fidelity(
-            objective, objective.space, 1, campaign.UCBConfig(),
+            objective, objective.space, 1, 2.0,
             budget_total=60.0, rng_seed=seed,
         )
         base_regrets.append(f_grid - baseline.incumbent.y)
@@ -362,7 +362,7 @@ def test_criterion_9_ledger_and_replay(tmp_path):
 
     assert cli.main(["run", "--config", str(short_cfg)]) == 0
     log = tmp_path / "short" / "records.jsonl"
-    state = logio.replay(log, default_ladder())
+    state = logio.replay(log, default_ladder(), 1)
     ledger_ok = (
         abs(state.budget_spent - sum(r.cost for r in state.records)) <= 1e-9
         and state.budget_spent - 50.0 < state.records[-1].cost

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -139,19 +139,18 @@ def test_tau_and_beta_rescaling_invariance():
 
 def test_beta_zero_degenerates_to_highest_level(small_model, forrester):
     state, model = small_model
-    cfg = campaign.UCBConfig(beta=0.0)
-    level = campaign.select_fidelity(model, np.array([0.5]), state.tau, cfg, 0)
+    level = campaign.select_fidelity(model, np.array([0.5]), state.tau, 0.0, 0)
     assert level.index == 5
 
 
 def test_select_fidelity_on_model_matches_pure_function(small_model):
     state, model = small_model
-    cfg = campaign.UCBConfig()
+    beta = 2.0
     x = np.array([0.31])
-    level = campaign.select_fidelity(model, x, state.tau, cfg, rng_seed=9)
+    level = campaign.select_fidelity(model, x, state.tau, beta, rng_seed=9)
     traces = dgp.propagate(model, x, dgp.point_draws(model, x, 9))
     scores = campaign.fidelity_scores(
-        [tr.sigma[0] for tr in traces], state.tau, cfg.beta
+        [tr.sigma[0] for tr in traces], state.tau, beta
     )
     assert level.index == campaign.argmax_highest(scores) + 1
 
@@ -202,6 +201,18 @@ def test_evaluation_record_rejects_bad_cost():
             _records([(1, bad)])
 
 
+def test_evaluation_record_x_is_a_read_only_copy():
+    x = np.array([0.5])
+    rec = campaign.EvaluationRecord(
+        x=x, level=dgp.FidelityLevel(1, 0.0), y=0.0, cost=1.0,
+        iteration=0, phase=campaign.PHASE_INITIAL,
+    )
+    x[0] = 0.9
+    assert rec.x.tolist() == [0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        rec.x[0] = 0.9
+
+
 # ---------------------------------------------------------------------------
 # acquisition
 # ---------------------------------------------------------------------------
@@ -212,9 +223,8 @@ def test_solve_ucb_beta_zero_maximizes_posterior_mean(small_model, forrester):
     # the solver's pick must top the mean surface over a dense grid
     # (evaluated with the solver's own common random numbers)
     _, model = small_model
-    cfg = campaign.UCBConfig(beta=0.0)
     seed = 3
-    x_star = acquisition.solve_ucb(model, forrester.space, cfg, rng_seed=seed)
+    x_star = acquisition.solve_ucb(model, forrester.space, 0.0, rng_seed=seed)
     draw_rng = substream(seed, ACQUISITION, "draws")
     base = draw_rng.standard_normal((model.num_levels - 1, dgp.ACQUISITION_SAMPLES))
     grid = np.linspace(0, 1, 2001)[:, None]
@@ -226,22 +236,22 @@ def test_solve_ucb_beta_zero_maximizes_posterior_mean(small_model, forrester):
 def test_solve_ucb_beats_dense_grid(small_model, forrester):
     # oracle: the same acquisition surface (same base draws) on a 10^4 grid
     _, model = small_model
-    cfg = campaign.UCBConfig()
+    beta = 2.0
     seed = 11
-    x_star = acquisition.solve_ucb(model, forrester.space, cfg, rng_seed=seed)
+    x_star = acquisition.solve_ucb(model, forrester.space, beta, rng_seed=seed)
     assert forrester.space.contains(x_star)
     draw_rng = substream(seed, ACQUISITION, "draws")
     base = draw_rng.standard_normal((model.num_levels - 1, dgp.ACQUISITION_SAMPLES))
     grid = np.linspace(0, 1, 10_001)[:, None]
-    grid_vals = acquisition.ucb_values(model, grid, cfg.beta, base)
-    star_val = acquisition.ucb_values(model, x_star[None, :], cfg.beta, base)[0]
+    grid_vals = acquisition.ucb_values(model, grid, beta, base)
+    star_val = acquisition.ucb_values(model, x_star[None, :], beta, base)[0]
     assert star_val >= np.max(grid_vals) - 1e-3
 
 
 def test_solve_ucb_near_degenerate_box(small_model):
     _, model = small_model
     tiny = DesignSpace(lower=[0.5], upper=[0.5 + 1e-9])
-    x_star = acquisition.solve_ucb(model, tiny, campaign.UCBConfig(), rng_seed=0)
+    x_star = acquisition.solve_ucb(model, tiny, 2.0, rng_seed=0)
     assert tiny.contains(x_star)
 
 
@@ -253,14 +263,14 @@ def test_solve_ucb_near_degenerate_box(small_model):
 def test_budget_equal_to_initial_design_means_no_loop(forrester):
     state = campaign.run(
         forrester, forrester.space, forrester.ladder, 1,
-        campaign.UCBConfig(), budget_total=31.0, rng_seed=2,
+        2.0, budget_total=31.0, rng_seed=2,
     )
     assert state.loop_iterations == 0
     assert state.budget_spent == pytest.approx(31.0)
 
 
 def test_run_is_deterministic(forrester):
-    kw = dict(n=1, config=campaign.UCBConfig(), budget_total=45.0, rng_seed=8)
+    kw = dict(n=1, beta=2.0, budget_total=45.0, rng_seed=8)
     a = campaign.run(forrester, forrester.space, forrester.ladder, **kw)
     b = campaign.run(forrester, forrester.space, forrester.ladder, **kw)
     assert len(a.records) == len(b.records)
@@ -274,7 +284,7 @@ def test_run_is_deterministic(forrester):
 def test_budget_ledger_invariants(forrester):
     state = campaign.run(
         forrester, forrester.space, forrester.ladder, 1,
-        campaign.UCBConfig(), budget_total=45.0, rng_seed=4,
+        2.0, budget_total=45.0, rng_seed=4,
     )
     assert state.budget_spent == pytest.approx(sum(r.cost for r in state.records), abs=1e-9)
     # at most one overshooting evaluation
@@ -299,7 +309,7 @@ def test_objective_failure_mid_loop_preserves_partial_state(forrester):
 
     state = campaign.run(
         Flaky(), forrester.space, forrester.ladder, 1,
-        campaign.UCBConfig(), budget_total=60.0, rng_seed=1,
+        2.0, budget_total=60.0, rng_seed=1,
     )
     assert state.error is not None
     assert "license server down" in state.error
@@ -325,19 +335,38 @@ def test_bad_cost_ends_campaign_through_error(forrester):
     for bad_call, kept in ((2, 1), (4, 3)):
         state = campaign.run(
             BadCost(bad_call), forrester.space, top, 2,
-            campaign.UCBConfig(), budget_total=100.0, rng_seed=0,
+            2.0, budget_total=100.0, rng_seed=0,
         )
         assert "finite and > 0" in state.error
         assert len(state.records) == kept
         assert state.budget_spent == 16.0 * kept
 
 
-def test_config_surface_is_only_ucb_knobs():
-    # the fidelity mechanism exposes no configuration of its own
-    names = {f.name for f in dataclasses.fields(campaign.UCBConfig)}
-    assert names == {"beta", "acquisition_restarts", "candidate_pool_size"}
-    with pytest.raises(DomainError):
-        campaign.UCBConfig(beta=-1.0)
+def test_loop_takes_beta_alone(forrester):
+    # beta is the loop's only setting, checked before any evaluation
+    calls = []
+
+    class Counting:
+        ladder = forrester.ladder
+
+        def evaluate(self, x, level):
+            calls.append(level.index)
+            return forrester.evaluate(x, level)
+
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="beta must be finite and >= 0"):
+            campaign.run(
+                Counting(), forrester.space, forrester.ladder, 1, bad,
+                budget_total=60.0, rng_seed=0,
+            )
+    assert calls == []
+    # the fidelity rule and the acquisition take beta and nothing config-shaped
+    assert list(inspect.signature(campaign.select_fidelity).parameters) == [
+        "model", "x_star", "tau", "beta", "rng_seed",
+    ]
+    assert list(inspect.signature(acquisition.solve_ucb).parameters) == [
+        "model", "space", "beta", "rng_seed",
+    ]
 
 
 def test_recommend_returns_both_candidates(forrester, small_model):
@@ -346,10 +375,7 @@ def test_recommend_returns_both_candidates(forrester, small_model):
     assert observed is state.incumbent
     assert forrester.space.contains(model_best)
     # beta = 0 solve equals the model_best definitionally
-    again = acquisition.solve_ucb(
-        model, forrester.space,
-        dataclasses.replace(campaign.UCBConfig(), beta=0.0), 0,
-    )
+    again = acquisition.solve_ucb(model, forrester.space, 0.0, 0)
     assert np.allclose(model_best, again)
     # the observed best can never exceed the true optimum
     assert observed.y <= forrester.known_optimum()[1] + 1e-12
@@ -363,7 +389,7 @@ def test_recommend_without_top_level_records():
 
 def test_single_fidelity_baseline_runs(forrester):
     state = campaign.run_single_fidelity(
-        forrester, forrester.space, 1, campaign.UCBConfig(), budget_total=60.0, rng_seed=0
+        forrester, forrester.space, 1, 2.0, budget_total=60.0, rng_seed=0
     )
     assert all(r.level.index == 5 for r in state.records)
     assert state.budget_spent >= 60.0

@@ -119,7 +119,7 @@ def test_run_streams_initial_then_loop_records(tmp_path):
     assert all(r["phase"] == "initial-design" for r in records[:15])
     assert records[15]["phase"] == "bo-loop"
     # replay holds the ledger invariants
-    state = logio.replay(log_path, default_ladder())
+    state = logio.replay(log_path, default_ladder(), 1)
     assert state.budget_spent == pytest.approx(
         sum(r.cost for r in state.records), abs=1e-9
     )
@@ -306,22 +306,34 @@ def test_resume_truncated_log_exit_4(tmp_path):
 
 
 def test_eval_x_of_another_shape_exit_4(tmp_path, capsys):
-    # the second level-1 eval of a 1-D campaign gets a 2-entry x
-    cfg = tmp_path / "c.ini"
-    write_config(cfg, n=2, budget=1.0, out=str(tmp_path / "out"))
-    assert cli.main(["run", "--config", str(cfg)]) == 0
-    log = tmp_path / "out" / "records.jsonl"
-    lines = log.read_text().splitlines(keepends=True)
-    bad = json.loads(lines[2])
-    assert bad["level"] == 1
-    lines[2] = json.dumps({**bad, "x": [0.1, 0.2]}) + "\n"
-    log.write_text("".join(lines))
-    before = log.read_text()
-    for argv in (["resume", "--log", str(log), "--budget", "5.0"], ["report", "--log", str(log)]):
-        assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
-        assert "(line 3)" in capsys.readouterr().err
-        assert log.read_text() == before
-    assert [p.name for p in log.parent.iterdir()] == ["records.jsonl"]
+    # a 1-D campaign's log whose second level-1 eval (line 3) gets a 2-entry
+    # x, or whose every x gets 0.5 appended (first caught at line 2)
+    def one_wide(lines):
+        bad = json.loads(lines[2])
+        assert bad["level"] == 1
+        lines[2] = json.dumps({**bad, "x": [0.1, 0.2]}) + "\n"
+
+    def every_wide(lines):
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec["type"] == "eval":
+                lines[i] = json.dumps({**rec, "x": rec["x"] + [0.5]}) + "\n"
+
+    for name, n, widen, line_no in (("one", 2, one_wide, 3), ("every", 1, every_wide, 2)):
+        cfg = tmp_path / f"{name}.ini"
+        write_config(cfg, n=n, budget=1.0, out=str(tmp_path / name))
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        log = tmp_path / name / "records.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        widen(lines)
+        log.write_text("".join(lines))
+        before = log.read_text()
+        for argv in (["resume", "--log", str(log), "--budget", "40.0"],
+                     ["report", "--log", str(log)]):
+            assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
+            assert f"(line {line_no})" in capsys.readouterr().err
+            assert log.read_text() == before
+        assert [p.name for p in log.parent.iterdir()] == ["records.jsonl"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Golden records: two short campaigns reproduce their committed logs byte for byte.
+"""Golden records: two short campaigns reproduce their committed outputs byte for byte.
 
 ``tests/data/golden_*.jsonl`` hold the ``eval`` and ``summary`` lines of
-two ``mfdgp run`` campaigns. A refactor must leave them unchanged. A change
-that moves records on purpose regenerates the files with
-``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+two ``mfdgp run`` campaigns, and ``tests/data/golden_*_report/`` the three
+files ``mfdgp report`` writes from each log. A refactor must leave them
+unchanged. A change that moves records on purpose regenerates the files
+with ``PYTHONPATH=src python tests/test_golden.py`` and says so in
+CHANGES.md.
 """
 
 import json
@@ -29,9 +31,11 @@ CAMPAIGNS = {
     ),
 }
 
+REPORT_FILES = ("convergence.csv", "fidelity_timeline.csv", "report_summary.txt")
 
-def record_lines(name, workdir) -> str:
-    """Run the named campaign in ``workdir``; return its eval and summary lines."""
+
+def golden_outputs(name, workdir) -> dict[str, str]:
+    """Run and report the named campaign in ``workdir``; map each golden file name to its text."""
     campaign, space = CAMPAIGNS[name]
     out = Path(workdir) / name
     cfg = Path(workdir) / f"{name}.ini"
@@ -39,15 +43,36 @@ def record_lines(name, workdir) -> str:
         f"[campaign]\n{campaign}beta = 2.0\nout = {out}\n[space]\n{space}"
     )
     assert cli.main(["run", "--config", str(cfg)]) == 0
-    lines = (out / "records.jsonl").read_text().splitlines()
-    return "".join(
-        line + "\n" for line in lines if json.loads(line)["type"] in ("eval", "summary")
+    log = out / "records.jsonl"
+    assert cli.main(["report", "--log", str(log)]) == 0
+    records = "".join(
+        line + "\n"
+        for line in log.read_text().splitlines()
+        if json.loads(line)["type"] in ("eval", "summary")
     )
+    files = {f"golden_{name}.jsonl": records}
+    for report in REPORT_FILES:
+        files[f"golden_{name}_report/{report}"] = (out / report).read_text()
+    return files
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    return {name: golden_outputs(name, workdir) for name in CAMPAIGNS}
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
-def test_campaign_reproduces_golden_records(name, tmp_path):
-    assert record_lines(name, tmp_path) == (DATA / f"golden_{name}.jsonl").read_text()
+def test_campaign_reproduces_golden_records(name, outputs):
+    golden = f"golden_{name}.jsonl"
+    assert outputs[name][golden] == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+@pytest.mark.parametrize("report", REPORT_FILES)
+def test_report_reproduces_golden_files(name, report, outputs):
+    golden = f"golden_{name}_report/{report}"
+    assert outputs[name][golden] == (DATA / golden).read_text()
 
 
 if __name__ == "__main__":
@@ -55,4 +80,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CAMPAIGNS):
-            (DATA / f"golden_{name}.jsonl").write_text(record_lines(name, tmp))
+            for rel, text in golden_outputs(name, tmp).items():
+                (DATA / rel).parent.mkdir(exist_ok=True)
+                (DATA / rel).write_text(text)

@@ -161,6 +161,27 @@ def test_predictions_are_pure():
     assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
 
 
+def test_dataset_keeps_read_only_copies():
+    # editing the caller's arrays after the fit must not move the model
+    x = np.array([[0.1], [0.5], [0.9]])
+    y = np.array([0.0, 1.0, 0.0])
+    model = make_gp(
+        KernelSpec(kind="squared-exponential", lengthscales=[0.3], signal_variance=1.0),
+        x, y, 1e-8,
+    )
+    before = gp.predict(model, [[0.5]]), gp.log_marginal_likelihood(model)
+    x[1] = 0.2
+    y[1] = 5.0
+    (m, v), lml = gp.predict(model, [[0.5]]), gp.log_marginal_likelihood(model)
+    assert np.array_equal(m, before[0][0]) and np.array_equal(v, before[0][1])
+    assert lml == before[1]
+    assert m[0] == pytest.approx(1.0, abs=0.01)
+    with pytest.raises(ValueError, match="read-only"):
+        model.dataset.inputs[1, 0] = 0.2
+    with pytest.raises(ValueError, match="read-only"):
+        model.dataset.targets[1] = 5.0
+
+
 def test_variance_shrinks_when_observation_added():
     # adding a noise-free observation at the query cannot raise its variance
     rng = np.random.default_rng(13)

@@ -15,7 +15,7 @@ def run_small_campaign(tmp_path, budget=36.0, seed=0):
     cfg = cfgmod.CampaignConfig(budget=budget, seed=seed)
     with logio.ResultsLogWriter(log_path, config_payload=cfg.as_payload()) as writer:
         state = campaign.run(
-            obj, obj.space, obj.ladder, 1, campaign.UCBConfig(), budget, seed,
+            obj, obj.space, obj.ladder, 1, 2.0, budget, seed,
             on_record=writer.record,
         )
         writer.summary(state)
@@ -24,7 +24,7 @@ def run_small_campaign(tmp_path, budget=36.0, seed=0):
 
 def test_replay_reconstructs_state(tmp_path):
     log_path, state = run_small_campaign(tmp_path)
-    replayed = logio.replay(log_path, default_ladder())
+    replayed = logio.replay(log_path, default_ladder(), 1)
     assert len(replayed.records) == len(state.records)
     assert replayed.budget_spent == pytest.approx(
         sum(r.cost for r in replayed.records), abs=1e-9
@@ -55,19 +55,19 @@ def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
     held = []
     select = campaign.select_fidelity
 
-    def spy(model, x_star, tau, config, rng_seed):
+    def spy(model, x_star, tau, beta, rng_seed):
         held.append(tau.tolist())
-        return select(model, x_star, tau, config, rng_seed)
+        return select(model, x_star, tau, beta, rng_seed)
 
     monkeypatch.setattr(campaign, "select_fidelity", spy)
     log_path = tmp_path / "records.jsonl"
     with logio.ResultsLogWriter(log_path, config_payload={}) as writer:
         state = campaign.run(
-            Scripted(), obj.space, top, 1, campaign.UCBConfig(), 6.0, 0,
+            Scripted(), obj.space, top, 1, 2.0, 6.0, 0,
             on_record=writer.record,
         )
     assert [r.cost for r in state.records] == costs
-    replayed = logio.replay(log_path, top)
+    replayed = logio.replay(log_path, top, 1)
     assert np.array_equal(replayed.tau, state.tau)
     assert replayed.tau[0] == np.mean(costs)
     # at every pick the loop held the mean of the costs recorded before it
@@ -76,7 +76,7 @@ def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
 
 def test_log_values_round_trip_exactly(tmp_path):
     log_path, state = run_small_campaign(tmp_path)
-    replayed = logio.replay(log_path, default_ladder())
+    replayed = logio.replay(log_path, default_ladder(), 1)
     for a, b in zip(replayed.records, state.records):
         assert np.array_equal(a.x, b.x)
         assert a.y == b.y and a.cost == b.cost and a.iteration == b.iteration
@@ -99,7 +99,7 @@ def test_replay_rejects_level_off_the_ladder(tmp_path):
                  "nominal": 1.0, "x": [0.5], "y": 1.0, "cost": 1.0}
     p.write_text(json.dumps({"type": "header"}) + "\n" + json.dumps(eval_line) + "\n")
     with pytest.raises(CorruptLogError) as err:
-        logio.replay(p, default_ladder())
+        logio.replay(p, default_ladder(), 1)
     assert err.value.line_number == 2
 
 
@@ -107,7 +107,7 @@ def test_replay_rejects_summary_without_total(tmp_path):
     p = tmp_path / "summary.jsonl"
     p.write_text(json.dumps({"type": "header"}) + "\n" + json.dumps({"type": "summary"}) + "\n")
     with pytest.raises(CorruptLogError) as err:
-        logio.replay(p, default_ladder())
+        logio.replay(p, default_ladder(), 1)
     assert err.value.line_number == 2
 
 
@@ -122,7 +122,7 @@ def test_error_marker_survives_replay(tmp_path):
     p = tmp_path / "err.jsonl"
     with logio.ResultsLogWriter(p, config_payload={}) as writer:
         writer.error("solver died")
-    state = logio.replay(p, default_ladder())
+    state = logio.replay(p, default_ladder(), 1)
     assert state.error == "solver died"
     assert state.records == []
 
