@@ -9,7 +9,9 @@ with one fixed set of base propagation draws shared by every candidate
 x during a solve. The inner optimizer scores a scrambled quasi-random
 candidate pool of ``_POOL_SIZE`` points and refines the best
 ``_RESTARTS`` of them with a derivative-free pattern search in normalized
-coordinates.
+coordinates. The restarts run in lock step: each round scores the trials
+of every restart still refining in one ``ucb_values`` call, so a solve
+makes one call per round rather than one per restart and round.
 """
 
 from __future__ import annotations
@@ -36,28 +38,33 @@ def ucb_values(model: dgp.MFDeepGP, X, beta: float, base_draws: np.ndarray) -> n
     return top.mean + np.sqrt(beta) * top.sigma
 
 
-def _pattern_search(score, u0: np.ndarray, best0: float) -> tuple[np.ndarray, float]:
-    """Coordinate pattern search on [0, 1]^d; score takes a batch of rows."""
-    u = u0.copy()
-    best = best0
-    step = _REFINE_STEP0
-    d = u.shape[0]
-    while step >= _REFINE_TOL:
-        trials = []
-        for j in range(d):
-            for sign in (1.0, -1.0):
-                cand = u.copy()
-                cand[j] = min(1.0, max(0.0, cand[j] + sign * step))
-                trials.append(cand)
-        trials = np.asarray(trials)
-        values = score(trials)
-        k = int(np.argmax(values))
-        if values[k] > best:
-            u = trials[k]
-            best = float(values[k])
-        else:
-            step *= 0.5
-    return u, best
+def _pattern_search(score, U0: np.ndarray, best0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate pattern searches on [0, 1]^d from the rows of U0, run in lock step.
+
+    Each round builds the 2d trials ``clip(u +/- step * e_j, 0, 1)`` of
+    every restart whose step is still >= ``_REFINE_TOL``, in restart order,
+    and scores them all in one ``score`` call. A restart then moves to its
+    best trial if that beats its best value, or halves its step. Returns
+    the final positions (R, d) and best values (R,).
+    """
+    U = U0.copy()
+    best = np.array(best0, dtype=np.float64)
+    R, d = U.shape
+    step = np.full(R, _REFINE_STEP0)
+    # row 2j of the offsets moves coordinate j up, row 2j + 1 moves it down
+    offsets = np.kron(np.eye(d), [[1.0], [-1.0]])
+    active = np.arange(R)
+    while active.size:
+        trials = np.clip(U[active, None, :] + step[active, None, None] * offsets, 0.0, 1.0)
+        values = score(trials.reshape(-1, d)).reshape(active.size, 2 * d)
+        k = np.argmax(values, axis=1)
+        top = values[np.arange(active.size), k]
+        better = top > best[active]
+        U[active[better]] = trials[better, k[better]]
+        best[active[better]] = top[better]
+        step[active[~better]] *= 0.5
+        active = np.flatnonzero(step >= _REFINE_TOL)
+    return U, best
 
 
 def solve_ucb(model: dgp.MFDeepGP, space: DesignSpace, beta: float, rng_seed: int) -> np.ndarray:
@@ -81,9 +88,9 @@ def solve_ucb(model: dgp.MFDeepGP, space: DesignSpace, beta: float, rng_seed: in
     top = order[:_RESTARTS]
     best_x = pool[order[0]]
     best_val = float(values[order[0]])
-    for idx in top:
-        u, val = _pattern_search(score, space.normalize(pool[idx]), float(values[idx]))
+    U, vals = _pattern_search(score, space.normalize(pool[top]), values[top])
+    for u, val in zip(U, vals):
         if val > best_val:
-            best_val = val
+            best_val = float(val)
             best_x = space.denormalize(u)
     return space.clip(best_x)

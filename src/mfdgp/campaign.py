@@ -65,7 +65,7 @@ def argmax_highest(scores) -> int:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One objective evaluation in a ledger: ``x`` a read-only copy, ``cost`` finite and > 0."""
+    """One ledger evaluation: finite ``y`` and ``x`` (a read-only copy), ``cost`` finite and > 0."""
 
     x: np.ndarray
     level: FidelityLevel
@@ -77,13 +77,16 @@ class EvaluationRecord:
     def __post_init__(self):
         x = np.atleast_1d(np.array(self.x, dtype=np.float64))
         x.flags.writeable = False
+        y = float(self.y)
+        if not (np.isfinite(x).all() and np.isfinite(y)):
+            raise DomainError(f"record x and y must be finite, got x={x.tolist()}, y={self.y!r}")
         cost = float(self.cost)
         if not np.isfinite(cost) or cost <= 0:
             raise DomainError(f"record cost must be finite and > 0, got {self.cost!r}")
         if self.phase not in (PHASE_INITIAL, PHASE_LOOP):
             raise DomainError(f"unknown phase {self.phase!r}")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", float(self.y))
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "cost", cost)
 
 

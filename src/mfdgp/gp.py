@@ -23,8 +23,12 @@ Where each check lives:
 * :meth:`TrainedGP.from_params` and :func:`predict`: the kernel, data and
   query dimensions agree.
 * :func:`_factorize`: the covariance is finite; the jitter ladder.
-* :func:`_solve_lower`: both operands of every solve are finite, and LAPACK
-  reports no zero pivot or illegal argument.
+* :func:`_solve_lower`: both operands of a ``predict`` solve are finite.
+* :func:`_trtrs`: LAPACK reports no zero pivot or illegal argument.
+* :meth:`TrainedGP.from_params` scans only alpha: its factor comes from a
+  successful ``potrf`` on a matrix :func:`_factorize` checked finite and its
+  targets from a checked dataset, so overflow can only appear in the solves,
+  and a non-finite alpha raises :class:`~mfdgp.errors.ConditioningError`.
 * :func:`_nm_objective`: the simplex vertex lies inside the box.
 
 A likelihood evaluation (:func:`_nm_objective`) does no work beyond its
@@ -120,7 +124,9 @@ class TrainedGP:
             )
         K = kernel_matrix(kernel, dataset.inputs)
         L = _factorize(K, dataset.noise_variance)
-        alpha = _solve_lower(L, _solve_lower(L, dataset.targets), trans=1)
+        alpha = _trtrs(L, _trtrs(L, dataset.targets), trans=1)
+        if not np.isfinite(alpha).all():
+            raise ConditioningError("alpha = (K + noise * I)^-1 targets is not finite")
         return cls(dataset=dataset, kernel=kernel, chol_factor=L, alpha=alpha)
 
 
@@ -161,6 +167,11 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """Solve ``L x = b`` (``trans=1``: ``L.T x = b``) for lower-triangular ``L``."""
     if not (np.isfinite(L).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
+    return _trtrs(L, b, trans)
+
+
+def _trtrs(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """LAPACK ``trtrs`` for lower-triangular ``L``, unchecked operands, checked ``info``."""
     x, info = dtrtrs(L, b, lower=1, trans=trans)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: zero diagonal at row {info - 1}")

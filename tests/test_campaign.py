@@ -3,8 +3,9 @@ import inspect
 import numpy as np
 import pytest
 
-from mfdgp import acquisition, campaign, dgp
+from mfdgp import acquisition, campaign, dgp, gp
 from mfdgp.errors import DomainError, StateError
+from mfdgp.kernels import KernelSpec
 from mfdgp.objectives import ForresterFamily
 from mfdgp.space import DesignSpace
 from mfdgp.streams import ACQUISITION, substream
@@ -201,6 +202,15 @@ def test_evaluation_record_rejects_bad_cost():
             _records([(1, bad)])
 
 
+def test_evaluation_record_rejects_non_finite_x_and_y():
+    level = dgp.FidelityLevel(1, 0.0)
+    for x, y in (([np.nan], 0.0), ([0.5, np.inf], 0.0), ([0.5], np.nan), ([0.5], -np.inf)):
+        with pytest.raises(DomainError, match="x and y must be finite"):
+            campaign.EvaluationRecord(
+                x=x, level=level, y=y, cost=1.0, iteration=0, phase=campaign.PHASE_INITIAL,
+            )
+
+
 def test_evaluation_record_x_is_a_read_only_copy():
     x = np.array([0.5])
     rec = campaign.EvaluationRecord(
@@ -253,6 +263,91 @@ def test_solve_ucb_near_degenerate_box(small_model):
     tiny = DesignSpace(lower=[0.5], upper=[0.5 + 1e-9])
     x_star = acquisition.solve_ucb(model, tiny, 2.0, rng_seed=0)
     assert tiny.contains(x_star)
+
+
+def _sequential_solve_ucb(model, space, beta, rng_seed):
+    """The solve with its restarts run one after another, each round its own call.
+
+    The reference for the lock-step search: returns x*, the rows scored and
+    the longest restart's round count.
+    """
+    draw_rng = substream(rng_seed, ACQUISITION, "draws")
+    base = draw_rng.standard_normal((max(model.num_levels - 1, 1), dgp.ACQUISITION_SAMPLES))
+    pool = space.sample_sobol(acquisition._POOL_SIZE, substream(rng_seed, ACQUISITION, "pool"))
+    values = acquisition.ucb_values(model, pool, beta, base)
+    rows, longest = len(pool), 0
+    order = np.argsort(values)[::-1]
+    best_x, best_val = pool[order[0]], float(values[order[0]])
+    for idx in order[: acquisition._RESTARTS]:
+        u, best = space.normalize(pool[idx]), float(values[idx])
+        step, rounds = acquisition._REFINE_STEP0, 0
+        while step >= acquisition._REFINE_TOL:
+            trials = []
+            for j in range(u.shape[0]):
+                for sign in (1.0, -1.0):
+                    cand = u.copy()
+                    cand[j] = min(1.0, max(0.0, cand[j] + sign * step))
+                    trials.append(cand)
+            trials = np.asarray(trials)
+            trial_values = acquisition.ucb_values(model, space.denormalize(trials), beta, base)
+            rows, rounds = rows + len(trials), rounds + 1
+            k = int(np.argmax(trial_values))
+            if trial_values[k] > best:
+                u, best = trials[k], float(trial_values[k])
+            else:
+                step *= 0.5
+        longest = max(longest, rounds)
+        if best > best_val:
+            best_val, best_x = best, space.denormalize(u)
+    return space.clip(best_x), rows, longest
+
+
+@pytest.fixture(scope="module")
+def model_4d():
+    # a hand-built 4-D, five-layer stack on a non-unit box: fixed kernels, no training
+    space = DesignSpace(lower=[-1.0, 0.0, 2.0, 0.0], upper=[1.0, 0.5, 5.0, 1.0])
+    rng = np.random.default_rng(11)
+    layers = []
+    for t, n in enumerate((9, 7, 5, 4, 3), start=1):
+        U = rng.uniform(size=(n, 4))
+        X, y = space.denormalize(U), np.sin(3.0 * U).sum(axis=1) + 0.3 * t * U[:, 0] * U[:, 2]
+        if layers:
+            m = dgp.compose_mean(layers, X)
+            X, y = np.column_stack([X, m]), y - m
+        kernel = KernelSpec(
+            kind="squared-exponential",
+            lengthscales=0.4 * np.ptp(X, axis=0), signal_variance=1.0,
+        )
+        layers.append(gp.TrainedGP.from_params(gp.GPDataset(X, y, 1e-6), kernel))
+    return space, dgp.MFDeepGP(layers=tuple(layers), ladder=tuple(dgp.default_ladder()))
+
+
+@pytest.mark.parametrize("case", ["forrester", "4d"])
+def test_lock_step_search_matches_sequential(case, request, forrester, monkeypatch):
+    # the lock-step search returns the sequential search's x* bits, scores the
+    # same rows, and makes one ucb_values call for the pool plus one per round
+    # of the longest restart
+    if case == "forrester":
+        space, model = forrester.space, request.getfixturevalue("small_model")[1]
+    else:
+        space, model = request.getfixturevalue("model_4d")
+    scored = []
+    ucb_values = acquisition.ucb_values
+
+    def counting(model, X, beta, base_draws):
+        scored.append(len(X))
+        return ucb_values(model, X, beta, base_draws)
+
+    for beta in (0.0, 2.0):
+        for seed in (0, 5):
+            expected, rows, longest = _sequential_solve_ucb(model, space, beta, seed)
+            scored.clear()
+            with monkeypatch.context() as m:
+                m.setattr(acquisition, "ucb_values", counting)
+                x_star = acquisition.solve_ucb(model, space, beta, seed)
+            assert x_star.tobytes() == expected.tobytes()
+            assert sum(scored) == rows
+            assert len(scored) == 1 + longest
 
 
 # ---------------------------------------------------------------------------
@@ -317,29 +412,33 @@ def test_objective_failure_mid_loop_preserves_partial_state(forrester):
 
 
 def test_bad_cost_ends_campaign_through_error(forrester):
-    # on a 1-rung ladder; a cost that is not finite and > 0 stops the
-    # campaign with state.error, in the initial design and in the loop
+    # on a 1-rung ladder; a cost that is not finite and > 0, or a y that
+    # is not finite, stops the campaign with state.error, in the initial
+    # design and in the loop
     top = tuple(forrester.ladder)[-1:]
 
     class BadCost:
         ladder = forrester.ladder
 
-        def __init__(self, bad_call):
-            self.calls, self.bad_call = 0, bad_call
+        def __init__(self, bad_call, bad_y):
+            self.calls, self.bad_call, self.bad_y = 0, bad_call, bad_y
 
         def evaluate(self, x, level):
             self.calls += 1
             y, cost = forrester.evaluate(x, level)
-            return y, (np.nan if self.calls == self.bad_call else cost)
+            if self.calls != self.bad_call:
+                return y, cost
+            return (np.nan, cost) if self.bad_y else (y, np.nan)
 
-    for bad_call, kept in ((2, 1), (4, 3)):
-        state = campaign.run(
-            BadCost(bad_call), forrester.space, top, 2,
-            2.0, budget_total=100.0, rng_seed=0,
-        )
-        assert "finite and > 0" in state.error
-        assert len(state.records) == kept
-        assert state.budget_spent == 16.0 * kept
+    for bad_y, message in ((False, "finite and > 0"), (True, "x and y must be finite")):
+        for bad_call, kept in ((2, 1), (4, 3)):
+            state = campaign.run(
+                BadCost(bad_call, bad_y), forrester.space, top, 2,
+                2.0, budget_total=100.0, rng_seed=0,
+            )
+            assert message in state.error
+            assert len(state.records) == kept
+            assert state.budget_spent == 16.0 * kept
 
 
 def test_loop_takes_beta_alone(forrester):

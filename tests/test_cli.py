@@ -319,21 +319,41 @@ def test_eval_x_of_another_shape_exit_4(tmp_path, capsys):
             if rec["type"] == "eval":
                 lines[i] = json.dumps({**rec, "x": rec["x"] + [0.5]}) + "\n"
 
-    for name, n, widen, line_no in (("one", 2, one_wide, 3), ("every", 1, every_wide, 2)):
-        cfg = tmp_path / f"{name}.ini"
-        write_config(cfg, n=n, budget=1.0, out=str(tmp_path / name))
-        assert cli.main(["run", "--config", str(cfg)]) == 0
-        log = tmp_path / name / "records.jsonl"
-        lines = log.read_text().splitlines(keepends=True)
-        widen(lines)
-        log.write_text("".join(lines))
-        before = log.read_text()
-        for argv in (["resume", "--log", str(log), "--budget", "40.0"],
-                     ["report", "--log", str(log)]):
-            assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
-            assert f"(line {line_no})" in capsys.readouterr().err
-            assert log.read_text() == before
-        assert [p.name for p in log.parent.iterdir()] == ["records.jsonl"]
+    _assert_edited_log_exit_4(tmp_path, capsys, "one", 2, one_wide, 3)
+    _assert_edited_log_exit_4(tmp_path, capsys, "every", 1, every_wide, 2)
+
+
+def test_eval_non_finite_y_or_x_exit_4(tmp_path, capsys):
+    # a 1-D, n=1 campaign's log whose level-2 eval (line 3) has y NaN, or
+    # whose level-1 eval (line 2) has x Infinity; Python's json reads both
+    def edit(line_no, level, key, value):
+        def apply(lines):
+            rec = json.loads(lines[line_no - 1])
+            assert rec["level"] == level
+            lines[line_no - 1] = json.dumps({**rec, key: value}) + "\n"
+        return apply
+
+    _assert_edited_log_exit_4(tmp_path, capsys, "nan_y", 1, edit(3, 2, "y", float("nan")), 3)
+    _assert_edited_log_exit_4(tmp_path, capsys, "inf_x", 1, edit(2, 1, "x", [float("inf")]), 2)
+
+
+def _assert_edited_log_exit_4(tmp_path, capsys, name, n, edit, line_no):
+    # run forrester5 at budget 1, edit its log, then resume and report must
+    # exit 4 naming line_no and leave the log and its directory unchanged
+    cfg = tmp_path / f"{name}.ini"
+    write_config(cfg, n=n, budget=1.0, out=str(tmp_path / name))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    log = tmp_path / name / "records.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    edit(lines)
+    log.write_text("".join(lines))
+    before = log.read_text()
+    for argv in (["resume", "--log", str(log), "--budget", "40.0"],
+                 ["report", "--log", str(log)]):
+        assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
+        assert f"(line {line_no})" in capsys.readouterr().err
+        assert log.read_text() == before
+    assert [p.name for p in log.parent.iterdir()] == ["records.jsonl"]
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,19 @@ def test_factorize_failure_reports_jitter_levels():
     )
 
 
+def test_from_params_raises_on_overflowing_alpha():
+    # finite data and a factorizable covariance, but the near-duplicate rows
+    # with opposite 1e300 targets overflow the solves: alpha would hold
+    # inf and -inf, so the model is refused and the simplex scores it inf
+    data = gp.GPDataset(inputs=[[0.0], [1e-9], [1.0]], targets=[1e300, -1e300, 0.0],
+                        noise_variance=0.0)
+    kernel = KernelSpec(kind="squared-exponential", lengthscales=[0.5], signal_variance=1.0)
+    with pytest.raises(ConditioningError, match="not finite"):
+        gp.TrainedGP.from_params(data, kernel)
+    lo, hi = np.full(2, -10.0), np.full(2, 10.0)
+    assert gp._nm_objective(np.log([0.5, 1.0]), data, kernel.kind, lo, hi) == np.inf
+
+
 # ---------------------------------------------------------------------------
 # LAPACK parity: the direct potrf/trtrs calls give the very arrays that
 # scipy.linalg's cholesky and solve_triangular give on the same input
