@@ -147,6 +147,8 @@ def cmd_validate_fidelity(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    # Solver, fit and CSV writer are looked up on the module at each call:
+    # perfbench's tracer and setup_probe.py patch those attributes.
     for level in objective.ladder:
         curve, cost = reactor.reactor_proxy_simulate(
             geom, level, seed=objective.seed, base_cost=objective.base_costs[level.index - 1]

@@ -168,6 +168,13 @@ def reactor_proxy_simulate(
     central dispersion) under a stability-safe timestep. The recorded
     outlet history is normalized to unit area and to unit mean, so the
     returned curve is a proper dimensionless RTD.
+
+    Each step runs in buffers allocated once per solve (``out=`` and
+    in-place ufuncs) and performs the same float operations in the same
+    order as the allocating form ``c - (dtheta/dz) * diff([0, c[:-1] -
+    (1/(Pe dz)) * diff(c), c[-1]])``, so the outlet history is the same
+    bit for bit. A non-finite value still spreads to the outlet and is
+    caught after the loop.
     """
     level_index = level.index if hasattr(level, "index") else int(level)
     cells = cells_for_level(level_index)
@@ -180,12 +187,20 @@ def reactor_proxy_simulate(
 
     c = _initial_pulse(cells)
     inv_pe_dz = 1.0 / (pe * dz)
+    courant = dtheta / dz
     outlet = np.empty(steps + 1)
     outlet[0] = c[-1]
+    flux = np.zeros(cells + 1)  # flux[0] is the closed inlet and stays 0
+    grad = np.empty(cells - 1)
+    div = np.empty(cells)
     for n in range(1, steps + 1):
-        interior = c[:-1] - inv_pe_dz * np.diff(c)
-        flux = np.concatenate(([0.0], interior, [c[-1]]))
-        c = c - (dtheta / dz) * np.diff(flux)
+        np.subtract(c[1:], c[:-1], out=grad)
+        grad *= inv_pe_dz
+        np.subtract(c[:-1], grad, out=flux[1:-1])
+        flux[-1] = c[-1]
+        np.subtract(flux[1:], flux[:-1], out=div)
+        div *= courant
+        c -= div
         outlet[n] = c[-1]
     if not np.all(np.isfinite(outlet)):
         raise SimulationDivergedError(
@@ -257,8 +272,9 @@ def write_rtd_csv(curve: RTDCurve, path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "e_theta"])
-        for t, e in zip(curve.theta, curve.e_theta):
-            writer.writerow([repr(float(t)), repr(float(e))])
+        writer.writerows(
+            zip(map(repr, curve.theta.tolist()), map(repr, curve.e_theta.tolist()))
+        )
 
 
 def read_rtd_csv(path) -> RTDCurve:
@@ -300,6 +316,8 @@ class ReactorProxyObjective(MultiFidelityObjective):
     def evaluate(self, x, level):
         lv = self.resolve_level(level)
         geom = self.geometry(x)
+        # module-global lookups, so patching reactor.reactor_proxy_simulate or
+        # reactor.fit_tanks_in_series (as perfbench's tracer does) reaches here
         curve, cost = reactor_proxy_simulate(
             geom, lv, seed=self.seed, base_cost=self.base_costs[lv.index - 1]
         )

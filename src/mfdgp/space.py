@@ -1,11 +1,17 @@
-"""Axis-aligned box design spaces and space-filling sampling."""
+"""Axis-aligned box design spaces and space-filling sampling.
+
+``scipy.stats.qmc`` is imported inside the two samplers, not at module
+level: loading ``scipy.stats`` takes about a third of the package's import
+time, and commands that never sample (``validate-fidelity``, ``report``)
+should not pay for it. A campaign imports it in its first Latin-hypercube
+design, before the first objective call.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DomainError, ShapeError
 
@@ -50,10 +56,14 @@ class DesignSpace:
 
     def sample_lhs(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n Latin-hypercube points, shape (n, d)."""
+        from scipy.stats import qmc
+
         sampler = qmc.LatinHypercube(d=self.dimension, seed=rng)
         return self.denormalize(sampler.random(n))
 
     def sample_sobol(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n scrambled Sobol points, shape (n, d)."""
+        from scipy.stats import qmc
+
         sampler = qmc.Sobol(d=self.dimension, scramble=True, seed=rng)
         return self.denormalize(sampler.random(n))

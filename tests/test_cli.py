@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from mfdgp import cli, dgp
 from mfdgp.dgp import default_ladder
 from mfdgp import logio
 from mfdgp.errors import ConditioningError
-from mfdgp.objectives import ForresterFamily
+from mfdgp.objectives import ForresterFamily, reactor
 
 # Cheap declared base costs keep CLI campaigns small: initial design with
 # n = 3 costs 45, so a budget of 50 leaves a handful of loop evaluations.
@@ -396,6 +399,43 @@ def test_validate_fidelity_rejects_bad_geometry(tmp_path):
             ["validate-fidelity", "--out", str(out), "--geometry", geometry]
         ) == cli.EXIT_CONFIG
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_validate_fidelity_divergence_exits_3(tmp_path, monkeypatch, capsys):
+    pulse = reactor._initial_pulse
+
+    def spoiled(cells):
+        c = pulse(cells)
+        c[0] = np.nan
+        return c
+
+    monkeypatch.setattr(reactor, "_initial_pulse", spoiled)
+    out = tmp_path / "rtd"
+    assert cli.main(["validate-fidelity", "--out", str(out)]) == cli.EXIT_OBJECTIVE
+    assert "non-finite outlet" in capsys.readouterr().err
+    assert not (out / "fidelity_table.csv").exists()
+
+
+def test_only_sampling_loads_scipy_stats(tmp_path):
+    # a fresh interpreter: this one has scipy.stats loaded by the tests
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from mfdgp import cli\n"
+        f"assert cli.main(['validate-fidelity', '--out', {str(tmp_path / 'rtd')!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        "from mfdgp.space import DesignSpace\n"
+        "DesignSpace([0.0], [1.0]).sample_lhs(3, np.random.default_rng(0))\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
-from mfdgp.errors import DomainError, RTDFitError
+from mfdgp.errors import DomainError, RTDFitError, SimulationDivergedError
 from mfdgp.objectives import reactor
 
 
@@ -134,6 +136,73 @@ def test_cost_varies_with_seed_but_not_per_call():
     assert a != b  # lognormal multiplier depends on the seed
 
 
+def _allocating_simulate(geom, level, seed=0, base_cost=None):
+    """The solver with a fresh array per operation: the reference for the in-place loop."""
+    cells = reactor.cells_for_level(level)
+    pe = reactor.geometry_to_peclet(geom)
+    dz = 1.0 / cells
+    dtheta = 0.8 / (1.0 / dz + 2.0 / (pe * dz * dz))
+    steps = int(np.ceil(reactor._THETA_MAX / dtheta))
+    c = reactor._initial_pulse(cells)
+    inv_pe_dz = 1.0 / (pe * dz)
+    outlet = np.empty(steps + 1)
+    outlet[0] = c[-1]
+    for n in range(1, steps + 1):
+        interior = c[:-1] - inv_pe_dz * np.diff(c)
+        flux = np.concatenate(([0.0], interior, [c[-1]]))
+        c = c - (dtheta / dz) * np.diff(flux)
+        outlet[n] = c[-1]
+    theta = dtheta * np.arange(steps + 1)
+    stride = max(1, int(np.ceil(theta.size / reactor._MAX_CURVE_POINTS)))
+    keep = np.arange(0, theta.size, stride)
+    if keep[-1] != theta.size - 1:
+        keep = np.append(keep, theta.size - 1)
+    theta, e = theta[keep], np.maximum(outlet[keep], 0.0)
+    e = e / np.trapezoid(e, theta)
+    mean = np.trapezoid(theta * e, theta)
+    theta, e = theta / mean, e * mean
+    e = e / np.trapezoid(e, theta)
+    base = reactor.DEFAULT_BASE_COSTS[level - 1] if base_cost is None else float(base_cost)
+    return theta, e, base * reactor._cost_multiplier(geom, level, seed)
+
+
+def _geometry_at_peclet(pe):
+    # tube 2.5, pitch 10, no inversion: solve the Peclet map for the coil radius
+    packing = (2.5 / 10.0) ** reactor.PE_PITCH_EXP
+    ratio = (pe / (reactor.PE_KAPPA * packing)) ** (1.0 / reactor.PE_COIL_EXP)
+    return reactor.ReactorGeometry(
+        coil_radius=2.5 * ratio, tube_radius=2.5, pitch=10.0, inversion_fraction=0.0
+    )
+
+
+@pytest.mark.parametrize("pe", [30.0, 83.0, 250.0])
+def test_in_place_solver_matches_allocating_reference(pe):
+    geom = _geometry_at_peclet(pe)
+    assert reactor.geometry_to_peclet(geom) == pytest.approx(pe)
+    for level in range(1, 6):
+        curve, cost = reactor.reactor_proxy_simulate(geom, level, seed=4)
+        theta, e, ref_cost = _allocating_simulate(geom, level, seed=4)
+        assert np.array_equal(curve.theta, theta)
+        assert np.array_equal(curve.e_theta, e)
+        assert cost == ref_cost
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pulse_reaches_the_divergence_check(monkeypatch, bad):
+    pulse = reactor._initial_pulse
+
+    def spoiled(cells):
+        c = pulse(cells)
+        c[cells // 2] = bad
+        return c
+
+    monkeypatch.setattr(reactor, "_initial_pulse", spoiled)
+    for level in (1, 5):
+        with pytest.raises(SimulationDivergedError, match="non-finite outlet"):
+            reactor.reactor_proxy_simulate(reactor.default_geometry(), level)
+
+
 def test_cells_ladder():
     assert [reactor.cells_for_level(t) for t in range(1, 6)] == [20, 40, 80, 160, 320]
     with pytest.raises(DomainError):
@@ -209,6 +278,17 @@ def test_rtd_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.e_theta, curve.e_theta)
     header = path.read_text().splitlines()[0]
     assert header == "theta,e_theta"
+
+
+def test_rtd_csv_bytes_match_per_row_writer(tmp_path):
+    curve, _ = reactor.reactor_proxy_simulate(reactor.default_geometry(), 5)
+    reactor.write_rtd_csv(curve, tmp_path / "rtd.csv")
+    with (tmp_path / "ref.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta", "e_theta"])
+        for t, e in zip(curve.theta, curve.e_theta):
+            writer.writerow([repr(float(t)), repr(float(e))])
+    assert (tmp_path / "rtd.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
