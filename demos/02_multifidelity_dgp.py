@@ -9,7 +9,6 @@ import numpy as np
 
 from mfdgp import (
     GPDataset,
-    KernelSpec,
     MultiFidelityDataset,
     fit,
     predict,
@@ -43,7 +42,6 @@ print("deep GP   rmse vs truth:", float(np.sqrt(np.mean((mu - truth) ** 2))))
 
 single = fit(
     GPDataset(inputs=x_hi, targets=f_high(x_hi[:, 0]), noise_variance=1e-8),
-    KernelSpec(kind="squared-exponential", lengthscales=[0.3], signal_variance=1.0),
     restarts=4,
     rng_seed=0,
 )

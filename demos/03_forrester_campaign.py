@@ -27,7 +27,7 @@ print("per-level evaluation counts:", state.per_level_counts())
 x_star, f_star = objective.known_optimum()
 incumbent = state.incumbent
 model = _train_from_state(state, 0)
-observed, model_best = recommend(state, model, objective.space)
+model_best = recommend(state, model, objective.space)
 print(f"\ntrue optimum      : x={x_star[0]:.4f}  f={f_star:+.4f}")
 print(f"observed incumbent: x={incumbent.x[0]:.4f}  y={incumbent.y:+.4f}")
 print(f"model-best point  : x={model_best[0]:.4f}")

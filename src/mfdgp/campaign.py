@@ -295,23 +295,17 @@ def run(
     )
 
 
-def recommend(
-    state: CampaignState,
-    model: MFDeepGP,
-    space: DesignSpace,
-    rng_seed: int = 0,
-) -> tuple[EvaluationRecord, np.ndarray]:
-    """Best observed highest-fidelity record plus the posterior-mean maximizer.
+def recommend(state: CampaignState, model: MFDeepGP, space: DesignSpace) -> np.ndarray:
+    """The maximizer of the top-fidelity posterior mean, the campaign's recommendation.
 
-    Returns both candidates rather than collapsing them into one answer:
-    the observed incumbent is guaranteed real, the model maximizer may
-    interpolate beyond the data.
+    It is the UCB solve at beta = 0. The maximizer may interpolate beyond
+    the data; the best observed top-fidelity record is
+    :attr:`CampaignState.incumbent`. Raises ``StateError`` while no
+    top-fidelity record exists.
     """
-    incumbent = state.incumbent
-    if incumbent is None:
+    if state.incumbent is None:
         raise StateError("no highest-fidelity record exists yet")
-    model_best = acquisition.solve_ucb(model, space, 0.0, rng_seed)
-    return incumbent, model_best
+    return acquisition.solve_ucb(model, space, 0.0, 0)
 
 
 def run_single_fidelity(

@@ -3,13 +3,22 @@
 Exit codes: 0 success, 2 configuration error, 3 campaign or simulation
 failure, 4 corrupt results log.
 
-Exit 2 covers any config file value that fails its checks, a ``--budget``
-that is not finite and >= 0, and a ``--geometry`` outside the reactor's
-design box. A results-log header whose
-config fails the same checks is a corrupt line 1: exit 4.
+Exit 2 covers:
+
+* a flag the subcommand does not take, or ``run`` without ``--config``;
+* any config file value that fails its checks;
+* a ``--budget`` that is not finite and >= 0;
+* a ``--geometry`` outside the reactor's design box;
+* a file that cannot be read or written: a missing config or log, or an
+  output directory (``--out`` or the configured ``out``) that names a
+  plain file or a path below one, in which case ``run`` writes no log.
+
+A results-log header whose config fails the same checks is a corrupt
+line 1: exit 4.
 
 ``run`` brings an empty ledger to the configured budget, ``resume`` the
 replayed log to its last total plus ``--budget``, through one body.
+``resume`` always continues on the seed the log header names.
 
 Exit 3 covers every way a ``run`` or ``resume`` campaign fails part-way:
 the objective raises or returns a cost that is not finite and > 0, or a
@@ -57,7 +66,7 @@ def _campaign(args, cfg, state, budget_total, writer) -> int:
         model_best = None
         if state.incumbent is not None:
             try:
-                _, model_best = campaign.recommend(state, _final_model(state, cfg), space)
+                model_best = campaign.recommend(state, _final_model(state, cfg), space)
             except MfdgpError as exc:
                 state.error = state.error or f"final model failed: {exc}"
         if state.error:
@@ -74,28 +83,18 @@ def cmd_init(args) -> int:
     if path.exists() and not args.force:
         print(f"error: {path} exists (use --force to overwrite)", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        cfgmod.write_template(path)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfgmod.write_template(path)
     print(f"wrote configuration template to {path}")
     return EXIT_OK
 
 
-def _load_config(args) -> cfgmod.CampaignConfig:
-    if args.config is None:
-        raise ConfigError("--config PATH is required for this command")
+def cmd_run(args) -> int:
     cfg = cfgmod.parse_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
-    return cfg.validate()
-
-
-def cmd_run(args) -> int:
-    cfg = _load_config(args)
+    cfg = cfg.validate()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     state = campaign.CampaignState(ladder=cfg.build_objective().ladder)
@@ -119,26 +118,14 @@ def cmd_resume(args) -> int:
         raise ConfigError("--budget must be finite and >= 0")
     log_path = Path(args.log)
     cfg, state = _load_log(log_path)
-    if args.seed is not None:
-        cfg.seed = args.seed
     base_total = state.budget_total or cfg.budget  # a log cut before its first summary
     writer = logio.ResultsLogWriter(log_path, append=True)
     return _campaign(args, cfg, state, base_total + args.budget, writer)
 
 
 def cmd_validate_fidelity(args) -> int:
-    if args.config is not None:
-        cfg = _load_config(args)
-        if cfg.objective != "reactor-proxy":
-            print("error: validate-fidelity requires the reactor-proxy objective",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        objective = cfg.build_objective()
-        out_dir = Path(cfg.out)
-    else:
-        objective = reactor.ReactorProxyObjective(seed=args.seed if args.seed is not None else 0)
-        out_dir = Path(args.out) if args.out else Path("validate-out")
-
+    objective = reactor.ReactorProxyObjective(seed=args.seed)
+    out_dir = Path(args.out)
     try:
         geom = objective.geometry([float(v) for v in args.geometry.split(",")])
     except (ValueError, MfdgpError) as exc:
@@ -205,12 +192,6 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    configured = argparse.ArgumentParser(add_help=False)
-    configured.add_argument("--config", metavar="PATH", help="campaign configuration file")
-    configured.add_argument("--seed", type=int, metavar="INT",
-                            help="override the configured random seed")
-    configured.add_argument("--out", metavar="DIR", help="override the output directory")
-
     parser = argparse.ArgumentParser(
         prog="mfdgp",
         description="Multi-fidelity Bayesian optimization campaigns with a deep GP surrogate.",
@@ -222,19 +203,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
     p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("run", parents=[configured], help="run a campaign from a config file")
+    p = sub.add_parser("run", help="run a campaign from a config file")
+    p.add_argument("--config", required=True, metavar="PATH", help="campaign configuration file")
+    p.add_argument("--seed", type=int, metavar="INT", help="override the configured random seed")
+    p.add_argument("--out", metavar="DIR", help="override the output directory")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("resume", help="continue a finished or interrupted campaign")
     p.add_argument("--log", required=True, metavar="PATH", help="existing results log")
     p.add_argument("--budget", type=float, required=True, metavar="COST",
                    help="extra budget to spend on top of the previous total")
-    p.add_argument("--seed", type=int, metavar="INT",
-                   help="override the random seed recorded in the log header")
     p.set_defaults(func=cmd_resume)
 
-    p = sub.add_parser("validate-fidelity", parents=[configured],
-                       help="simulate all reactor fidelities at one geometry")
+    p = sub.add_parser("validate-fidelity", help="simulate all reactor fidelities at one geometry")
+    p.add_argument("--seed", type=int, default=0, metavar="INT",
+                   help="seed of the per-level cost jitter (default: 0)")
+    p.add_argument("--out", default="validate-out", metavar="DIR",
+                   help="output directory (default: validate-out)")
     p.add_argument("--geometry", default="12.5,2.5,10.0,0.0", metavar="C,T,P,I",
                    help="coil radius, tube radius, pitch, inversion fraction")
     p.set_defaults(func=cmd_validate_fidelity)
@@ -259,7 +244,7 @@ def main(argv=None) -> int:
     except SimulationDivergedError as exc:
         print(f"evaluation failure: {exc}", file=sys.stderr)
         return EXIT_OBJECTIVE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, or an output path that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

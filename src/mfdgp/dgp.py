@@ -178,8 +178,7 @@ def train(data: MultiFidelityDataset, restarts: int, rng_seed: int, ladder=None)
         layer_data = gp.GPDataset(
             inputs=inputs, targets=targets, noise_variance=ds.noise_variance
         )
-        init = gp.default_init("squared-exponential", layer_data)
-        layers.append(gp.fit(layer_data, init, restarts=restarts, rng_seed=int(seeds[t - 1])))
+        layers.append(gp.fit(layer_data, restarts=restarts, rng_seed=int(seeds[t - 1])))
     return MFDeepGP(layers=tuple(layers), ladder=tuple(ladder))
 
 

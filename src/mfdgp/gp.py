@@ -4,8 +4,10 @@ A :class:`TrainedGP` bundles a dataset, a kernel and the cached Cholesky
 factorization of ``K + noise * I``; prediction and the log marginal
 likelihood both reuse that factorization. Hyperparameters are trained by
 maximizing the log marginal likelihood with a derivative-free simplex
-search in log-parameter space, restarted from scale-aware random
-initializations.
+search in log-parameter space, from a data-scaled start and then
+scale-aware random ones. Training always fits a squared-exponential
+kernel; a Matérn-5/2 :class:`~mfdgp.kernels.KernelSpec` can still be
+factorized and predicted from with :meth:`TrainedGP.from_params`.
 
 The factorization and the triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly: on the 1-32 row matrices the training loop builds,
@@ -50,7 +52,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import minimize
 
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
-from .kernels import KernelSpec, as_float_array, kernel_matrix
+from .kernels import SQUARED_EXPONENTIAL, KernelSpec, as_float_array, kernel_matrix
 
 # Jitter escalation ladder: fractions of the mean diagonal of K, tried in
 # order until the Cholesky succeeds.
@@ -241,13 +243,6 @@ def _data_scales(data: GPDataset) -> tuple[np.ndarray, float]:
     return np.where(ranges > 0, ranges, 1.0), (tv if tv > 0 else 1.0)
 
 
-def default_init(kind: str, data: GPDataset) -> KernelSpec:
-    """Starting kernel: lengthscales 0.5 x input range (1.0 if flat), the target variance."""
-    ranges, tv = _data_scales(data)
-    ls = np.where(np.ptp(data.inputs, axis=0) > 0, 0.5 * ranges, 1.0)
-    return KernelSpec(kind=kind, lengthscales=ls, signal_variance=tv)
-
-
 def _param_bounds(ranges: np.ndarray, tv: float) -> tuple[np.ndarray, np.ndarray]:
     """Log-space hyperparameter box, scaled to the data.
 
@@ -264,64 +259,61 @@ def _param_bounds(ranges: np.ndarray, tv: float) -> tuple[np.ndarray, np.ndarray
     return lo, hi
 
 
-def _nm_objective(log_params, data: GPDataset, kind: str, lo, hi) -> float:
+def _nm_objective(log_params, data: GPDataset, lo, hi) -> float:
     if (log_params < lo).any() or (log_params > hi).any():
         return np.inf
     ls = np.exp(log_params[:-1])
     sv = float(np.exp(log_params[-1]))
     try:
-        kernel = KernelSpec(kind=kind, lengthscales=ls, signal_variance=sv)
+        kernel = KernelSpec(kind=SQUARED_EXPONENTIAL, lengthscales=ls, signal_variance=sv)
         return -log_marginal_likelihood(TrainedGP.from_params(data, kernel))
     except ConditioningError:
         return np.inf
 
 
 def _restart_inits(
-    init: KernelSpec, ranges: np.ndarray, tv: float, restarts: int, rng: np.random.Generator
+    data: GPDataset, ranges: np.ndarray, tv: float, restarts: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Log-space starting points: the user's init plus scale-aware draws.
+    """Log-space starting points: the data-scaled start, then scale-aware draws.
 
-    Random lengthscales are log-uniform in [0.05, 2] times the per-dimension
-    input range; signal variance starts at the target variance.
+    The data-scaled lengthscales are 0.5 times the per-dimension input range
+    (1.0 if flat); random ones are log-uniform in [0.05, 2] times it. Every
+    start puts the signal variance at the target variance.
     """
-    starts = [np.log(np.concatenate([init.lengthscales, [init.signal_variance]]))]
+    ls = np.where(np.ptp(data.inputs, axis=0) > 0, 0.5 * ranges, 1.0)
+    starts = [np.log(np.concatenate([ls, [tv]]))]
     for _ in range(restarts - 1):
         frac = np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=ranges.size))
         starts.append(np.log(np.concatenate([frac * ranges, [tv]])))
     return starts
 
 
-def fit(data: GPDataset, init: KernelSpec, restarts: int, rng_seed: int) -> TrainedGP:
-    """Train kernel hyperparameters by marginal-likelihood maximization.
+def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
+    """Train squared-exponential hyperparameters by marginal-likelihood maximization.
 
     Runs a Nelder-Mead simplex search in log-parameter space from
-    ``restarts`` starting points (the provided ``init`` first, then
+    ``restarts`` starting points (the data-scaled start first, then
     randomized ones) and keeps the best optimum found inside the scaled
     hyperparameter box. Deterministic given ``rng_seed``.
 
-    The box, the random starts and :func:`default_init` are all scaled by
-    :func:`_data_scales`. For a one-observation layer those scales fall
-    back to 1.0, and the likelihood puts the signal variance at about the
-    squared target.
+    The box and every start are scaled by :func:`_data_scales`. For a
+    one-observation layer those scales fall back to 1.0, and the
+    likelihood puts the signal variance at about the squared target.
     """
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
-    if init.dimension != data.dimension:
-        raise ShapeError(
-            f"init kernel dimension {init.dimension} != data dimension {data.dimension}"
-        )
     rng = np.random.default_rng(rng_seed)
     ranges, tv = _data_scales(data)
     lo, hi = _param_bounds(ranges, tv)
     inset = 1e-6
     best_val = np.inf
     best_params = None
-    for start in _restart_inits(init, ranges, tv, restarts, rng):
+    for start in _restart_inits(data, ranges, tv, restarts, rng):
         start = np.clip(start, lo + inset, hi - inset)
         res = minimize(
             _nm_objective,
             start,
-            args=(data, init.kind, lo, hi),
+            args=(data, lo, hi),
             method="Nelder-Mead",
             options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400 * start.size},
         )
@@ -332,7 +324,7 @@ def fit(data: GPDataset, init: KernelSpec, restarts: int, rng_seed: int) -> Trai
     if best_params is None:
         raise ConditioningError("no restart produced a finite marginal likelihood")
     kernel = KernelSpec(
-        kind=init.kind,
+        kind=SQUARED_EXPONENTIAL,
         lengthscales=np.exp(best_params[:-1]),
         signal_variance=float(np.exp(best_params[-1])),
     )

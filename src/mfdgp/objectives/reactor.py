@@ -173,8 +173,9 @@ def reactor_proxy_simulate(
     in-place ufuncs) and performs the same float operations in the same
     order as the allocating form ``c - (dtheta/dz) * diff([0, c[:-1] -
     (1/(Pe dz)) * diff(c), c[-1]])``, so the outlet history is the same
-    bit for bit. A non-finite value still spreads to the outlet and is
-    caught after the loop.
+    bit for bit. A non-finite value still spreads to the outlet, with
+    numpy's overflow and invalid-value warnings silenced, and the finite
+    check after the loop reports it as ``SimulationDivergedError``.
     """
     level_index = level.index if hasattr(level, "index") else int(level)
     cells = cells_for_level(level_index)
@@ -193,15 +194,16 @@ def reactor_proxy_simulate(
     flux = np.zeros(cells + 1)  # flux[0] is the closed inlet and stays 0
     grad = np.empty(cells - 1)
     div = np.empty(cells)
-    for n in range(1, steps + 1):
-        np.subtract(c[1:], c[:-1], out=grad)
-        grad *= inv_pe_dz
-        np.subtract(c[:-1], grad, out=flux[1:-1])
-        flux[-1] = c[-1]
-        np.subtract(flux[1:], flux[:-1], out=div)
-        div *= courant
-        c -= div
-        outlet[n] = c[-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(1, steps + 1):
+            np.subtract(c[1:], c[:-1], out=grad)
+            grad *= inv_pe_dz
+            np.subtract(c[:-1], grad, out=flux[1:-1])
+            flux[-1] = c[-1]
+            np.subtract(flux[1:], flux[:-1], out=div)
+            div *= courant
+            c -= div
+            outlet[n] = c[-1]
     if not np.all(np.isfinite(outlet)):
         raise SimulationDivergedError(
             f"non-finite outlet concentration at Pe={pe:.3g}, cells={cells}"

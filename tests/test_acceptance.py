@@ -113,10 +113,7 @@ def test_criterion_2_noise_free_interpolation():
         X = np.sort(rng.uniform(0, 1, size=n))[:, None]
         y = np.sin(5 * X[:, 0]) + 0.3 * rng.standard_normal(n)
         data = gp.GPDataset(X, y, noise_variance=1e-10)
-        init = KernelSpec(
-            kind="squared-exponential", lengthscales=[0.3], signal_variance=1.0
-        )
-        model = gp.fit(data, init, restarts=3, rng_seed=0)
+        model = gp.fit(data, restarts=3, rng_seed=0)
         mean, var = gp.predict(model, X)
         worst_mean = max(worst_mean, float(np.max(np.abs(mean - y))))
         worst_var = max(worst_var, float(np.max(var)))

@@ -58,6 +58,6 @@ def test_every_likelihood_evaluation_goes_through_the_traced_attributes(monkeypa
     rng = np.random.default_rng(9)
     x = rng.uniform(size=(6, 2))
     data = gp.GPDataset(inputs=x, targets=np.sin(3.0 * x.sum(axis=1)), noise_variance=1e-4)
-    gp.fit(data, gp.default_init("squared-exponential", data), restarts=2, rng_seed=0)
+    gp.fit(data, restarts=2, rng_seed=0)
     assert calls["log_marginal_likelihood"] > 100
     assert calls["kernel_matrix"] == calls["from_params"] == calls["log_marginal_likelihood"] + 1

@@ -89,14 +89,16 @@ _LOG = ["--log", "r.jsonl"]
         ["resume", *_LOG, "--budget", "1", "--config", "c.ini"],
         ["resume", *_LOG, "--budget", "1", "--out", "d"],
         ["resume", *_LOG, "--budget", "1", "--force"],
+        ["resume", *_LOG, "--budget", "1", "--seed", "1"],
         ["validate-fidelity", "--force"],
+        ["validate-fidelity", "--config", "c.ini"],
         ["report", *_LOG, "--config", "c.ini"],
         ["report", *_LOG, "--seed", "1"],
         ["report", *_LOG, "--force"],
     ],
     ids=["init-config", "init-seed", "init-out", "run-force", "resume-config", "resume-out",
-         "resume-force", "validate-fidelity-force", "report-config", "report-seed",
-         "report-force"],
+         "resume-force", "resume-seed", "validate-fidelity-force", "validate-fidelity-config",
+         "report-config", "report-seed", "report-force"],
 )
 def test_flag_the_subcommand_ignores_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -150,13 +152,16 @@ def test_run_determinism_byte_identical_records(tmp_path):
     )
 
 
-def test_run_rejects_bad_config_before_evaluating(tmp_path):
+def test_run_rejects_bad_config_before_evaluating(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[campaign]\nobjective = unknown-thing\n")
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
     cfg.write_text("[campaign]\nbudgets = 3\n")
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
-    assert cli.main(["run"]) == cli.EXIT_CONFIG  # --config missing
+    with pytest.raises(SystemExit) as exc:  # --config missing
+        cli.main(["run"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "--config" in capsys.readouterr().err
 
 
 FORRESTER_BOX = "[space]\nlower = 0.0\nupper = 1.0\n"
@@ -384,12 +389,6 @@ def test_validate_fidelity_outputs(tmp_path):
         assert area == pytest.approx(1.0, abs=1e-3)
 
 
-def test_validate_fidelity_requires_reactor_config(tmp_path):
-    cfg = tmp_path / "c.ini"
-    write_config(cfg)  # forrester objective
-    assert cli.main(["validate-fidelity", "--config", str(cfg)]) == cli.EXIT_CONFIG
-
-
 def test_validate_fidelity_rejects_bad_geometry(tmp_path):
     # a wrong count, non-finite values and pitches outside the design box's [4, 15]
     out = tmp_path / "out"
@@ -401,7 +400,6 @@ def test_validate_fidelity_rejects_bad_geometry(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_validate_fidelity_divergence_exits_3(tmp_path, monkeypatch, capsys):
     pulse = reactor._initial_pulse
 
@@ -413,7 +411,9 @@ def test_validate_fidelity_divergence_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(reactor, "_initial_pulse", spoiled)
     out = tmp_path / "rtd"
     assert cli.main(["validate-fidelity", "--out", str(out)]) == cli.EXIT_OBJECTIVE
-    assert "non-finite outlet" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite outlet" in err
+    assert "RuntimeWarning" not in err
     assert not (out / "fidelity_table.csv").exists()
 
 
@@ -501,3 +501,25 @@ def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     argv = [command, "--log", str(log)] + (["--budget", "5.0"] if command == "resume" else [])
     assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
     assert "(line 1)" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# output paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below-file"])
+def test_output_path_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("keep\n")
+    write_config(Path("c.ini"), n=1, budget=15.0, out="campaign")
+    assert cli.main(["run", "--config", "c.ini"]) == 0  # a log for report to read
+    capsys.readouterr()
+    for argv in (["validate-fidelity", "--out", out],
+                 ["run", "--config", "c.ini", "--out", out],
+                 ["report", "--log", "campaign/records.jsonl", "--out", out]):
+        assert cli.main(argv) == cli.EXIT_CONFIG, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+    assert Path("afile").read_text() == "keep\n"
+    assert [str(p) for p in Path(".").rglob("records.jsonl")] == ["campaign/records.jsonl"]

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
@@ -201,15 +203,9 @@ def test_variance_shrinks_when_observation_added():
 # ---------------------------------------------------------------------------
 
 
-def default_init(d=1):
-    return KernelSpec(
-        kind="squared-exponential", lengthscales=np.full(d, 0.5), signal_variance=1.0
-    )
-
-
 def test_fit_single_point_interpolates():
     data = gp.GPDataset(inputs=[[0.3]], targets=[2.0], noise_variance=0.0)
-    model = gp.fit(data, default_init(), restarts=2, rng_seed=0)
+    model = gp.fit(data, restarts=2, rng_seed=0)
     mean, _ = gp.predict(model, [[0.3]])
     assert mean[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -223,7 +219,7 @@ def test_fit_recovers_interpolation_on_gp_draw():
     K = oracle_gram(true, X, X) + 1e-12 * np.eye(5)
     y = np.linalg.cholesky(K) @ rng.standard_normal(5)
     data = gp.GPDataset(inputs=X, targets=y, noise_variance=1e-12)
-    model = gp.fit(data, default_init(), restarts=3, rng_seed=1)
+    model = gp.fit(data, restarts=3, rng_seed=1)
     mean, _ = gp.predict(model, X)
     np.testing.assert_allclose(mean, y, atol=1e-6)
 
@@ -233,16 +229,61 @@ def test_fit_deterministic_given_seed():
     X = rng.uniform(size=(6, 1))
     y = np.sin(6 * X[:, 0])
     data = gp.GPDataset(inputs=X, targets=y, noise_variance=1e-8)
-    a = gp.fit(data, default_init(), restarts=3, rng_seed=42)
-    b = gp.fit(data, default_init(), restarts=3, rng_seed=42)
+    a = gp.fit(data, restarts=3, rng_seed=42)
+    b = gp.fit(data, restarts=3, rng_seed=42)
     assert np.array_equal(a.kernel.lengthscales, b.kernel.lengthscales)
     assert a.kernel.signal_variance == b.kernel.signal_variance
+
+
+def test_fit_trains_a_squared_exponential_from_the_data():
+    # the only inputs are the data, the restart count and the seed
+    assert list(inspect.signature(gp.fit).parameters) == ["data", "restarts", "rng_seed"]
+    rng = np.random.default_rng(31)
+    X = np.column_stack([rng.uniform(size=7), np.full(7, 0.4)])  # the second input is flat
+    data = gp.GPDataset(inputs=X, targets=np.cos(4 * X[:, 0]), noise_variance=1e-8)
+    model = gp.fit(data, restarts=1, rng_seed=0)
+    assert model.kernel.kind == "squared-exponential"
+    assert model.kernel.dimension == 2
 
 
 def test_fit_rejects_bad_restarts():
     data = gp.GPDataset(inputs=[[0.0]], targets=[1.0], noise_variance=0.0)
     with pytest.raises(DomainError):
-        gp.fit(data, default_init(), restarts=0, rng_seed=0)
+        gp.fit(data, restarts=0, rng_seed=0)
+
+
+# Zero noise and a near-duplicate input pair: the Cholesky route's variance
+# sv - ||v||^2 falls far below -1e-10 on the query grid, so predict recomputes
+# it from the truncated eigendecomposition (_spectral_variance).
+_SPECTRAL_GRID = np.linspace(0.0, 1.0, 11)[:, None]
+
+
+def _cholesky_route_variance(model):
+    k_star = kernel_matrix(model.kernel, model.dataset.inputs, _SPECTRAL_GRID)
+    v = gp._solve_lower(model.chol_factor, k_star)
+    return model.kernel.signal_variance - (v**2).sum(axis=0), k_star
+
+
+def test_predict_repairs_variance_through_the_spectral_fallback():
+    spec = KernelSpec(kind="squared-exponential", lengthscales=[0.2], signal_variance=1.0)
+    X = np.array([[0.2], [0.2 + 1e-8], [0.5], [0.9]])
+    model = make_gp(spec, X, np.cos(7 * X[:, 0]), 0.0)
+    chol_var, k_star = _cholesky_route_variance(model)
+    assert chol_var.min() < -1e-3
+    _, var = gp.predict(model, _SPECTRAL_GRID)
+    assert 0.0 <= var.min() and var.max() <= spec.signal_variance
+    np.testing.assert_array_equal(var, np.maximum(gp._spectral_variance(model, k_star), 0.0))
+
+
+def test_predict_raises_when_the_spectral_fallback_stays_negative():
+    spec = KernelSpec(kind="squared-exponential", lengthscales=[0.6], signal_variance=1.0)
+    X = np.array([[0.1], [0.1 + 3e-8]])
+    model = make_gp(spec, X, np.cos(7 * X[:, 0]), 0.0)
+    chol_var, k_star = _cholesky_route_variance(model)
+    assert chol_var.min() < -1e-5
+    assert gp._spectral_variance(model, k_star).min() < -1e-5
+    with pytest.raises(ConditioningError, match="below clamp threshold"):
+        gp.predict(model, _SPECTRAL_GRID)
 
 
 def test_factorize_failure_reports_jitter_levels():
@@ -268,7 +309,7 @@ def test_from_params_raises_on_overflowing_alpha():
     with pytest.raises(ConditioningError, match="not finite"):
         gp.TrainedGP.from_params(data, kernel)
     lo, hi = np.full(2, -10.0), np.full(2, 10.0)
-    assert gp._nm_objective(np.log([0.5, 1.0]), data, kernel.kind, lo, hi) == np.inf
+    assert gp._nm_objective(np.log([0.5, 1.0]), data, lo, hi) == np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,6 @@ def test_in_place_solver_matches_allocating_reference(pe):
         assert cost == ref_cost
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_pulse_reaches_the_divergence_check(monkeypatch, bad):
     pulse = reactor._initial_pulse
