@@ -13,34 +13,53 @@ The factorization and the triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly: on the 1-32 row matrices the training loop builds,
 scipy's general wrappers cost many times the LAPACK work.
 
-Where each check lives:
+Where each check lives. The public entries check their arguments:
 
 * :class:`GPDataset`: input rank, target length, at least one row, finite
   inputs and targets, a finite noise variance >= 0. It keeps read-only
   copies of the arrays, so a checked dataset cannot change under a model.
 * :class:`~mfdgp.kernels.KernelSpec`: the kernel kind, 1-D finite positive
   lengthscales, a finite positive signal variance.
-* ``kernels._scaled``: kernel inputs are finite (n, d) matrices whose d
-  matches the lengthscales.
+* :func:`~mfdgp.kernels.kernel_matrix`: kernel inputs are finite (n, d)
+  matrices whose d matches the lengthscales.
 * :meth:`TrainedGP.from_params` and :func:`predict`: the kernel, data and
   query dimensions agree.
-* :func:`_factorize`: the covariance is finite; the jitter ladder.
-* :func:`_solve_lower`: both operands of a ``predict`` solve are finite.
-* :func:`_trtrs`: LAPACK reports no zero pivot or illegal argument.
-* :meth:`TrainedGP.from_params` scans only alpha: its factor comes from a
-  successful ``potrf`` on a matrix :func:`_factorize` checked finite and its
-  targets from a checked dataset, so overflow can only appear in the solves,
-  and a non-finite alpha raises :class:`~mfdgp.errors.ConditioningError`.
-* :func:`_nm_objective`: the simplex vertex lies inside the box.
+* :func:`predict`: both operands of its triangular solve are finite
+  (:func:`_solve_lower`), since no dataset check covers the computed
+  ``k_star``.
+* :func:`fit`: at least one restart, and a log-parameter box whose bounds
+  are finite with ``exp(lo) > 0`` and ``exp(hi) < inf``.
 
-A likelihood evaluation (:func:`_nm_objective`) does no work beyond its
-arithmetic and these checks: arrays that already are float64 pass
-through without conversion, each row's squared norm is computed once,
-the kernel matrix is finished in place, the noise goes onto the diagonal
-of one copy, and the jitter scale is computed only after a failed
-factorization. It calls ``kernel_matrix``, ``TrainedGP.from_params`` and
-``log_marginal_likelihood`` through their module and class attributes, so
-a wrapper put on those attributes sees every evaluation.
+The trusted cores check only what can still go wrong on checked inputs:
+
+* :func:`_factorize`: the covariance is finite, since ``x / ls`` can
+  overflow on finite inputs (a flat dimension at ``|x|`` near 1e200); the
+  jitter ladder.
+* :func:`_trtrs`: LAPACK reports no zero pivot or illegal argument.
+* :func:`_factor_solve`: alpha is finite. Its factor comes from a
+  successful ``potrf`` on a matrix :func:`_factorize` checked finite and its
+  targets from a checked dataset, so overflow can only appear in the
+  solves, and a non-finite alpha raises
+  :class:`~mfdgp.errors.ConditioningError`.
+* The Nelder-Mead objective (:func:`_negative_lml`): the simplex vertex lies
+  inside the box. ``kernels._scaled_kernel_matrix`` and :func:`_lml` check
+  nothing.
+
+The objective runs only these cores at each vertex. A per-fit fact covers
+each check it leaves out:
+
+* ``KernelSpec``'s lengthscale and signal-variance checks: :func:`fit`'s
+  box check, since ``exp`` of an in-box vertex lies in
+  ``[exp(lo), exp(hi)]``, finite and positive.
+* ``kernel_matrix``'s rank, dimension and finite scans of the inputs, and
+  ``from_params``' dimension check: the dataset checked its read-only
+  inputs once, and every vertex has d + 1 entries because the start has.
+
+Each fit builds its winner through the checked
+:meth:`TrainedGP.from_params`. So a wrapper put on ``kernel_matrix``,
+``TrainedGP.from_params`` or ``log_marginal_likelihood`` sees each fit's
+final model and none of its training vertices; :func:`_lml`, looked up as
+a module attribute, is called once per scored vertex.
 """
 
 from __future__ import annotations
@@ -53,6 +72,7 @@ from scipy.optimize import minimize
 
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, as_float_array, kernel_matrix
+from .kernels import _scaled_kernel_matrix
 
 # Jitter escalation ladder: fractions of the mean diagonal of K, tried in
 # order until the Cholesky succeeds.
@@ -125,11 +145,19 @@ class TrainedGP:
                 f"kernel dimension {kernel.dimension} != data dimension {dataset.dimension}"
             )
         K = kernel_matrix(kernel, dataset.inputs)
-        L = _factorize(K, dataset.noise_variance)
-        alpha = _trtrs(L, _trtrs(L, dataset.targets), trans=1)
-        if not np.isfinite(alpha).all():
-            raise ConditioningError("alpha = (K + noise * I)^-1 targets is not finite")
+        L, alpha = _factor_solve(K, dataset.noise_variance, dataset.targets)
         return cls(dataset=dataset, kernel=kernel, chol_factor=L, alpha=alpha)
+
+
+def _factor_solve(
+    K: np.ndarray, noise_variance: float, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor ``L`` of ``K + noise * I`` and ``alpha = (K + noise * I)^-1 targets``."""
+    L = _factorize(K, noise_variance)
+    alpha = _trtrs(L, _trtrs(L, targets), trans=1)
+    if not np.isfinite(alpha).all():
+        raise ConditioningError("alpha = (K + noise * I)^-1 targets is not finite")
+    return L, alpha
 
 
 def _plus_diagonal(A: np.ndarray, value: float) -> np.ndarray:
@@ -184,9 +212,14 @@ def _trtrs(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 
 def log_marginal_likelihood(gp: TrainedGP) -> float:
     """log p(y | X, kernel) from the cached factorization."""
-    fit_term = -0.5 * float(gp.dataset.targets @ gp.alpha)
-    logdet_term = -float(np.log(gp.chol_factor.diagonal()).sum())
-    return fit_term + logdet_term - 0.5 * gp.dataset.n * _LOG_2PI
+    return _lml(gp.dataset.targets, gp.alpha, gp.chol_factor)
+
+
+def _lml(targets: np.ndarray, alpha: np.ndarray, L: np.ndarray) -> float:
+    """log p(y | X, kernel) from ``targets``, ``alpha`` and the Cholesky factor ``L``."""
+    fit_term = -0.5 * float(targets @ alpha)
+    logdet_term = -float(np.log(L.diagonal()).sum())
+    return fit_term + logdet_term - 0.5 * targets.shape[0] * _LOG_2PI
 
 
 def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +270,13 @@ def _spectral_variance(gp: TrainedGP, k_star: np.ndarray) -> np.ndarray:
 
 
 def _data_scales(data: GPDataset) -> tuple[np.ndarray, float]:
-    """Per-dimension input range (1.0 if flat) and target variance (1.0 if constant)."""
-    ranges = np.ptp(data.inputs, axis=0)
-    tv = float(np.var(data.targets))
+    """Per-dimension input range (1.0 if flat) and target variance (1.0 if constant).
+
+    Either may overflow to inf, silently: :func:`_param_bounds` refuses the box.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranges = np.ptp(data.inputs, axis=0)
+        tv = float(np.var(data.targets))
     return np.where(ranges > 0, ranges, 1.0), (tv if tv > 0 else 1.0)
 
 
@@ -253,22 +290,56 @@ def _param_bounds(ranges: np.ndarray, tv: float) -> tuple[np.ndarray, np.ndarray
     the conditioning of downstream predictions and every exploration
     signal: beyond a few input ranges a stationary kernel is
     indistinguishable from a trend, but its posterior variance collapses.
+
+    Raises :class:`~mfdgp.errors.DomainError` unless both bounds are finite,
+    ``exp(lo) > 0`` and ``exp(hi) < inf``, so that every vertex inside the
+    box gives finite positive hyperparameters. Data whose scales underflow
+    or overflow fail here, before any likelihood evaluation.
     """
-    lo = np.log(np.concatenate([1e-3 * ranges, [1e-8 * tv]]))
-    hi = np.log(np.concatenate([3.0 * ranges, [1e6 * tv]]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = np.log(np.concatenate([1e-3 * ranges, [1e-8 * tv]]))
+        hi = np.log(np.concatenate([3.0 * ranges, [1e6 * tv]]))
+        box_ok = (
+            np.isfinite(lo).all()
+            and np.isfinite(hi).all()
+            and (np.exp(lo) > 0).all()
+            and (np.exp(hi) < np.inf).all()
+        )
+    if not box_ok:
+        raise DomainError(
+            f"input ranges {ranges} and target variance {tv} give no finite hyperparameter box"
+        )
     return lo, hi
 
 
-def _nm_objective(log_params, data: GPDataset, lo, hi) -> float:
-    if (log_params < lo).any() or (log_params > hi).any():
-        return np.inf
-    ls = np.exp(log_params[:-1])
-    sv = float(np.exp(log_params[-1]))
-    try:
-        kernel = KernelSpec(kind=SQUARED_EXPONENTIAL, lengthscales=ls, signal_variance=sv)
-        return -log_marginal_likelihood(TrainedGP.from_params(data, kernel))
-    except ConditioningError:
-        return np.inf
+def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
+    """The Nelder-Mead objective of one fit: vertex -> -LML, ``inf`` outside the box.
+
+    A vertex holds the log lengthscales and the log signal variance. The
+    objective runs the box test, then the trusted cores on the dataset's
+    read-only arrays, and scores a vertex whose factorization fails or
+    whose alpha is not finite ``inf``. The module docstring says which
+    per-fit fact stands in for each check it leaves out.
+    """
+    inputs, targets, noise = data.inputs, data.targets, data.noise_variance
+    # the box test compares Python floats: on a vertex's few entries that
+    # costs a fraction of two numpy comparisons and their reductions
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+
+    def objective(log_params: np.ndarray) -> float:
+        for p, (low, high) in zip(log_params.tolist(), bounds):
+            if p < low or p > high:
+                return np.inf
+        ls = np.exp(log_params[:-1])
+        sv = float(np.exp(log_params[-1]))
+        K = _scaled_kernel_matrix(SQUARED_EXPONENTIAL, sv, inputs / ls)
+        try:
+            L, alpha = _factor_solve(K, noise, targets)
+        except ConditioningError:
+            return np.inf
+        return -_lml(targets, alpha, L)
+
+    return objective
 
 
 def _restart_inits(
@@ -305,15 +376,15 @@ def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
     rng = np.random.default_rng(rng_seed)
     ranges, tv = _data_scales(data)
     lo, hi = _param_bounds(ranges, tv)
+    objective = _negative_lml(data, lo, hi)
     inset = 1e-6
     best_val = np.inf
     best_params = None
     for start in _restart_inits(data, ranges, tv, restarts, rng):
         start = np.clip(start, lo + inset, hi - inset)
         res = minimize(
-            _nm_objective,
+            objective,
             start,
-            args=(data, lo, hi),
             method="Nelder-Mead",
             options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400 * start.size},
         )

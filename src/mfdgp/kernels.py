@@ -13,7 +13,9 @@ its lengthscale and s2 is the signal variance.
 rank below two is one row (``np.atleast_2d``), an input of rank above two
 or with a d other than the lengthscales' is a ``ShapeError``, and a
 non-finite input is a ``DomainError``. Inputs that already are float64
-arrays are used without conversion or copy.
+arrays are used without conversion or copy. Its arithmetic lives in
+``_scaled_kernel_matrix``, the unchecked core that likelihood training
+calls on inputs it has already checked and scaled.
 """
 
 from __future__ import annotations
@@ -96,19 +98,29 @@ def _scaled(spec: KernelSpec, x) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     """Covariance matrix between rows of ``a`` and rows of ``b`` (or ``a``)."""
     xa = _scaled(spec, a)
+    xb = None if b is None else _scaled(spec, b)
+    return _scaled_kernel_matrix(spec.kind, spec.signal_variance, xa, xb)
+
+
+def _scaled_kernel_matrix(kind: str, signal_variance: float, xa, xb=None) -> np.ndarray:
+    """:func:`kernel_matrix` on (n, d) float64 inputs already divided by the lengthscales.
+
+    Trusted core: it checks nothing. Its caller vouches for a known ``kind``
+    and a finite positive ``signal_variance``, and scans the result where the
+    scaled inputs can overflow.
+    """
     norms_a = (xa**2).sum(axis=1)
-    if b is None:
+    if xb is None:
         xb, norms_b = xa, norms_a
     else:
-        xb = _scaled(spec, b)
         norms_b = (xb**2).sum(axis=1)
     # squared distances via the expanded form; clip tiny negatives from cancellation
     sq = norms_a[:, None] + norms_b[None, :] - 2.0 * xa @ xb.T
     np.maximum(sq, 0.0, out=sq)
-    if spec.kind == SQUARED_EXPONENTIAL:
+    if kind == SQUARED_EXPONENTIAL:
         sq *= -0.5
         np.exp(sq, out=sq)
-        sq *= spec.signal_variance
+        sq *= signal_variance
         return sq
     r = np.sqrt(5.0 * sq)
-    return spec.signal_variance * (1.0 + r + r**2 / 3.0) * np.exp(-r)
+    return signal_variance * (1.0 + r + r**2 / 3.0) * np.exp(-r)

@@ -39,10 +39,12 @@ def test_every_trace_target_resolves():
     assert len(tracing.snapshot(targets)) == len(targets)
 
 
-def test_every_likelihood_evaluation_goes_through_the_traced_attributes(monkeypatch):
-    # each in-box simplex vertex builds one kernel matrix and one posterior and
-    # scores it; the fit then builds the winner's posterior once more, unscored
-    calls = {"kernel_matrix": 0, "from_params": 0, "log_marginal_likelihood": 0}
+def test_fit_builds_only_its_final_model_through_the_traced_attributes(monkeypatch):
+    # the simplex vertices run the trusted cores, and gp._lml, looked up as a
+    # module attribute, scores each vertex that factorizes; the traced public
+    # entries see only the winner's checked build, and gp.minimize every search
+    calls = {"kernel_matrix": 0, "from_params": 0, "log_marginal_likelihood": 0, "_lml": 0}
+    nfev = []
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -50,14 +52,24 @@ def test_every_likelihood_evaluation_goes_through_the_traced_attributes(monkeypa
             return func(*args, **kwargs)
         return wrapper
 
+    def minimize(*args, **kwargs):
+        result = gp_minimize(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
+
+    gp_minimize = gp.minimize
+    monkeypatch.setattr(gp, "minimize", minimize)
     monkeypatch.setattr(gp, "kernel_matrix", counted("kernel_matrix", gp.kernel_matrix))
     monkeypatch.setattr(gp, "log_marginal_likelihood",
                         counted("log_marginal_likelihood", gp.log_marginal_likelihood))
+    monkeypatch.setattr(gp, "_lml", counted("_lml", gp._lml))
     monkeypatch.setattr(gp.TrainedGP, "from_params",
                         counted("from_params", gp.TrainedGP.from_params))
     rng = np.random.default_rng(9)
     x = rng.uniform(size=(6, 2))
     data = gp.GPDataset(inputs=x, targets=np.sin(3.0 * x.sum(axis=1)), noise_variance=1e-4)
     gp.fit(data, restarts=2, rng_seed=0)
-    assert calls["log_marginal_likelihood"] > 100
-    assert calls["kernel_matrix"] == calls["from_params"] == calls["log_marginal_likelihood"] + 1
+    assert len(nfev) == 2
+    assert 100 < calls["_lml"] <= sum(nfev)
+    assert calls["kernel_matrix"] == calls["from_params"] == 1
+    assert calls["log_marginal_likelihood"] == 0

@@ -1,4 +1,6 @@
 import inspect
+import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.linalg.lapack import dpotrf
 
 from mfdgp import gp
 from mfdgp.errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
-from mfdgp.kernels import KernelSpec, kernel_matrix
+from mfdgp.kernels import KernelSpec, _scaled_kernel_matrix, kernel_matrix
 
 # ---------------------------------------------------------------------------
 # Independent dense-inverse oracle: explicit kernel formulas, np.linalg.inv
@@ -252,6 +254,38 @@ def test_fit_rejects_bad_restarts():
         gp.fit(data, restarts=0, rng_seed=0)
 
 
+@pytest.mark.parametrize(
+    "inputs, targets",
+    [
+        # the target variance overflows to inf: the signal-variance bounds are inf
+        ([[0.0], [1.0]], [1e200, -1e200]),
+        # 1e-3 times the input range underflows to 0: the lower lengthscale bound is -inf
+        ([[0.0], [5e-324]], [0.0, 1.0]),
+    ],
+    ids=["target-variance-overflows", "input-range-underflows"],
+)
+def test_fit_refuses_a_box_without_finite_hyperparameters(inputs, targets):
+    data = gp.GPDataset(inputs=inputs, targets=targets, noise_variance=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match="hyperparameter box"):
+            gp.fit(data, restarts=2, rng_seed=0)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_fit_on_a_flat_huge_input_dimension_ends_in_conditioning_error():
+    # the flat dimension's range falls back to 1.0, so the box is finite, but
+    # 1e200 / ls squared overflows the kernel matrix at every vertex; numpy
+    # warns of that overflow on the way, and _factorize's scan refuses it
+    data = gp.GPDataset(inputs=[[1e200, 0.0], [1e200, 1.0]], targets=[0.0, 1.0],
+                        noise_variance=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConditioningError, match="no restart"):
+            gp.fit(data, restarts=2, rng_seed=0)
+    assert caught and all(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
 # Zero noise and a near-duplicate input pair: the Cholesky route's variance
 # sv - ||v||^2 falls far below -1e-10 on the query grid, so predict recomputes
 # it from the truncated eigendecomposition (_spectral_variance).
@@ -309,7 +343,7 @@ def test_from_params_raises_on_overflowing_alpha():
     with pytest.raises(ConditioningError, match="not finite"):
         gp.TrainedGP.from_params(data, kernel)
     lo, hi = np.full(2, -10.0), np.full(2, 10.0)
-    assert gp._nm_objective(np.log([0.5, 1.0]), data, lo, hi) == np.inf
+    assert gp._negative_lml(data, lo, hi)(np.log([0.5, 1.0])) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +498,143 @@ def test_lml_matches_plain_expression(n):
     logdet_term = -float(np.sum(np.log(np.diag(model.chol_factor))))
     expected = fit_term + logdet_term - 0.5 * n * np.log(2.0 * np.pi)
     assert gp.log_marginal_likelihood(model) == expected
+
+
+# ---------------------------------------------------------------------------
+# The Nelder-Mead objective runs the trusted cores alone. Reference: the
+# objective it replaced, which built and checked a KernelSpec and a
+# TrainedGP through the public entries at every vertex. The two must give
+# the very same value, or both inf, and drive fit to the very same model.
+# ---------------------------------------------------------------------------
+
+
+def reference_nm_objective(log_params, data, lo, hi):
+    if (log_params < lo).any() or (log_params > hi).any():
+        return np.inf
+    ls = np.exp(log_params[:-1])
+    sv = float(np.exp(log_params[-1]))
+    try:
+        kernel = KernelSpec(kind="squared-exponential", lengthscales=ls, signal_variance=sv)
+        return -gp.log_marginal_likelihood(gp.TrainedGP.from_params(data, kernel))
+    except ConditioningError:
+        return np.inf
+
+
+def objective_box(data):
+    return gp._param_bounds(*gp._data_scales(data))
+
+
+def box_vertices(lo, hi, rng, spread=24):
+    """Vertices spread over the box, its corners, and vertices just outside it."""
+    k = lo.size
+    inside = [lo + rng.uniform(size=k) * (hi - lo) for _ in range(spread)]
+    corners = [np.where(rng.uniform(size=k) < 0.5, lo, hi) for _ in range(8)]
+    corners += [lo.copy(), hi.copy()]
+    outside = []
+    for _ in range(6):
+        v = lo + rng.uniform(size=k) * (hi - lo)
+        j = rng.integers(k)
+        v[j] = lo[j] - 1e-9 if rng.uniform() < 0.5 else hi[j] + 1e-9
+        outside.append(v)
+    return inside + corners + outside
+
+
+def random_se_data(rng):
+    n, d = int(rng.integers(1, 17)), int(rng.integers(1, 6))
+    x = rng.uniform(-2.0, 3.0, size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    y = rng.normal(size=n) * rng.uniform(0.1, 5.0) + rng.normal()
+    return gp.GPDataset(inputs=x, targets=y, noise_variance=float(rng.choice([0.0, 1e-8, 1e-3])))
+
+
+def special_data():
+    x = np.array([[0.2], [0.2 + 1e-9], [0.5], [0.5 + 1e-10], [0.9]])
+    rng = np.random.default_rng(71)
+    flat = np.column_stack([rng.uniform(size=6), np.full(6, 0.4), rng.uniform(size=6)])
+    return {
+        # zero noise and near-duplicate rows: long lengthscales need the jitter ladder
+        "near-duplicates": gp.GPDataset(inputs=x, targets=np.cos(5 * x[:, 0]),
+                                        noise_variance=0.0),
+        # a flat second dimension: its range falls back to 1.0
+        "flat-dimension": gp.GPDataset(inputs=flat, targets=np.sin(3 * flat[:, 0]),
+                                       noise_variance=1e-8),
+        # the case of test_from_params_raises_on_overflowing_alpha
+        "overflowing-alpha": gp.GPDataset(inputs=[[0.0], [1e-9], [1.0]],
+                                          targets=[1e300, -1e300, 0.0], noise_variance=0.0),
+        # a flat dimension at 1e200: (x / ls)**2 overflows the covariance at every vertex
+        "flat-huge": gp.GPDataset(inputs=[[1e200, 0.0], [1e200, 1.0]], targets=[0.0, 1.0],
+                                  noise_variance=0.0),
+    }
+
+
+def parity_corpus():
+    rng = np.random.default_rng(2024)
+    cases = [(f"random-{i}", random_se_data(rng)) for i in range(48)]
+    return cases + sorted(special_data().items()), rng
+
+
+def test_objective_matches_the_checked_reference_on_a_corpus():
+    cases, rng = parity_corpus()
+    scored = inf_inside = 0
+    for name, data in cases:
+        if name == "overflowing-alpha":
+            # fit refuses these targets' box; score the vertices in that test's box
+            lo, hi = np.full(2, -10.0), np.full(2, 10.0)
+        else:
+            lo, hi = objective_box(data)
+        objective = gp._negative_lml(data, lo, hi)
+        vertices = box_vertices(lo, hi, rng)
+        if name == "overflowing-alpha":
+            vertices.append(np.log([0.5, 1.0]))
+        # both objectives overflow on the way at many of these vertices
+        quiet = name in ("overflowing-alpha", "flat-huge")
+        with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+            scores = [(reference_nm_objective(v, data, lo, hi), objective(v)) for v in vertices]
+        for v, (expected, got) in zip(vertices, scores):
+            assert got == expected or (np.isnan(got) and np.isnan(expected)), (name, v)
+            inside = bool(np.all((lo <= v) & (v <= hi)))
+            scored += np.isfinite(expected)
+            inf_inside += inside and expected == np.inf
+    assert scored > 1500  # most vertices are scored, not refused
+    assert inf_inside > 0  # and some in-box vertices fail to factorize or overflow
+
+
+def test_corpus_reaches_each_check_the_objective_keeps():
+    data = special_data()
+    # the jitter ladder: at the longest lengthscales the unjittered covariance
+    # is not positive definite, and the objective still scores the vertex
+    near = data["near-duplicates"]
+    lo, hi = objective_box(near)
+    K = kernel_matrix(KernelSpec("squared-exponential", np.exp(hi[:-1]), 1.0), near.inputs)
+    assert dpotrf(K, lower=1)[1] > 0
+    assert np.isfinite(gp._negative_lml(near, lo, hi)(hi))
+    # _factorize's finite scan: the flat huge dimension overflows the covariance
+    huge = data["flat-huge"]
+    lo, hi = objective_box(huge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = _scaled_kernel_matrix("squared-exponential", 1.0, huge.inputs / np.exp(hi[:-1]))
+        assert gp._negative_lml(huge, lo, hi)(hi) == np.inf
+    with pytest.raises(ConditioningError, match="non-finite"):
+        gp._factorize(K, 0.0)
+    # the alpha scan: the solves overflow
+    blown = data["overflowing-alpha"]
+    K = kernel_matrix(KernelSpec("squared-exponential", [0.5], 1.0), blown.inputs)
+    with pytest.raises(ConditioningError, match="not finite"):
+        gp._factor_solve(K, 0.0, blown.targets)
+
+
+FIT_PARITY_SEEDS = [3, 5, 8, 13, 21, 34]
+
+
+@pytest.mark.parametrize("seed", FIT_PARITY_SEEDS)
+def test_fit_matches_a_fit_driven_by_the_reference_objective(seed, monkeypatch):
+    data = random_se_data(np.random.default_rng(seed))
+    model = gp.fit(data, restarts=3, rng_seed=seed)
+    monkeypatch.setattr(
+        gp, "_negative_lml",
+        lambda data, lo, hi: lambda v: reference_nm_objective(v, data, lo, hi),
+    )
+    reference = gp.fit(data, restarts=3, rng_seed=seed)
+    assert np.array_equal(model.kernel.lengthscales, reference.kernel.lengthscales)
+    assert model.kernel.signal_variance == reference.kernel.signal_variance
+    assert np.array_equal(model.chol_factor, reference.chol_factor)
+    assert np.array_equal(model.alpha, reference.alpha)
