@@ -32,16 +32,16 @@ from .errors import DomainError, MfdgpError, StateError
 from .space import DesignSpace
 from .streams import ACQUISITION, DESIGN, PROPAGATION, TRAIN, derive_seed, substream
 
-# Observation noise assumed for campaign data; objectives here are
-# deterministic, so this is purely a conditioning floor.
-DEFAULT_OBS_NOISE = 1e-8
-
 PHASE_INITIAL = "initial-design"
 PHASE_LOOP = "bo-loop"
 
 # Optimizer restarts per layer of every campaign model: each loop
 # iteration's and the final one a run reports its recommendation from.
 TRAIN_RESTARTS = 4
+
+
+def _phase_of(iteration: int) -> str:
+    return PHASE_INITIAL if iteration == 0 else PHASE_LOOP
 
 
 def fidelity_scores(sigmas, taus, beta: float) -> np.ndarray:
@@ -65,16 +65,21 @@ def argmax_highest(scores) -> int:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One ledger evaluation: finite ``y`` and ``x`` (a read-only copy), ``cost`` finite and > 0."""
+    """One ledger evaluation: finite ``y`` and ``x`` (a read-only copy), ``cost`` finite and > 0.
+
+    ``iteration`` is an int >= 0: 0 for the initial design, k for loop
+    iteration k. The record's :attr:`phase` derives from it.
+    """
 
     x: np.ndarray
     level: FidelityLevel
     y: float
     cost: float
     iteration: int
-    phase: str
 
     def __post_init__(self):
+        if type(self.iteration) is not int or self.iteration < 0:  # a bool is not an int here
+            raise DomainError(f"record iteration must be an int >= 0, got {self.iteration!r}")
         x = np.atleast_1d(np.array(self.x, dtype=np.float64))
         x.flags.writeable = False
         y = float(self.y)
@@ -83,11 +88,13 @@ class EvaluationRecord:
         cost = float(self.cost)
         if not np.isfinite(cost) or cost <= 0:
             raise DomainError(f"record cost must be finite and > 0, got {self.cost!r}")
-        if self.phase not in (PHASE_INITIAL, PHASE_LOOP):
-            raise DomainError(f"unknown phase {self.phase!r}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "cost", cost)
+
+    @property
+    def phase(self) -> str:
+        return _phase_of(self.iteration)
 
 
 @dataclass
@@ -153,18 +160,18 @@ def _dataset_from_state(state: CampaignState) -> MultiFidelityDataset:
         keep.sort()
         merged_x.append(x[keep])
         merged_y.append(y[keep])
-    return MultiFidelityDataset.from_arrays(merged_x, merged_y, noise_variance=DEFAULT_OBS_NOISE)
+    return MultiFidelityDataset.from_arrays(merged_x, merged_y)
 
 
-def _evaluate(state, objective, x, level, iteration, phase, on_record) -> bool:
+def _evaluate(state, objective, x, level, iteration, on_record) -> bool:
     """Evaluate once and append the record; on a raise or a bad cost, set ``state.error``."""
     try:
         y, cost = objective.evaluate(x, level)
-        rec = EvaluationRecord(x=x, level=level, y=y, cost=cost, iteration=iteration, phase=phase)
+        rec = EvaluationRecord(x=x, level=level, y=y, cost=cost, iteration=iteration)
     except Exception as exc:
         state.error = (
-            f"objective failed at iteration {iteration} ({phase}), level {level.index}, "
-            f"x={np.asarray(x).tolist()}: {exc}"
+            f"objective failed at iteration {iteration} ({_phase_of(iteration)}), "
+            f"level {level.index}, x={np.asarray(x).tolist()}: {exc}"
         )
         return False
     state.records.append(rec)
@@ -192,7 +199,7 @@ def initial_design(
     for level in state.ladder:
         points = space.sample_lhs(n, substream(rng_seed, DESIGN, level.index))
         for x in points[done[level.index]:]:
-            if not _evaluate(state, objective, x, level, 0, PHASE_INITIAL, on_record):
+            if not _evaluate(state, objective, x, level, 0, on_record):
                 return
 
 
@@ -210,7 +217,13 @@ def select_fidelity(model: MFDeepGP, x_star, tau, beta: float, rng_seed: int) ->
     return model.ladder[argmax_highest(scores)]
 
 
-def _train_from_state(state: CampaignState, seed: int) -> MFDeepGP:
+def _train_from_state(state: CampaignState, rng_seed: int) -> MFDeepGP:
+    """The model of the ledger's next loop iteration, trained under its TRAIN seed.
+
+    The loop trains iteration k's model on ``derive_seed(rng_seed, TRAIN, k)``;
+    after the last iteration this is the final model a run reports from.
+    """
+    seed = derive_seed(rng_seed, TRAIN, state.loop_iterations + 1)
     return dgp.train(_dataset_from_state(state), TRAIN_RESTARTS, seed, ladder=state.ladder)
 
 
@@ -232,7 +245,7 @@ def continue_run(
     while state.budget_spent < state.budget_total:
         k = state.loop_iterations + 1
         try:
-            model = _train_from_state(state, derive_seed(rng_seed, TRAIN, k))
+            model = _train_from_state(state, rng_seed)
             x_star = acquisition.solve_ucb(
                 model, space, beta, derive_seed(rng_seed, ACQUISITION, k)
             )
@@ -242,7 +255,7 @@ def continue_run(
         except MfdgpError as exc:
             state.error = f"model failed at iteration {k}: {exc}"
             break
-        if not _evaluate(state, objective, x_star, level, k, PHASE_LOOP, on_record):
+        if not _evaluate(state, objective, x_star, level, k, on_record):
             break
     return state
 

@@ -6,15 +6,19 @@ failure, 4 corrupt results log.
 Exit 2 covers:
 
 * a flag the subcommand does not take, or ``run`` without ``--config``;
-* any config file value that fails its checks;
+* a config file that is not UTF-8, or any config value that fails its checks;
 * a ``--budget`` that is not finite and >= 0;
 * a ``--geometry`` outside the reactor's design box;
 * a file that cannot be read or written: a missing config or log, or an
   output directory (``--out`` or the configured ``out``) that names a
   plain file or a path below one, in which case ``run`` writes no log.
 
-A results-log header whose config fails the same checks is a corrupt
-line 1: exit 4.
+Exit 4 covers a results log that :func:`logio.replay` refuses: a line that
+is not UTF-8 or not JSON, an eval line whose values fail their checks or
+whose level, nominal, phase or iteration disagree with the ladder or with
+each other, or a summary whose budget total is not finite and >= 0. A
+header whose config fails the same checks as a config file is a corrupt
+line 1. ``resume`` and ``report`` leave a refused log unchanged.
 
 ``run`` brings an empty ledger to the configured budget, ``resume`` the
 replayed log to its last total plus ``--budget``, through one body.
@@ -35,12 +39,12 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from . import campaign, config as cfgmod, logio
 from .errors import ConfigError, CorruptLogError, MfdgpError, SimulationDivergedError
 from .objectives import reactor
-from .streams import TRAIN, derive_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,8 +55,7 @@ LOG_NAME = "records.jsonl"
 
 
 def _final_model(state, cfg):
-    seed = derive_seed(cfg.seed, TRAIN, state.loop_iterations + 1)
-    return campaign._train_from_state(state, seed)
+    return campaign._train_from_state(state, cfg.seed)
 
 
 def _campaign(args, cfg, state, budget_total, writer) -> int:
@@ -107,7 +110,8 @@ def _load_log(log_path) -> tuple[cfgmod.CampaignConfig, campaign.CampaignState]:
     header = logio.read_header(log_path)
     try:
         cfg = cfgmod.CampaignConfig.from_payload(header["config"])
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers ConfigError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers ConfigError, OverflowError an int too large for a float
         raise CorruptLogError(f"header has no valid config: {exc!r}", 1) from exc
     objective = cfg.build_objective()
     return cfg, logio.replay(log_path, objective.ladder, objective.dimension)
@@ -220,8 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the per-level cost jitter (default: 0)")
     p.add_argument("--out", default="validate-out", metavar="DIR",
                    help="output directory (default: validate-out)")
-    p.add_argument("--geometry", default="12.5,2.5,10.0,0.0", metavar="C,T,P,I",
-                   help="coil radius, tube radius, pitch, inversion fraction")
+    p.add_argument("--geometry", default=",".join(map(repr, astuple(reactor.default_geometry()))),
+                   metavar="C,T,P,I",
+                   help="coil radius, tube radius, pitch, inversion fraction "
+                        "(default: %(default)s)")
     p.set_defaults(func=cmd_validate_fidelity)
 
     p = sub.add_parser("report", help="emit convergence and fidelity-timeline CSVs from a log")

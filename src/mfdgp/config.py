@@ -107,11 +107,12 @@ class CampaignConfig:
 
 
 def parse_config(path) -> CampaignConfig:
-    """Read a config file into a payload and check it; unknown keys are errors."""
+    """Read a UTF-8 config file into a payload and check it; unknown keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    text = Path(path).read_text()
     try:
-        parser.read_string(text, source=str(path))
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 

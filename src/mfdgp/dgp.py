@@ -40,6 +40,10 @@ from .streams import PROPAGATION, point_hash, substream
 
 DEFAULT_NOMINALS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# Observation noise of a dataset that names none, campaign data among them;
+# objectives here are deterministic, so this is purely a conditioning floor.
+DEFAULT_OBS_NOISE = 1e-8
+
 # Declared defaults for the number of propagation samples: a small budget
 # while an acquisition optimizer is hammering the model, a larger one for
 # reported moments and fidelity selection.
@@ -91,7 +95,7 @@ class MultiFidelityDataset:
         object.__setattr__(self, "levels", levels)
 
     @classmethod
-    def from_arrays(cls, xs, ys, noise_variance=1e-8) -> "MultiFidelityDataset":
+    def from_arrays(cls, xs, ys, noise_variance=DEFAULT_OBS_NOISE) -> "MultiFidelityDataset":
         """Assemble from per-level input/target arrays.
 
         Raises an insufficient-data error naming the first empty level.

@@ -349,7 +349,8 @@ def _restart_inits(
 
     The data-scaled lengthscales are 0.5 times the per-dimension input range
     (1.0 if flat); random ones are log-uniform in [0.05, 2] times it. Every
-    start puts the signal variance at the target variance.
+    start puts the signal variance at the target variance, so every start
+    lies well inside the :func:`_param_bounds` box.
     """
     ls = np.where(np.ptp(data.inputs, axis=0) > 0, 0.5 * ranges, 1.0)
     starts = [np.log(np.concatenate([ls, [tv]]))]
@@ -377,11 +378,9 @@ def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
     ranges, tv = _data_scales(data)
     lo, hi = _param_bounds(ranges, tv)
     objective = _negative_lml(data, lo, hi)
-    inset = 1e-6
     best_val = np.inf
     best_params = None
     for start in _restart_inits(data, ranges, tv, restarts, rng):
-        start = np.clip(start, lo + inset, hi - inset)
         res = minimize(
             objective,
             start,

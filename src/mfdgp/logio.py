@@ -10,6 +10,11 @@ budget total. Line-delimited writes mean a crash loses at most one line, and
 reloading a log reconstructs a campaign state whose budget and incumbent
 invariants hold exactly.
 
+An ``eval`` line repeats two facts that have one owner each: its
+``nominal`` is the ladder level's, and its ``phase`` derives from its
+``iteration``. The writer keeps both fields; :func:`replay` checks them
+against their owners and refuses a line where a copy disagrees.
+
 No timestamps are written anywhere: two runs with the same configuration
 and seed produce byte-identical record sequences.
 """
@@ -22,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .campaign import CampaignState, EvaluationRecord
-from .dgp import FidelityLevel
 from .errors import CorruptLogError
 
 _FORMAT = "mfdgp-results"
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class ResultsLogWriter:
@@ -85,7 +90,12 @@ class ResultsLogWriter:
         self.close()
 
 
-def _decode(line: str, line_no: int) -> dict:
+def _decode(raw: bytes, line_no: int) -> dict:
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"line is not UTF-8 ({exc.reason} at byte {exc.start})"
+        raise CorruptLogError(message, line_no) from exc
     if not line.strip():
         raise CorruptLogError("blank line in results log", line_no)
     try:
@@ -98,56 +108,78 @@ def _decode(line: str, line_no: int) -> dict:
 
 
 def read_log_lines(path) -> list[dict]:
-    """Parse every line; a malformed line raises naming its 1-based number."""
-    lines = Path(path).read_text().splitlines()
+    """Parse every line; a malformed or non-UTF-8 line raises naming its 1-based number."""
+    lines = Path(path).read_bytes().splitlines()
     return [_decode(line, i) for i, line in enumerate(lines, start=1)]
 
 
 def read_header(path) -> dict:
     """Decode line 1 only; it must be a results-log header."""
-    with Path(path).open() as fh:
+    with Path(path).open("rb") as fh:
         header = _decode(fh.readline(), 1)
     if header["type"] != "header":
         raise CorruptLogError("first line is not a results-log header", 1)
     return header
 
 
-def _record_from_payload(payload: dict, line_no: int) -> EvaluationRecord:
+def _record_from_payload(payload: dict, line_no: int, levels: dict) -> EvaluationRecord:
+    """The record of one eval line, holding the ladder's own level object."""
+    index, nominal, phase = payload.get("level"), payload.get("nominal"), payload.get("phase")
+    if type(index) is not int or index not in levels:  # JSON true is a bool, 1.0 a float
+        raise CorruptLogError(f"level {index!r} is not on the ladder", line_no)
+    level = levels[index]
+    if type(nominal) not in (int, float) or nominal != level.nominal:
+        raise CorruptLogError(
+            f"nominal {nominal!r} is not level {index}'s {level.nominal!r}", line_no
+        )
     try:
-        return EvaluationRecord(
+        rec = EvaluationRecord(
             x=np.asarray(payload["x"], dtype=np.float64),
-            level=FidelityLevel(index=payload["level"], nominal=payload["nominal"]),
+            level=level,
             y=payload["y"],
             cost=payload["cost"],
             iteration=payload["iteration"],
-            phase=payload["phase"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptLogError(f"invalid eval record: {exc}", line_no) from exc
+    if phase != rec.phase:
+        raise CorruptLogError(
+            f"phase {phase!r} disagrees with iteration {rec.iteration}'s {rec.phase!r}", line_no
+        )
+    return rec
 
 
 def replay(path, ladder, dimension: int) -> CampaignState:
     """Rebuild a CampaignState from a log's eval lines, last error and last summary.
 
-    ``budget_total`` is the last summary's total, 0.0 if the log has none.
-    Every eval must sit on ``ladder`` and have an ``x`` of the objective's
-    ``dimension``.
+    ``budget_total`` is the last summary's total, a finite number >= 0 (not
+    a bool), 0.0 if the log has none. Every line must be UTF-8 JSON. An
+    eval line's ``level`` must be an int (not a bool or float) on ``ladder``
+    with the ladder's ``nominal``, and the record holds the ladder's level.
+    Its ``iteration`` must be an int >= 0 with the ``phase`` it implies, and
+    the ledger's next, as :func:`~mfdgp.campaign.resume` numbers them: 0
+    before the first loop record, else the last iteration plus one. Its
+    ``x`` must have the objective's ``dimension``, and
+    :class:`EvaluationRecord` checks the values. Any other line raises
+    ``CorruptLogError`` naming its number.
     """
     state = CampaignState(ladder=tuple(ladder))
-    levels = {lv.index for lv in state.ladder}
+    levels = {lv.index: lv for lv in state.ladder}
+    last = 0  # the iteration of the last eval line
     for i, payload in enumerate(read_log_lines(path), start=1):
         if payload["type"] == "eval":
-            rec = _record_from_payload(payload, i)
-            if rec.level.index not in levels:
-                raise CorruptLogError(f"level {rec.level.index} is not on the ladder", i)
+            rec = _record_from_payload(payload, i, levels)
             if rec.x.shape != (dimension,):
                 raise CorruptLogError(f"x has shape {rec.x.shape}, not ({dimension},)", i)
+            if rec.iteration not in ((0, 1) if last == 0 else (last + 1,)):
+                raise CorruptLogError(f"iteration {rec.iteration} does not follow {last}", i)
+            last = rec.iteration
             state.records.append(rec)
         elif payload["type"] == "error":
             state.error = payload.get("message")
         elif payload["type"] == "summary":
-            try:
-                state.budget_total = float(payload["budget_total"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorruptLogError(f"invalid summary record: {exc!r}", i) from exc
+            total = payload.get("budget_total")
+            if type(total) not in (int, float) or not 0 <= total <= _FLOAT_MAX:
+                raise CorruptLogError(f"budget_total {total!r} is not finite and >= 0", i)
+            state.budget_total = float(total)
     return state

@@ -164,8 +164,7 @@ def test_select_fidelity_on_model_matches_pure_function(small_model):
 def _records(level_costs):
     return [
         campaign.EvaluationRecord(
-            x=[0.5], level=dgp.FidelityLevel(t, (t - 1) / 4), y=0.0, cost=c,
-            iteration=0, phase=campaign.PHASE_INITIAL,
+            x=[0.5], level=dgp.FidelityLevel(t, (t - 1) / 4), y=0.0, cost=c, iteration=0,
         )
         for t, c in level_costs
     ]
@@ -206,21 +205,32 @@ def test_evaluation_record_rejects_non_finite_x_and_y():
     level = dgp.FidelityLevel(1, 0.0)
     for x, y in (([np.nan], 0.0), ([0.5, np.inf], 0.0), ([0.5], np.nan), ([0.5], -np.inf)):
         with pytest.raises(DomainError, match="x and y must be finite"):
-            campaign.EvaluationRecord(
-                x=x, level=level, y=y, cost=1.0, iteration=0, phase=campaign.PHASE_INITIAL,
-            )
+            campaign.EvaluationRecord(x=x, level=level, y=y, cost=1.0, iteration=0)
 
 
 def test_evaluation_record_x_is_a_read_only_copy():
     x = np.array([0.5])
     rec = campaign.EvaluationRecord(
-        x=x, level=dgp.FidelityLevel(1, 0.0), y=0.0, cost=1.0,
-        iteration=0, phase=campaign.PHASE_INITIAL,
+        x=x, level=dgp.FidelityLevel(1, 0.0), y=0.0, cost=1.0, iteration=0,
     )
     x[0] = 0.9
     assert rec.x.tolist() == [0.5]
     with pytest.raises(ValueError, match="read-only"):
         rec.x[0] = 0.9
+
+
+def test_evaluation_record_derives_its_phase_from_a_checked_iteration():
+    level = dgp.FidelityLevel(1, 0.0)
+    for iteration, phase in ((0, "initial-design"), (1, "bo-loop"), (12, "bo-loop")):
+        rec = campaign.EvaluationRecord(x=[0.5], level=level, y=0.0, cost=1.0,
+                                        iteration=iteration)
+        assert rec.phase == phase
+    for bad in (-1, True, False, 1.0, "3", None):
+        with pytest.raises(DomainError, match="iteration must be an int >= 0"):
+            campaign.EvaluationRecord(x=[0.5], level=level, y=0.0, cost=1.0, iteration=bad)
+    with pytest.raises(TypeError, match="phase"):
+        campaign.EvaluationRecord(x=[0.5], level=level, y=0.0, cost=1.0, iteration=0,
+                                  phase=campaign.PHASE_INITIAL)
 
 
 # ---------------------------------------------------------------------------

@@ -183,16 +183,20 @@ REACTOR_BOX = "[space]\nlower = 5.0, 1.5, 4.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0
         "[campaign]\nobjective = forrester5\n[space]\nlower = 0.0\nupper = 2.0\n",
         "[campaign]\nobjective = reactor-proxy\n"
         "[space]\nlower = 5.0, 1.5, 3.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0\n",
+        b"[campaign]\nobjective = forrester5\n" + FORRESTER_BOX.encode() + b"# caf\xe9\n",
     ],
     ids=["decreasing-nominals", "nominal-above-1", "zero-base-cost", "nan-bound",
-         "reactor-3-levels", "upper-outside-box", "reactor-lower-outside-box"],
+         "reactor-3-levels", "upper-outside-box", "reactor-lower-outside-box", "not-utf-8"],
 )
 def test_values_the_built_objects_reject_exit_2(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)
-    Path("c.ini").write_text(text)
+    raw = text if isinstance(text, bytes) else text.encode()
+    Path("c.ini").write_bytes(raw)
     assert cli.main(["run", "--config", "c.ini"]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
     assert not Path("campaign-out").exists()
+    assert Path("c.ini").read_bytes() == raw
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -317,15 +321,14 @@ def test_eval_x_of_another_shape_exit_4(tmp_path, capsys):
     # a 1-D campaign's log whose second level-1 eval (line 3) gets a 2-entry
     # x, or whose every x gets 0.5 appended (first caught at line 2)
     def one_wide(lines):
-        bad = json.loads(lines[2])
-        assert bad["level"] == 1
-        lines[2] = json.dumps({**bad, "x": [0.1, 0.2]}) + "\n"
+        assert json.loads(lines[2])["level"] == 1
+        _set_fields(lines, 3, x=[0.1, 0.2])
 
     def every_wide(lines):
-        for i, line in enumerate(lines):
+        for i, line in enumerate(lines, start=1):
             rec = json.loads(line)
             if rec["type"] == "eval":
-                lines[i] = json.dumps({**rec, "x": rec["x"] + [0.5]}) + "\n"
+                _set_fields(lines, i, x=rec["x"] + [0.5])
 
     _assert_edited_log_exit_4(tmp_path, capsys, "one", 2, one_wide, 3)
     _assert_edited_log_exit_4(tmp_path, capsys, "every", 1, every_wide, 2)
@@ -336,32 +339,77 @@ def test_eval_non_finite_y_or_x_exit_4(tmp_path, capsys):
     # whose level-1 eval (line 2) has x Infinity; Python's json reads both
     def edit(line_no, level, key, value):
         def apply(lines):
-            rec = json.loads(lines[line_no - 1])
-            assert rec["level"] == level
-            lines[line_no - 1] = json.dumps({**rec, key: value}) + "\n"
+            assert json.loads(lines[line_no - 1])["level"] == level
+            _set_fields(lines, line_no, **{key: value})
         return apply
 
     _assert_edited_log_exit_4(tmp_path, capsys, "nan_y", 1, edit(3, 2, "y", float("nan")), 3)
     _assert_edited_log_exit_4(tmp_path, capsys, "inf_x", 1, edit(2, 1, "x", [float("inf")]), 2)
 
 
+def _set_fields(lines, line_no, **fields):
+    """Set ``fields`` on the JSON object of 1-based line ``line_no`` of a log's byte lines."""
+    lines[line_no - 1] = (json.dumps({**json.loads(lines[line_no - 1]), **fields}) + "\n").encode()
+
+
 def _assert_edited_log_exit_4(tmp_path, capsys, name, n, edit, line_no):
-    # run forrester5 at budget 1, edit its log, then resume and report must
-    # exit 4 naming line_no and leave the log and its directory unchanged
+    # run forrester5 at budget 1, edit its log's byte lines, then resume and
+    # report must exit 4 naming line_no, print no traceback and leave the
+    # log's bytes and its directory unchanged
     cfg = tmp_path / f"{name}.ini"
     write_config(cfg, n=n, budget=1.0, out=str(tmp_path / name))
     assert cli.main(["run", "--config", str(cfg)]) == 0
     log = tmp_path / name / "records.jsonl"
-    lines = log.read_text().splitlines(keepends=True)
+    lines = log.read_bytes().splitlines(keepends=True)
     edit(lines)
-    log.write_text("".join(lines))
-    before = log.read_text()
+    log.write_bytes(b"".join(lines))
+    before = log.read_bytes()
+    capsys.readouterr()
     for argv in (["resume", "--log", str(log), "--budget", "40.0"],
                  ["report", "--log", str(log)]):
         assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
-        assert f"(line {line_no})" in capsys.readouterr().err
-        assert log.read_text() == before
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt log: ") and f"(line {line_no})" in err
+        assert "Traceback" not in err
+        assert log.read_bytes() == before
     assert [p.name for p in log.parent.iterdir()] == ["records.jsonl"]
+
+
+def _not_utf_8(line_no):
+    def apply(lines):
+        lines[line_no - 1] = lines[line_no - 1].replace(b'"type"', b'"ty\xffpe"')
+    return apply
+
+
+def _fields(line_no, **fields):
+    return lambda lines: _set_fields(lines, line_no, **fields)
+
+
+# A 1-D, n=1 campaign's log: the header, then the initial design at levels
+# 1-5 on lines 2-6 (line 3 is level 2, nominal 0.25), then the summary on
+# line 7. An infinite total would let resume run without end, and a
+# 401-digit integer overflows a float.
+REFUSED_LOG_EDITS = {
+    "header-not-utf-8": (_not_utf_8(1), 1),
+    "eval-not-utf-8": (_not_utf_8(4), 4),
+    "nominal-0.9": (_fields(3, nominal=0.9), 3),
+    "loop-phase-at-0": (_fields(3, phase="bo-loop"), 3),
+    "initial-phase-at-1": (_fields(3, iteration=1), 3),
+    "level-true": (_fields(2, level=True), 2),
+    "level-1.0": (_fields(2, level=1.0), 2),
+    "iteration-minus-1": (_fields(3, iteration=-1), 3),
+    "iteration-string": (_fields(3, iteration="3", phase="bo-loop"), 3),
+    "iteration-4-first": (_fields(2, iteration=4, phase="bo-loop"), 2),
+    "summary-total-true": (_fields(7, budget_total=True), 7),
+    "summary-total-inf": (_fields(7, budget_total=float("inf")), 7),
+    "summary-total-huge-int": (_fields(7, budget_total=10**400), 7),
+    "y-huge-int": (_fields(3, y=10**400), 3),
+}
+
+
+@pytest.mark.parametrize("edit", REFUSED_LOG_EDITS.values(), ids=REFUSED_LOG_EDITS.keys())
+def test_refused_log_line_exit_4(tmp_path, capsys, edit):
+    _assert_edited_log_exit_4(tmp_path, capsys, "log", 1, *edit)
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +538,12 @@ def test_report_corrupt_log_exit_4(tmp_path):
      {"config": {"lower": [False]}}, {"config": {"upper": [True]}},
      {"config": {"upper": [2.0]}},
      {"config": {"objective": "reactor-proxy", "lower": [5.0, 1.5, 3.0, 0.0],
-                 "upper": [20.0, 4.0, 15.0, 1.0]}}],
+                 "upper": [20.0, 4.0, 15.0, 1.0]}},
+     {"config": {"budget": 10**400}}, {"config": {"upper": [10**400]}}],
     ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch",
          "n-float", "n-bool", "seed-str", "beta-bool", "budget-bool", "lower-bool",
-         "upper-bool", "upper-outside-box", "reactor-lower-outside-box"],
+         "upper-bool", "upper-outside-box", "reactor-lower-outside-box",
+         "budget-huge-int", "upper-huge-int"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"

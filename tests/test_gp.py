@@ -622,6 +622,23 @@ def test_corpus_reaches_each_check_the_objective_keeps():
         gp._factor_solve(K, 0.0, blown.targets)
 
 
+def test_every_restart_start_lies_inside_the_box():
+    # fit runs the simplex from each start as drawn, so each must sit
+    # strictly inside the box, 1e-6 clear of both bounds
+    cases, _ = parity_corpus()
+    cases.append(("one-point", gp.GPDataset(inputs=[[0.3, -2.0]], targets=[1.5],
+                                            noise_variance=1e-8)))
+    assert any(data.inputs.shape[0] == 1 for _, data in cases)
+    for name, data in cases:
+        if name == "overflowing-alpha":
+            continue  # fit refuses this box before it draws a start
+        ranges, tv = gp._data_scales(data)
+        lo, hi = gp._param_bounds(ranges, tv)
+        starts = gp._restart_inits(data, ranges, tv, 16, np.random.default_rng(7))
+        for start in starts:
+            assert np.all((lo + 1e-6 < start) & (start < hi - 1e-6)), (name, start)
+
+
 FIT_PARITY_SEEDS = [3, 5, 8, 13, 21, 34]
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -93,14 +94,34 @@ def test_corrupt_line_number_reported(tmp_path):
     assert err.value.line_number == 4
 
 
-def test_replay_rejects_level_off_the_ladder(tmp_path):
+# Each edit turns line 3 (a level-2 initial-design eval) of a header plus
+# two evals into a line whose copies of a fact disagree with their owner:
+# the ladder owns the level and its nominal, the iteration owns the phase,
+# and the ledger owns the next iteration.
+REFUSED_EVAL_EDITS = {
+    "level-7": ({"level": 7, "nominal": 1.0}, "level 7 is not on the ladder"),
+    "nominal-0.9": ({"nominal": 0.9}, "nominal 0.9 is not level 2's 0.25"),
+    "loop-phase-at-0": ({"phase": "bo-loop"}, "phase 'bo-loop' disagrees"),
+    "initial-phase-at-1": ({"iteration": 1}, "phase 'initial-design' disagrees"),
+    "level-true": ({"level": True, "nominal": 0.0}, "level True is not on the ladder"),
+    "level-1.0": ({"level": 1.0, "nominal": 0.0}, "level 1.0 is not on the ladder"),
+    "iteration-minus-1": ({"iteration": -1}, "iteration must be an int >= 0"),
+    "iteration-string": ({"iteration": "3", "phase": "bo-loop"}, "iteration must be an int"),
+    "iteration-4-first": ({"iteration": 4, "phase": "bo-loop"}, "iteration 4 does not follow 0"),
+}
+
+
+@pytest.mark.parametrize("edit", REFUSED_EVAL_EDITS.values(), ids=REFUSED_EVAL_EDITS.keys())
+def test_replay_rejects_level_off_the_ladder(tmp_path, edit):
+    fields, message = edit
     p = tmp_path / "off.jsonl"
-    eval_line = {"type": "eval", "iteration": 0, "phase": "initial-design", "level": 7,
-                 "nominal": 1.0, "x": [0.5], "y": 1.0, "cost": 1.0}
-    p.write_text(json.dumps({"type": "header"}) + "\n" + json.dumps(eval_line) + "\n")
-    with pytest.raises(CorruptLogError) as err:
+    line = {"type": "eval", "iteration": 0, "phase": "initial-design", "level": 1,
+            "nominal": 0.0, "x": [0.5], "y": 1.0, "cost": 1.0}
+    lines = [{"type": "header"}, line, {**line, "level": 2, "nominal": 0.25, **fields}]
+    p.write_text("".join(json.dumps(payload) + "\n" for payload in lines))
+    with pytest.raises(CorruptLogError, match=re.escape(message)) as err:
         logio.replay(p, default_ladder(), 1)
-    assert err.value.line_number == 2
+    assert err.value.line_number == 3
 
 
 def test_replay_rejects_summary_without_total(tmp_path):

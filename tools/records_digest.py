@@ -1,4 +1,4 @@
-"""Print a SHA-256 of each identity campaign's records, to compare two commits.
+"""Print a SHA-256 of each identity campaign's records and fidelity study, to compare two commits.
 
 Usage, from the repository root:
 
@@ -8,10 +8,13 @@ Runs five campaigns through ``mfdgp.cli.main`` in a temporary directory:
 forrester5 at n=1, budget 60, seeds 0-3, and reactor-proxy at n=1, budget
 40, seed 0 (beta 2 throughout). For each it prints one line: the campaign's
 name, the SHA-256 of its log's ``eval`` and ``summary`` lines, and the
-SHA-256 of the three files ``mfdgp report`` writes from that log. A change
-that claims to leave records unchanged prints the same lines as its parent.
-The commands' own messages go to standard error. The five campaigns take
-about a minute on one core.
+SHA-256 of the three files ``mfdgp report`` writes from that log. It then
+runs ``mfdgp validate-fidelity --seed 3`` at the default geometry and at
+5.5,2.0,14,0.3, and prints one line per geometry: the SHA-256 of
+``fidelity_table.csv`` and ``rtd_level_1..5.csv``. A change that claims to
+leave records and fidelity outputs unchanged prints the same lines as its
+parent. The commands' own messages go to standard error. The whole check
+takes about a minute on one core.
 """
 
 from __future__ import annotations
@@ -32,6 +35,22 @@ FORRESTER_BOX = ("0.0", "1.0")
 REACTOR_BOX = ("5.0, 1.5, 4.0, 0.0", "20.0, 4.0, 15.0, 1.0")
 CAMPAIGNS = [(f"forrester5-seed{s}", "forrester5", s, 60.0, FORRESTER_BOX) for s in range(4)]
 CAMPAIGNS.append(("reactor-proxy-seed0", "reactor-proxy", 0, 40.0, REACTOR_BOX))
+STUDY_FILES = ("fidelity_table.csv",) + tuple(f"rtd_level_{t}.csv" for t in range(1, 6))
+STUDIES = [("fidelity-default", []), ("fidelity-5.5,2.0,14,0.3", ["--geometry", "5.5,2.0,14,0.3"])]
+
+
+def _main_ok(argv) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        status = cli.main(argv)
+    if status != 0:
+        raise SystemExit(f"mfdgp {' '.join(argv)} exited {status}")
+
+
+def _files_digest(out: Path, names) -> str:
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode() + b"\0" + (out / name).read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def campaign_digests(objective, seed, budget, box, workdir: Path) -> tuple[str, str]:
@@ -43,19 +62,20 @@ def campaign_digests(objective, seed, budget, box, workdir: Path) -> tuple[str, 
         f"seed = {seed}\nout = {out}\n[space]\nlower = {box[0]}\nupper = {box[1]}\n"
     )
     log = out / "records.jsonl"
-    for argv in (["run", "--config", str(cfg)], ["report", "--log", str(log)]):
-        with contextlib.redirect_stdout(sys.stderr):
-            status = cli.main(argv)
-        if status != 0:
-            raise SystemExit(f"mfdgp {argv[0]} exited {status} for {objective} seed {seed}")
+    _main_ok(["run", "--config", str(cfg)])
+    _main_ok(["report", "--log", str(log)])
     records = hashlib.sha256()
     for line in log.read_text().splitlines():
         if json.loads(line)["type"] in ("eval", "summary"):
             records.update(line.encode() + b"\n")
-    report = hashlib.sha256()
-    for name in REPORT_FILES:
-        report.update(name.encode() + b"\0" + (out / name).read_bytes() + b"\0")
-    return records.hexdigest(), report.hexdigest()
+    return records.hexdigest(), _files_digest(out, REPORT_FILES)
+
+
+def study_digest(name, geometry_args, workdir: Path) -> str:
+    """Digest of the CSVs one ``mfdgp validate-fidelity --seed 3`` writes."""
+    out = workdir / name
+    _main_ok(["validate-fidelity", "--seed", "3", "--out", str(out), *geometry_args])
+    return _files_digest(out, STUDY_FILES)
 
 
 def main() -> int:
@@ -63,6 +83,8 @@ def main() -> int:
         for name, objective, seed, budget, box in CAMPAIGNS:
             records, report = campaign_digests(objective, seed, budget, box, Path(tmp))
             print(f"{name}  records {records}  report {report}", flush=True)
+        for name, geometry_args in STUDIES:
+            print(f"{name}  files {study_digest(name, geometry_args, Path(tmp))}", flush=True)
     return 0
 
 
