@@ -6,6 +6,7 @@ failure, 4 corrupt results log.
 Exit 2 covers:
 
 * a flag the subcommand does not take, or ``run`` without ``--config``;
+* ``init`` on an existing file without ``--force``;
 * a config file that is not UTF-8, or any config value that fails its checks;
 * a ``--budget`` that is not finite and >= 0;
 * a ``--geometry`` outside the reactor's design box;
@@ -39,7 +40,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import campaign, config as cfgmod, logio
@@ -84,20 +85,15 @@ def _campaign(args, cfg, state, budget_total, writer) -> int:
 def cmd_init(args) -> int:
     path = Path(args.path)
     if path.exists() and not args.force:
-        print(f"error: {path} exists (use --force to overwrite)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{path} exists (use --force to overwrite)")
     cfgmod.write_template(path)
     print(f"wrote configuration template to {path}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    cfg = cfgmod.parse_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    cfg = cfg.validate()
+    overrides = {k: getattr(args, k) for k in ("seed", "out") if getattr(args, k) is not None}
+    cfg = replace(cfgmod.parse_config(args.config), **overrides)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     state = campaign.CampaignState(ladder=cfg.build_objective().ladder)
@@ -109,7 +105,7 @@ def _load_log(log_path) -> tuple[cfgmod.CampaignConfig, campaign.CampaignState]:
     """The header's config and the replayed state; a bad header config is a corrupt line 1."""
     header = logio.read_header(log_path)
     try:
-        cfg = cfgmod.CampaignConfig.from_payload(header["config"])
+        cfg = cfgmod.CampaignConfig(**header["config"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # ValueError covers ConfigError, OverflowError an int too large for a float
         raise CorruptLogError(f"header has no valid config: {exc!r}", 1) from exc
@@ -133,8 +129,7 @@ def cmd_validate_fidelity(args) -> int:
     try:
         geom = objective.geometry([float(v) for v in args.geometry.split(",")])
     except (ValueError, MfdgpError) as exc:
-        print(f"error: bad --geometry: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad --geometry: {exc}") from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

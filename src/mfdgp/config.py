@@ -5,9 +5,11 @@ errors (fail-closed), so typos cannot silently fall back to defaults.
 ``cmd_init`` writes a fully commented template that parses back equal to
 the built-in defaults.
 
-A config file and a results-log header pass the same checks: both enter
-through :meth:`CampaignConfig.from_payload`. The objective name, ladder,
-base costs and design box are checked by the objects built from them.
+:class:`CampaignConfig` checks itself when it is built, so no unchecked
+config exists: a config file, a results-log header and a ``run`` that
+overrides ``--seed`` or ``--out`` (through ``dataclasses.replace``) all
+build one and pass the same checks. The objective name, ladder, base
+costs and design box are checked by the objects built from them.
 """
 
 from __future__ import annotations
@@ -36,9 +38,14 @@ _SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
-    """Everything a campaign run needs, resolvable to live objects."""
+    """Everything a campaign run needs, checked when built, resolvable to live objects.
+
+    Checks n, seed, beta, budget, that no number is a bool, and the box
+    against the objective's (same dimension, inside its box); the objective
+    and the box check the rest while they are built here.
+    """
 
     objective: str = "forrester5"
     n: int = 1
@@ -51,10 +58,7 @@ class CampaignConfig:
     nominals: list = field(default_factory=lambda: list(DEFAULT_NOMINALS))
     base_costs: list | None = None
 
-    def validate(self) -> "CampaignConfig":
-        """Check n, seed, beta, budget, that no number is a bool, and the box against the
-        objective's (same dimension, inside its box); the objective and the box check the
-        rest while they are built here."""
+    def __post_init__(self):
         for name in ("n", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -85,7 +89,6 @@ class CampaignConfig:
                 f"bounds reach outside objective {self.objective!r}'s box "
                 f"[{box.lower.tolist()}, {box.upper.tolist()}]"
             )
-        return self
 
     def build_objective(self):
         return get_objective(
@@ -101,13 +104,9 @@ class CampaignConfig:
     def as_payload(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CampaignConfig":
-        return cls(**payload).validate()
-
 
 def parse_config(path) -> CampaignConfig:
-    """Read a UTF-8 config file into a payload and check it; unknown keys are errors."""
+    """Read a UTF-8 config file into a checked :class:`CampaignConfig`; unknown keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
@@ -129,7 +128,7 @@ def parse_config(path) -> CampaignConfig:
                 payload[key] = _SCHEMA[section][key](raw)
             except ValueError as exc:
                 raise ConfigError(f"invalid value in {path}: {exc}") from exc
-    return CampaignConfig.from_payload(payload)
+    return CampaignConfig(**payload)
 
 
 TEMPLATE = """\

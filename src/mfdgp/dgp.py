@@ -173,16 +173,11 @@ def train(data: MultiFidelityDataset, restarts: int, rng_seed: int, ladder=None)
     seeds = np.random.SeedSequence(rng_seed).generate_state(data.num_levels)
     layers = []
     for t, ds in enumerate(data.levels, start=1):
-        if t == 1:
-            inputs, targets = ds.inputs, ds.targets
-        else:
+        if t > 1:
             aug = compose_mean(layers, ds.inputs)
-            inputs = np.column_stack([ds.inputs, aug])
-            targets = ds.targets - aug
-        layer_data = gp.GPDataset(
-            inputs=inputs, targets=targets, noise_variance=ds.noise_variance
-        )
-        layers.append(gp.fit(layer_data, restarts=restarts, rng_seed=int(seeds[t - 1])))
+            ds = gp.GPDataset(inputs=np.column_stack([ds.inputs, aug]),
+                              targets=ds.targets - aug, noise_variance=ds.noise_variance)
+        layers.append(gp.fit(ds, restarts=restarts, rng_seed=int(seeds[t - 1])))
     return MFDeepGP(layers=tuple(layers), ladder=tuple(ladder))
 
 

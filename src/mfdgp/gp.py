@@ -13,53 +13,35 @@ The factorization and the triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly: on the 1-32 row matrices the training loop builds,
 scipy's general wrappers cost many times the LAPACK work.
 
-Where each check lives. The public entries check their arguments:
+Each check has one owner, and the code past it trusts it:
 
 * :class:`GPDataset`: input rank, target length, at least one row, finite
   inputs and targets, a finite noise variance >= 0. It keeps read-only
-  copies of the arrays, so a checked dataset cannot change under a model.
-* :class:`~mfdgp.kernels.KernelSpec`: the kernel kind, 1-D finite positive
-  lengthscales, a finite positive signal variance.
-* :func:`~mfdgp.kernels.kernel_matrix`: kernel inputs are finite (n, d)
-  matrices whose d matches the lengthscales.
-* :meth:`TrainedGP.from_params` and :func:`predict`: the kernel, data and
-  query dimensions agree.
-* :func:`predict`: both operands of its triangular solve are finite
-  (:func:`_solve_lower`), since no dataset check covers the computed
-  ``k_star``.
-* :func:`fit`: at least one restart, and a log-parameter box whose bounds
-  are finite with ``exp(lo) > 0`` and ``exp(hi) < inf``.
+  copies, so a checked dataset cannot change under a model.
+* :class:`~mfdgp.kernels.KernelSpec`: the kind and the hyperparameters.
+* :func:`~mfdgp.kernels.kernel_matrix`: every kernel input. It is what
+  refuses a kernel, dataset or query of another dimension in
+  :meth:`TrainedGP.from_params` and :func:`predict`.
+* :func:`fit`: at least one restart; a log-parameter box with finite
+  bounds, ``exp(lo) > 0`` and ``exp(hi) < inf``; inputs whose scaled
+  norms ``sum((x / exp(hi))**2)`` are finite, since no vertex can give
+  smaller ones.
+* :func:`_factorize`: a finite covariance (``x / ls`` can still overflow
+  at shorter lengthscales) and the jitter ladder; :func:`_trtrs`: LAPACK's
+  ``info``; :func:`_factor_solve`: a finite alpha.
+* :func:`predict`: finite operands of its triangular solve
+  (:func:`_solve_lower`), since no dataset check covers ``k_star``.
 
-The trusted cores check only what can still go wrong on checked inputs:
-
-* :func:`_factorize`: the covariance is finite, since ``x / ls`` can
-  overflow on finite inputs (a flat dimension at ``|x|`` near 1e200); the
-  jitter ladder.
-* :func:`_trtrs`: LAPACK reports no zero pivot or illegal argument.
-* :func:`_factor_solve`: alpha is finite. Its factor comes from a
-  successful ``potrf`` on a matrix :func:`_factorize` checked finite and its
-  targets from a checked dataset, so overflow can only appear in the
-  solves, and a non-finite alpha raises
-  :class:`~mfdgp.errors.ConditioningError`.
-* The Nelder-Mead objective (:func:`_negative_lml`): the simplex vertex lies
-  inside the box. ``kernels._scaled_kernel_matrix`` and :func:`_lml` check
-  nothing.
-
-The objective runs only these cores at each vertex. A per-fit fact covers
-each check it leaves out:
-
-* ``KernelSpec``'s lengthscale and signal-variance checks: :func:`fit`'s
-  box check, since ``exp`` of an in-box vertex lies in
-  ``[exp(lo), exp(hi)]``, finite and positive.
-* ``kernel_matrix``'s rank, dimension and finite scans of the inputs, and
-  ``from_params``' dimension check: the dataset checked its read-only
-  inputs once, and every vertex has d + 1 entries because the start has.
-
-Each fit builds its winner through the checked
-:meth:`TrainedGP.from_params`. So a wrapper put on ``kernel_matrix``,
-``TrainedGP.from_params`` or ``log_marginal_likelihood`` sees each fit's
-final model and none of its training vertices; :func:`_lml`, looked up as
-a module attribute, is called once per scored vertex.
+A Nelder-Mead vertex (:func:`_negative_lml`) checks only that it lies in
+the box, and runs the trusted cores ``kernels._scaled_kernel_matrix``,
+:func:`_factor_solve` and :func:`_lml` on the dataset's read-only arrays:
+the box stands in for ``KernelSpec``'s checks and the dataset for
+``kernel_matrix``'s. Each fit builds its winner through the checked
+:meth:`TrainedGP.from_params`, whose factor and alpha are read-only. So a
+wrapper on ``kernel_matrix``, ``TrainedGP.from_params`` or
+``log_marginal_likelihood`` sees each fit's final model and none of its
+vertices; :func:`_lml`, looked up as a module attribute, is called once
+per scored vertex.
 """
 
 from __future__ import annotations
@@ -71,7 +53,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import minimize
 
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
-from .kernels import SQUARED_EXPONENTIAL, KernelSpec, as_float_array, kernel_matrix
+from .kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_matrix
 from .kernels import _scaled_kernel_matrix
 
 # Jitter escalation ladder: fractions of the mean diagonal of K, tried in
@@ -139,13 +121,10 @@ class TrainedGP:
 
     @classmethod
     def from_params(cls, dataset: GPDataset, kernel: KernelSpec) -> "TrainedGP":
-        """Build the cached factorization for fixed hyperparameters."""
-        if kernel.dimension != dataset.dimension:
-            raise ShapeError(
-                f"kernel dimension {kernel.dimension} != data dimension {dataset.dimension}"
-            )
+        """Build the cached factorization for fixed hyperparameters; read-only arrays."""
         K = kernel_matrix(kernel, dataset.inputs)
         L, alpha = _factor_solve(K, dataset.noise_variance, dataset.targets)
+        L.flags.writeable = alpha.flags.writeable = False
         return cls(dataset=dataset, kernel=kernel, chol_factor=L, alpha=alpha)
 
 
@@ -232,12 +211,7 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
         truncated-spectral recomputation raise a conditioning error rather
         than being silently repaired.
     """
-    X = as_float_array(queries, 2)
-    if X.shape[1] != gp.dataset.dimension:
-        raise ShapeError(
-            f"query dimension {X.shape[1]} != training dimension {gp.dataset.dimension}"
-        )
-    k_star = kernel_matrix(gp.kernel, gp.dataset.inputs, X)
+    k_star = kernel_matrix(gp.kernel, gp.dataset.inputs, queries)
     mean = k_star.T @ gp.alpha
     v = _solve_lower(gp.chol_factor, k_star)
     variance = gp.kernel.signal_variance - (v**2).sum(axis=0)
@@ -377,6 +351,12 @@ def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
     rng = np.random.default_rng(rng_seed)
     ranges, tv = _data_scales(data)
     lo, hi = _param_bounds(ranges, tv)
+    with np.errstate(over="ignore"):
+        norms = ((data.inputs / np.exp(hi[:-1])) ** 2).sum(axis=1)
+    if not np.isfinite(norms).all():
+        raise DomainError(
+            "scaled input norms overflow at the longest lengthscales of the hyperparameter box"
+        )
     objective = _negative_lml(data, lo, hi)
     best_val = np.inf
     best_params = None

@@ -8,12 +8,12 @@ Two families are supported:
 where r is the Euclidean distance after dividing each input dimension by
 its lengthscale and s2 is the signal variance.
 
-:class:`KernelSpec` checks the hyperparameters once, when it is built.
-:func:`kernel_matrix` reads its inputs as (n, d) matrices: an input of
-rank below two is one row (``np.atleast_2d``), an input of rank above two
-or with a d other than the lengthscales' is a ``ShapeError``, and a
-non-finite input is a ``DomainError``. Inputs that already are float64
-arrays are used without conversion or copy. Its arithmetic lives in
+This module owns two checks. :class:`KernelSpec` checks the kind and the
+hyperparameters once, when it is built, and keeps a read-only copy of its
+lengthscales. :func:`kernel_matrix` checks its inputs at every call: an
+input of rank below two is one row (``np.atleast_2d``); one of rank above
+two, or with a d other than the lengthscales', is a ``ShapeError``; a
+non-finite one is a ``DomainError``. Its arithmetic lives in
 ``_scaled_kernel_matrix``, the unchecked core that likelihood training
 calls on inputs it has already checked and scaled.
 """
@@ -30,19 +30,6 @@ from .errors import DomainError, ShapeError
 SQUARED_EXPONENTIAL = "squared-exponential"
 MATERN52 = "matern-5/2"
 _KINDS = (SQUARED_EXPONENTIAL, MATERN52)
-_FLOAT64 = np.dtype(np.float64)
-
-
-def as_float_array(x, ndim: int) -> np.ndarray:
-    """``np.atleast_1d`` (``ndim=1``) or ``np.atleast_2d`` (``ndim=2``) of ``x`` as float64.
-
-    A float64 ndarray of at least ``ndim`` dimensions comes back as the
-    very object, as those calls would return it, without their call cost.
-    """
-    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim >= ndim:
-        return x
-    x = np.asarray(x, dtype=np.float64)
-    return np.atleast_2d(x) if ndim == 2 else np.atleast_1d(x)
 
 
 @dataclass(frozen=True)
@@ -66,7 +53,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
-        ls = as_float_array(self.lengthscales, 1)
+        ls = np.atleast_1d(np.array(self.lengthscales, dtype=np.float64))
         if ls.ndim != 1:
             raise ShapeError("lengthscales must be a 1-D array with one entry per dimension")
         if not np.isfinite(ls).all() or (ls <= 0).any():
@@ -74,6 +61,7 @@ class KernelSpec:
         sv = float(self.signal_variance)
         if not math.isfinite(sv) or sv <= 0:
             raise DomainError("signal_variance must be finite and > 0")
+        ls.flags.writeable = False
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "signal_variance", sv)
 
@@ -83,7 +71,7 @@ class KernelSpec:
 
 
 def _scaled(spec: KernelSpec, x) -> np.ndarray:
-    x = as_float_array(x, 2)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2:
         raise ShapeError(f"kernel inputs must be an (n, d) matrix, got {x.ndim} dimensions")
     if x.shape[1] != spec.dimension:

@@ -34,17 +34,21 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class ResultsLogWriter:
-    """Owns the output file; appends one line per event and flushes eagerly."""
+    """Owns the output file; appends one line per event and flushes eagerly.
+
+    A new log starts with a header carrying ``config_payload``, which it
+    must be given; ``append=True`` continues an existing log and writes no
+    header.
+    """
 
     def __init__(self, path, config_payload=None, append=False):
+        if not append and config_payload is None:
+            raise TypeError("a new results log needs the config payload its header carries")
         self.path = Path(path)
-        mode = "a" if append else "w"
-        self._fh = self.path.open(mode)
+        self._fh = self.path.open("a" if append else "w")
         if not append:
-            header = {"type": "header", "format": _FORMAT, "version": 1}
-            if config_payload is not None:
-                header["config"] = config_payload
-            self._write(header)
+            self._write({"type": "header", "format": _FORMAT, "version": 1,
+                         "config": config_payload})
 
     def _write(self, payload: dict) -> None:
         self._fh.write(json.dumps(payload) + "\n")

@@ -94,14 +94,14 @@ def geometry_to_peclet(geom: ReactorGeometry) -> float:
 
 @dataclass(frozen=True)
 class RTDCurve:
-    """Dimensionless residence-time distribution E(theta) on a theta grid."""
+    """Dimensionless residence-time distribution E(theta) on a theta grid; read-only copies."""
 
     theta: np.ndarray
     e_theta: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        e = np.asarray(self.e_theta, dtype=np.float64)
+        theta = np.array(self.theta, dtype=np.float64)
+        e = np.array(self.e_theta, dtype=np.float64)
         if theta.ndim != 1 or theta.shape != e.shape:
             raise DomainError("theta and e_theta must be 1-D arrays of equal length")
         if theta[0] != 0.0 or np.any(np.diff(theta) <= 0):
@@ -111,6 +111,7 @@ class RTDCurve:
         area = float(np.trapezoid(e, theta))
         if abs(area - 1.0) > 1e-3:
             raise DomainError(f"E(theta) must integrate to 1 (got {area})")
+        theta.flags.writeable = e.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "e_theta", e)
 

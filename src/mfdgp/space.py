@@ -18,14 +18,14 @@ from .errors import DomainError, ShapeError
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """A box ``[lower, upper]`` in d dimensions with lower < upper per axis."""
+    """A box ``[lower, upper]`` in d dimensions with lower < upper per axis; read-only copies."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
+        lo = np.atleast_1d(np.array(self.lower, dtype=np.float64))
+        hi = np.atleast_1d(np.array(self.upper, dtype=np.float64))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ShapeError("lower and upper must be 1-D arrays of equal length")
         if lo.size < 1:
@@ -34,6 +34,7 @@ class DesignSpace:
             raise DomainError("bounds must be finite")
         if np.any(lo >= hi):
             raise DomainError("every lower bound must be strictly below its upper bound")
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

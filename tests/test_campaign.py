@@ -1,4 +1,5 @@
 import inspect
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from mfdgp import acquisition, campaign, dgp, gp
 from mfdgp.errors import DomainError, StateError
 from mfdgp.kernels import KernelSpec
 from mfdgp.objectives import ForresterFamily
+from mfdgp.objectives.reactor import RTDCurve
 from mfdgp.space import DesignSpace
 from mfdgp.streams import ACQUISITION, substream
 
@@ -217,6 +219,27 @@ def test_evaluation_record_x_is_a_read_only_copy():
     assert rec.x.tolist() == [0.5]
     with pytest.raises(ValueError, match="read-only"):
         rec.x[0] = 0.9
+
+
+# each builder takes the caller's arrays; the checked object must keep read-only copies
+READ_ONLY_OWNERS = {
+    "kernel-spec": (partial(KernelSpec, "squared-exponential", signal_variance=1.0),
+                    {"lengthscales": [0.5, 2.0]}),
+    "design-space": (DesignSpace, {"lower": [0.0, 1.0], "upper": [1.0, 3.0]}),
+    "rtd-curve": (RTDCurve, {"theta": [0.0, 1.0, 2.0], "e_theta": [0.5, 0.5, 0.5]}),
+}
+
+
+@pytest.mark.parametrize("owner", sorted(READ_ONLY_OWNERS))
+def test_checked_value_types_keep_read_only_copies(owner):
+    build, values = READ_ONLY_OWNERS[owner]
+    arrays = {name: np.array(v) for name, v in values.items()}
+    obj = build(**arrays)
+    for name, array in arrays.items():
+        array[0] += 0.25
+        assert getattr(obj, name).tolist() == values[name], name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(obj, name)[0] = values[name][0]
 
 
 def test_evaluation_record_derives_its_phase_from_a_checked_iteration():

@@ -57,11 +57,16 @@ def read_csv_rows(path):
 # ---------------------------------------------------------------------------
 
 
-def test_init_writes_template_and_respects_noclobber(tmp_path):
+def test_init_writes_template_and_respects_noclobber(tmp_path, capsys):
     target = tmp_path / "c.ini"
     assert cli.main(["init", str(target)]) == 0
     assert target.exists()
+    target.write_text("keep\n")
+    capsys.readouterr()
     assert cli.main(["init", str(target)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert target.read_text() == "keep\n"
     assert cli.main(["init", str(target), "--force"]) == 0
 
 
@@ -437,7 +442,7 @@ def test_validate_fidelity_outputs(tmp_path):
         assert area == pytest.approx(1.0, abs=1e-3)
 
 
-def test_validate_fidelity_rejects_bad_geometry(tmp_path):
+def test_validate_fidelity_rejects_bad_geometry(tmp_path, capsys):
     # a wrong count, non-finite values and pitches outside the design box's [4, 15]
     out = tmp_path / "out"
     for geometry in ("1,2,3", "12.5,2.5,inf,0", "12.5,2.5,nan,0", "12.5,2.5,0,0",
@@ -446,6 +451,8 @@ def test_validate_fidelity_rejects_bad_geometry(tmp_path):
             ["validate-fidelity", "--out", str(out), "--geometry", geometry]
         ) == cli.EXIT_CONFIG
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad --geometry") and "Traceback" not in err
 
 
 def test_validate_fidelity_divergence_exits_3(tmp_path, monkeypatch, capsys):

@@ -184,6 +184,9 @@ def test_dataset_keeps_read_only_copies():
         model.dataset.inputs[1, 0] = 0.2
     with pytest.raises(ValueError, match="read-only"):
         model.dataset.targets[1] = 5.0
+    for cached in (model.chol_factor, model.alpha):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = cached[0]
 
 
 def test_variance_shrinks_when_observation_added():
@@ -261,8 +264,11 @@ def test_fit_rejects_bad_restarts():
         ([[0.0], [1.0]], [1e200, -1e200]),
         # 1e-3 times the input range underflows to 0: the lower lengthscale bound is -inf
         ([[0.0], [5e-324]], [0.0, 1.0]),
+        # the flat dimension's range falls back to 1.0, so the box is finite, but
+        # (1e200 / 3)**2 overflows the scaled norms at its longest lengthscale
+        ([[1e200, 0.0], [1e200, 1.0]], [0.0, 1.0]),
     ],
-    ids=["target-variance-overflows", "input-range-underflows"],
+    ids=["target-variance-overflows", "input-range-underflows", "scaled-norms-overflow"],
 )
 def test_fit_refuses_a_box_without_finite_hyperparameters(inputs, targets):
     data = gp.GPDataset(inputs=inputs, targets=targets, noise_variance=0.0)
@@ -273,17 +279,19 @@ def test_fit_refuses_a_box_without_finite_hyperparameters(inputs, targets):
     assert [str(w.message) for w in caught] == []
 
 
-def test_fit_on_a_flat_huge_input_dimension_ends_in_conditioning_error():
-    # the flat dimension's range falls back to 1.0, so the box is finite, but
-    # 1e200 / ls squared overflows the kernel matrix at every vertex; numpy
-    # warns of that overflow on the way, and _factorize's scan refuses it
-    data = gp.GPDataset(inputs=[[1e200, 0.0], [1e200, 1.0]], targets=[0.0, 1.0],
+def test_fit_trains_just_inside_the_scaled_norm_refusal():
+    # (1e150 / 3)**2 is finite, so fit trains as it always did: the norms
+    # overflow at no vertex, the shortest lengthscale 1e-3 included
+    data = gp.GPDataset(inputs=[[1e150, 0.0], [1e150, 1.0]], targets=[0.0, 1.0],
                         noise_variance=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ConditioningError, match="no restart"):
-            gp.fit(data, restarts=2, rng_seed=0)
-    assert caught and all(issubclass(w.category, RuntimeWarning) for w in caught)
+        model = gp.fit(data, restarts=2, rng_seed=0)
+    assert caught == []
+    np.testing.assert_allclose(model.kernel.lengthscales,
+                               [0.9544002784068483, 0.0010000009946639612], rtol=1e-9)
+    assert model.kernel.signal_variance == pytest.approx(48921.55712589221, rel=1e-9)
+    assert gp.log_marginal_likelihood(model) == pytest.approx(-51103.591782666284, rel=1e-9)
 
 
 # Zero noise and a near-duplicate input pair: the Cholesky route's variance

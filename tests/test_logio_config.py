@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -205,8 +206,8 @@ def test_payload_round_trip():
         base_costs=[1, 2, 4, 8, 16],
         budget=25.0,
         seed=3,
-    ).validate()
-    again = cfgmod.CampaignConfig.from_payload(cfg.as_payload())
+    )
+    again = cfgmod.CampaignConfig(**cfg.as_payload())
     assert again == cfg
 
 
@@ -220,4 +221,32 @@ def test_payload_round_trip():
 def test_bool_numbers_rejected(payload):
     # bool is an int subclass, so True would otherwise pass as 1 and False as 0
     with pytest.raises(ConfigError, match="must hold numbers"):
-        cfgmod.CampaignConfig.from_payload(payload)
+        cfgmod.CampaignConfig(**payload)
+
+
+def test_config_checks_itself_and_cannot_change():
+    with pytest.raises(ConfigError, match="n must be >= 1"):
+        cfgmod.CampaignConfig(n=0)
+    with pytest.raises(ConfigError, match="budget"):
+        cfgmod.CampaignConfig(budget=float("inf"))
+    cfg = cfgmod.CampaignConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 3
+    assert dataclasses.replace(cfg, seed=3).seed == 3
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        dataclasses.replace(cfg, seed="3")
+
+
+def test_new_log_must_carry_its_config(tmp_path):
+    # a header without a config is one that resume and report refuse (exit 4)
+    log_path = tmp_path / "records.jsonl"
+    with pytest.raises(TypeError, match="config"):
+        logio.ResultsLogWriter(log_path)
+    assert not log_path.exists()
+    with logio.ResultsLogWriter(log_path, config_payload=cfgmod.CampaignConfig().as_payload()):
+        pass
+    header = logio.read_header(log_path)
+    assert cfgmod.CampaignConfig(**header["config"]) == cfgmod.CampaignConfig()
+    with logio.ResultsLogWriter(log_path, append=True):
+        pass
+    assert log_path.read_text().count("\n") == 1

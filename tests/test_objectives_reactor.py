@@ -322,5 +322,8 @@ def test_reactor_objective_determinism():
 
 def test_reactor_objective_box():
     obj = reactor.ReactorProxyObjective()
+    for bound in (reactor.GEOMETRY_BOX.lower, reactor.GEOMETRY_BOX.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = bound[0]  # the module-level box is shared by every objective
     with pytest.raises(DomainError):
         obj.evaluate([4.0, 2.5, 10.0, 0.0], 1)  # coil radius below the box
