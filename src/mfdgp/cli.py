@@ -133,12 +133,10 @@ def cmd_validate_fidelity(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    # Solver, fit and CSV writer are looked up on the module at each call:
-    # perfbench's tracer and setup_probe.py patch those attributes.
+    # The fit and CSV writer are looked up on the module at each call, as the
+    # solver is in simulate: perfbench's tracer and setup_probe.py patch them.
     for level in objective.ladder:
-        curve, cost = reactor.reactor_proxy_simulate(
-            geom, level, seed=objective.seed, base_cost=objective.base_costs[level.index - 1]
-        )
+        curve, cost = objective.simulate(geom, level)
         metric = reactor.fit_tanks_in_series(curve)
         reactor.write_rtd_csv(curve, out_dir / f"rtd_level_{level.index}.csv")
         rows.append(

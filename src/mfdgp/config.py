@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .dgp import DEFAULT_NOMINALS
@@ -44,7 +44,10 @@ class CampaignConfig:
 
     Checks n, seed, beta, budget, that no number is a bool, and the box
     against the objective's (same dimension, inside its box); the objective
-    and the box check the rest while they are built here.
+    and the box check the rest while they are built here. ``lower``,
+    ``upper``, ``nominals`` and ``base_costs`` are kept as tuples of the
+    given elements (a scalar becomes a one-tuple), so a caller's later edit
+    of its list cannot reach a checked config.
     """
 
     objective: str = "forrester5"
@@ -53,10 +56,10 @@ class CampaignConfig:
     budget: float = 60.0
     seed: int = 0
     out: str = "campaign-out"
-    lower: list = field(default_factory=lambda: [0.0])
-    upper: list = field(default_factory=lambda: [1.0])
-    nominals: list = field(default_factory=lambda: list(DEFAULT_NOMINALS))
-    base_costs: list | None = None
+    lower: tuple = (0.0,)
+    upper: tuple = (1.0,)
+    nominals: tuple = DEFAULT_NOMINALS
+    base_costs: tuple | None = None
 
     def __post_init__(self):
         for name in ("n", "seed"):
@@ -67,9 +70,11 @@ class CampaignConfig:
             raise ConfigError("n must be >= 1")
         for name in ("beta", "budget", "lower", "upper", "nominals", "base_costs"):
             value = getattr(self, name)
-            items = value if isinstance(value, list) else [value]
+            items = value if isinstance(value, (list, tuple)) else [value]
             if any(isinstance(v, bool) for v in items):
                 raise ConfigError(f"{name} must hold numbers, got {value!r}")
+            if name not in ("beta", "budget") and value is not None:
+                object.__setattr__(self, name, tuple(items))  # not the caller's list
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigError("beta must be finite and >= 0")
         if not (math.isfinite(self.budget) and self.budget > 0):

@@ -230,8 +230,6 @@ def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
     if not model.layers:
         raise StateError("model has no trained layers")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.dimension:
-        raise ShapeError(f"query dimension {X.shape[1]} != model dimension {model.dimension}")
     base_draws = np.atleast_2d(np.asarray(base_draws, dtype=np.float64))
     top = model.num_levels
     S = base_draws.shape[1]

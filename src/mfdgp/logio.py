@@ -37,13 +37,13 @@ class ResultsLogWriter:
     """Owns the output file; appends one line per event and flushes eagerly.
 
     A new log starts with a header carrying ``config_payload``, which it
-    must be given; ``append=True`` continues an existing log and writes no
-    header.
+    must be given; ``append=True`` continues an existing log, writes no
+    header and takes no payload.
     """
 
     def __init__(self, path, config_payload=None, append=False):
-        if not append and config_payload is None:
-            raise TypeError("a new results log needs the config payload its header carries")
+        if append != (config_payload is None):
+            raise TypeError("a new results log needs a config payload; append=True takes none")
         self.path = Path(path)
         self._fh = self.path.open("a" if append else "w")
         if not append:

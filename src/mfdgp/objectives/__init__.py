@@ -1,34 +1,20 @@
-"""Multi-fidelity test objectives and the name registry the CLI consumes."""
+"""Multi-fidelity test objectives and the name registry the CLI consumes.
+
+The registry maps each name to its objective class, and :func:`get_objective`
+calls that class with (seed, nominals, base_costs): every objective is built
+by :class:`MultiFidelityObjective`'s constructor, which charges 1 at the
+lowest level and doubles per level when no base costs are given. The reactor
+proxy's solver, fit and CSV helpers live in :mod:`.reactor` under one name.
+"""
 
 from __future__ import annotations
 
 from ..errors import ConfigError
 from .base import MultiFidelityObjective
-from .forrester import ForresterFamily, forrester_high, forrester_low
-from .reactor import (
-    GEOMETRY_BOX,
-    PlugFlowMetric,
-    ReactorGeometry,
-    ReactorProxyObjective,
-    RTDCurve,
-    default_geometry,
-    fit_tanks_in_series,
-    geometry_to_peclet,
-    moments_tank_estimate,
-    reactor_proxy_simulate,
-    read_rtd_csv,
-    tanks_in_series_curve,
-    write_rtd_csv,
-)
+from .forrester import ForresterFamily, forrester_high
+from .reactor import ReactorProxyObjective
 
-_REGISTRY = {
-    "forrester5": lambda seed, nominals, base_costs: ForresterFamily(
-        nominals=nominals, base_costs=base_costs
-    ),
-    "reactor-proxy": lambda seed, nominals, base_costs: ReactorProxyObjective(
-        seed=seed, nominals=nominals, base_costs=base_costs
-    ),
-}
+_REGISTRY = {"forrester5": ForresterFamily, "reactor-proxy": ReactorProxyObjective}
 
 
 def objective_names() -> list[str]:
@@ -40,9 +26,9 @@ def get_objective(
 ) -> MultiFidelityObjective:
     """Instantiate a registered objective by name."""
     try:
-        factory = _REGISTRY[name]
+        cls = _REGISTRY[name]
     except KeyError:
         raise ConfigError(
             f"unknown objective {name!r}; known: {objective_names()}"
         ) from None
-    return factory(seed, nominals, base_costs)
+    return cls(seed, nominals, base_costs)

@@ -3,8 +3,8 @@
 Both fidelities are negated so the campaign's maximization convention
 applies: the high-fidelity optimum is a maximum near x = 0.7572. Levels
 interpolate linearly between the low- and high-fidelity functions with
-the level's nominal value as the mixing weight, and cost doubles per
-level: 1, 2, 4, 8, 16.
+the level's nominal value as the mixing weight, and by default cost
+doubles per level: 1, 2, 4, 8, 16.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ class ForresterFamily(MultiFidelityObjective):
     """The benchmark objective with a configurable cost ladder."""
 
     dimension = 1
-
-    def __init__(self, nominals=None, base_costs=None):
-        self._set_ladder(nominals, base_costs, lambda levels: [2.0 ** i for i in range(levels)])
-        self.space = DesignSpace(lower=[0.0], upper=[1.0])
+    space = DesignSpace(lower=[0.0], upper=[1.0])
 
     def evaluate(self, x, level):
         x = self.check_point(x)

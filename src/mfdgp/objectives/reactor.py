@@ -29,10 +29,10 @@ from scipy.special import erf, gammaln
 from ..errors import DomainError, RTDFitError, SimulationDivergedError
 from ..space import DesignSpace
 from ..streams import COST, point_hash, substream
-from .base import MultiFidelityObjective
+from .base import MultiFidelityObjective, default_base_costs
 
 CELLS_PER_LEVEL = (20, 40, 80, 160, 320)
-DEFAULT_BASE_COSTS = (1.0, 2.0, 4.0, 8.0, 16.0)
+DEFAULT_BASE_COSTS = default_base_costs(len(CELLS_PER_LEVEL))
 COST_SIGMA = 0.2  # lognormal spread of the per-evaluation cost multiplier
 
 # Design box for the four optimized geometry parameters (lengths in mm):
@@ -298,6 +298,7 @@ class ReactorProxyObjective(MultiFidelityObjective):
     """
 
     dimension = 4
+    space = GEOMETRY_BOX
 
     def __init__(self, seed: int = 0, nominals=None, base_costs=None):
         if nominals is not None and len(nominals) != len(CELLS_PER_LEVEL):
@@ -305,9 +306,7 @@ class ReactorProxyObjective(MultiFidelityObjective):
                 f"reactor proxy defines {len(CELLS_PER_LEVEL)} fidelities, "
                 f"got a {len(nominals)}-level ladder"
             )
-        self._set_ladder(nominals, base_costs, lambda levels: DEFAULT_BASE_COSTS)
-        self.seed = int(seed)
-        self.space = GEOMETRY_BOX
+        super().__init__(seed, nominals, base_costs)
 
     def geometry(self, x) -> ReactorGeometry:
         x = self.check_point(x)
@@ -316,16 +315,19 @@ class ReactorProxyObjective(MultiFidelityObjective):
             inversion_fraction=float(x[3]),
         )
 
+    def simulate(self, geom: ReactorGeometry, level) -> tuple[RTDCurve, float]:
+        """(RTD, cost) of ``geom`` at the ladder's ``level`` under this objective's
+        seed and base cost; :meth:`evaluate` and ``validate-fidelity`` both call it."""
+        # a module-global lookup, so a patch of reactor.reactor_proxy_simulate
+        # (perfbench's tracer and setup_probe.py make one) reaches both callers
+        return reactor_proxy_simulate(
+            geom, level, seed=self.seed, base_cost=self.base_costs[level.index - 1]
+        )
+
     def evaluate(self, x, level):
         lv = self.resolve_level(level)
-        geom = self.geometry(x)
-        # module-global lookups, so patching reactor.reactor_proxy_simulate or
-        # reactor.fit_tanks_in_series (as perfbench's tracer does) reaches here
-        curve, cost = reactor_proxy_simulate(
-            geom, lv, seed=self.seed, base_cost=self.base_costs[lv.index - 1]
-        )
-        metric = fit_tanks_in_series(curve)
-        return metric.n_tanks, cost
+        curve, cost = self.simulate(self.geometry(x), lv)
+        return fit_tanks_in_series(curve).n_tanks, cost
 
 
 def default_geometry() -> ReactorGeometry:

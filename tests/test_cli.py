@@ -442,6 +442,20 @@ def test_validate_fidelity_outputs(tmp_path):
         assert area == pytest.approx(1.0, abs=1e-3)
 
 
+def test_validate_fidelity_agrees_with_the_objective(tmp_path):
+    geometry = [7.5, 2.0, 12.0, 0.4]
+    out = tmp_path / "rtd"
+    argv = ["validate-fidelity", "--out", str(out), "--seed", "5",
+            "--geometry", ",".join(map(repr, geometry))]
+    assert cli.main(argv) == 0
+    rows = read_csv_rows(out / "fidelity_table.csv")[1:]
+    objective = reactor.ReactorProxyObjective(seed=5)
+    assert [int(r[0]) for r in rows] == [lv.index for lv in objective.ladder]
+    for row, level in zip(rows, objective.ladder):
+        n_tanks, cost = objective.evaluate(geometry, level)
+        assert (float(row[2]), float(row[3])) == (float(repr(n_tanks)), float(repr(cost)))
+
+
 def test_validate_fidelity_rejects_bad_geometry(tmp_path, capsys):
     # a wrong count, non-finite values and pitches outside the design box's [4, 15]
     out = tmp_path / "out"

@@ -143,6 +143,9 @@ def test_propagate_needs_a_draw_row_per_lower_level(five_level_model):
         dgp.propagate(five_level_model, np.array([[0.5]]), np.zeros((3, 10)))
     with pytest.raises(DomainError):
         dgp.propagate(five_level_model, np.array([[0.5]]), np.zeros((4, 0)))
+    # a query of another dimension: the first layer's kernel refuses it
+    with pytest.raises(ShapeError, match="dimension"):
+        dgp.propagate(five_level_model, np.array([[0.5, 0.5]]), np.zeros((4, 10)))
 
 
 def test_variance_decomposition_recomputable(five_level_model):

@@ -237,6 +237,22 @@ def test_config_checks_itself_and_cannot_change():
         dataclasses.replace(cfg, seed="3")
 
 
+def test_config_keeps_tuples_the_caller_cannot_edit():
+    lower, costs = [0.0], [1, 2, 4, 8, 16]
+    cfg = cfgmod.CampaignConfig(lower=lower, base_costs=costs)
+    lower.append(0.5)
+    costs[0] = 99
+    assert cfg.lower == (0.0,) and cfg.base_costs == (1, 2, 4, 8, 16)
+    assert all(type(c) is int for c in cfg.base_costs)  # elements kept as given
+    for name in ("lower", "upper", "nominals", "base_costs"):
+        assert type(getattr(cfg, name)) is tuple
+    assert cfg.build_space().dimension == 1
+    assert json.dumps(cfg.as_payload()["lower"]) == "[0.0]"  # a header's bytes as before
+    # a hand-written header's scalar bound is a one-tuple
+    scalar = cfgmod.CampaignConfig(lower=0.0, upper=1.0)
+    assert (scalar.lower, scalar.upper) == ((0.0,), (1.0,))
+
+
 def test_new_log_must_carry_its_config(tmp_path):
     # a header without a config is one that resume and report refuse (exit 4)
     log_path = tmp_path / "records.jsonl"
@@ -249,4 +265,7 @@ def test_new_log_must_carry_its_config(tmp_path):
     assert cfgmod.CampaignConfig(**header["config"]) == cfgmod.CampaignConfig()
     with logio.ResultsLogWriter(log_path, append=True):
         pass
+    # an appended log writes no header, so a payload given to it would be dropped
+    with pytest.raises(TypeError, match="append"):
+        logio.ResultsLogWriter(log_path, config_payload={}, append=True)
     assert log_path.read_text().count("\n") == 1
