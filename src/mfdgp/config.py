@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -42,9 +43,10 @@ _SCHEMA = {
 class CampaignConfig:
     """Everything a campaign run needs, checked when built, resolvable to live objects.
 
-    Checks n, seed, beta, budget, that no number is a bool, and the box
-    against the objective's (same dimension, inside its box); the objective
-    and the box check the rest while they are built here. ``lower``,
+    Checks n, seed, beta, budget, that every number is a real number and
+    not a bool (a string such as ``"0.5"`` is refused, not converted), and
+    the box against the objective's (same dimension, inside its box); the
+    objective and the box check the rest while they are built here. ``lower``,
     ``upper``, ``nominals`` and ``base_costs`` are kept as tuples of the
     given elements (a scalar becomes a one-tuple), so a caller's later edit
     of its list cannot reach a checked config.
@@ -70,10 +72,12 @@ class CampaignConfig:
             raise ConfigError("n must be >= 1")
         for name in ("beta", "budget", "lower", "upper", "nominals", "base_costs"):
             value = getattr(self, name)
+            if value is None and name == "base_costs":
+                continue
             items = value if isinstance(value, (list, tuple)) else [value]
-            if any(isinstance(v, bool) for v in items):
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items):
                 raise ConfigError(f"{name} must hold numbers, got {value!r}")
-            if name not in ("beta", "budget") and value is not None:
+            if name not in ("beta", "budget"):
                 object.__setattr__(self, name, tuple(items))  # not the caller's list
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigError("beta must be finite and >= 0")

@@ -5,7 +5,12 @@ factorization of ``K + noise * I``; prediction and the log marginal
 likelihood both reuse that factorization. Hyperparameters are trained by
 maximizing the log marginal likelihood with a derivative-free simplex
 search in log-parameter space, from a data-scaled start and then
-scale-aware random ones. Training always fits a squared-exponential
+scale-aware random ones. The search is the module's own :func:`minimize`,
+which takes scipy's Nelder-Mead steps in scipy's order on Python floats,
+so a fit lands on the very vertex scipy's would, without scipy's per-call
+and per-iteration machinery and without importing ``scipy.optimize``. It
+keeps the name ``minimize``, which benchmark tracing wraps to count each
+search's evaluations. Training always fits a squared-exponential
 kernel; a Matérn-5/2 :class:`~mfdgp.kernels.KernelSpec` can still be
 factorized and predicted from with :meth:`TrainedGP.from_params`.
 
@@ -47,10 +52,10 @@ per scored vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.optimize import minimize
 
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_matrix
@@ -334,13 +339,119 @@ def _restart_inits(
     return starts
 
 
+class SimplexResult(NamedTuple):
+    """The best vertex of a :func:`minimize` run, its value and the objective call count."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+# Stopping tolerances of a fit's simplex: every vertex within _XATOL of the
+# best in each coordinate and within _FATOL of its value.
+_XATOL = 1e-6
+_FATOL = 1e-9
+
+
+def minimize(objective, start: np.ndarray, maxiter: int) -> SimplexResult:
+    """Nelder-Mead from ``start``, taking scipy's steps bit for bit.
+
+    Runs the float operations of ``scipy.optimize.minimize(objective, start,
+    method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-9, "maxiter":
+    maxiter})`` in scipy's order, on Python floats: the same first simplex
+    (each coordinate times 1 + 0.05, or 0.00025 where it is 0), centroid
+    summed row by row, reflection, expansion, outside and inside
+    contraction, shrink, and the vertex order of ``np.argsort``, so that
+    tied values (``inf`` vertices) break as scipy's do. It runs at most
+    ``maxiter - 1`` iterations, as scipy does, and passes ``objective`` a
+    fresh array per vertex. What it leaves out is scipy's per-call
+    wrapping and per-iteration result and callback, and a convergence scan
+    that reads every value and coordinate when the first ones already fail.
+    """
+    nfev = 0
+
+    def f(vertex: list) -> float:
+        nonlocal nfev
+        nfev += 1
+        return objective(np.array(vertex))
+
+    n = start.size
+    x0 = start.tolist()
+    sim = [x0]
+    for k, v in enumerate(x0):
+        vertex = list(x0)
+        vertex[k] = (1 + 0.05) * v if v != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [f(v) for v in sim]
+    for _ in range(2):  # scipy sorts the first simplex twice
+        order = _argsort(fsim)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    for _ in range(maxiter - 1):
+        best, f_best = sim[0], fsim[0]
+        if all(abs(f_best - fv) <= _FATOL for fv in fsim[1:]) and all(
+            abs(a - b) <= _XATOL for v in sim[1:] for a, b in zip(v, best)
+        ):
+            break
+        xbar = best
+        for v in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, v)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = [2 * a - b for a, b in zip(xbar, worst)]
+        fxr = f(xr)
+        shrink = False
+        if fxr < f_best:
+            xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                fsim[j] = f(sim[j])
+        order = _argsort(fsim)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    return SimplexResult(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev)
+
+
+def _argsort(values: list) -> list:
+    """``np.argsort(values)`` as a list, by Python's sort when no two values tie and none is nan.
+
+    Such values have one ascending order, so any sort gives numpy's; ties
+    and nan take ``np.argsort`` itself, whose order among equal values
+    depends on the platform's sort kernel.
+    """
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if not values[i] < values[j]:
+            return np.argsort(values).tolist()
+    return order
+
+
 def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
     """Train squared-exponential hyperparameters by marginal-likelihood maximization.
 
-    Runs a Nelder-Mead simplex search in log-parameter space from
+    Runs one :func:`minimize` per start in log-parameter space from
     ``restarts`` starting points (the data-scaled start first, then
-    randomized ones) and keeps the best optimum found inside the scaled
-    hyperparameter box. Deterministic given ``rng_seed``.
+    randomized ones), each the Nelder-Mead search scipy would run with
+    ``xatol=1e-6``, ``fatol=1e-9`` and ``maxiter = 400 * parameters``, and
+    keeps the best optimum found inside the scaled hyperparameter box.
+    Deterministic given ``rng_seed``.
 
     The box and every start are scaled by :func:`_data_scales`. For a
     one-observation layer those scales fall back to 1.0, and the
@@ -361,12 +472,7 @@ def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
     best_val = np.inf
     best_params = None
     for start in _restart_inits(data, ranges, tv, restarts, rng):
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400 * start.size},
-        )
+        res = minimize(objective, start, 400 * start.size)
         # a vertex outside the box scores inf, so a finite res.fun has res.x inside it
         if res.fun < best_val:
             best_val = res.fun

@@ -14,6 +14,11 @@ doubles up the fidelity ladder - the same convergence shape a mesh study
 of the full solver exhibits. Higher N means closer to plug flow, and the
 surrogate Peclet map makes N grow with coil radius and shrink with pitch,
 so the optimization landscape rewards tightly wound, low-pitch coils.
+
+``scipy.optimize`` is imported inside :func:`fit_tanks_in_series`, not at
+module level: it takes about half of the CLI's import time, and ``init``
+and ``report`` never fit a curve. A campaign loads it anyway, through the
+``scipy.stats`` import of its first Latin-hypercube draw.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import erf, gammaln
 
 from ..errors import DomainError, RTDFitError, SimulationDivergedError
@@ -245,6 +249,8 @@ def fit_tanks_in_series(curve: RTDCurve) -> PlugFlowMetric:
     refined by bounded scalar minimization in log N over
     [max(0.5, N0/10), 10*N0].
     """
+    from scipy.optimize import minimize_scalar
+
     n0 = moments_tank_estimate(curve)
     lo, hi = max(0.5, n0 / 10.0), 10.0 * n0
 

@@ -486,9 +486,19 @@ def test_validate_fidelity_divergence_exits_3(tmp_path, monkeypatch, capsys):
     assert not (out / "fidelity_table.csv").exists()
 
 
+def _run_fresh_interpreter(script, cwd):
+    # a fresh interpreter: this one has scipy.stats and scipy.optimize loaded by the tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_only_sampling_loads_scipy_stats(tmp_path):
-    # a fresh interpreter: this one has scipy.stats loaded by the tests
-    script = (
+    _run_fresh_interpreter(
         "import sys\n"
         "import numpy as np\n"
         "from mfdgp import cli\n"
@@ -496,15 +506,18 @@ def test_only_sampling_loads_scipy_stats(tmp_path):
         "assert 'scipy.stats' not in sys.modules\n"
         "from mfdgp.space import DesignSpace\n"
         "DesignSpace([0.0], [1.0]).sample_lhs(3, np.random.default_rng(0))\n"
-        "assert 'scipy.stats' in sys.modules\n"
+        "assert 'scipy.stats' in sys.modules\n",
+        tmp_path,
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+
+
+def test_importing_the_cli_leaves_out_scipy_optimize(tmp_path):
+    _run_fresh_interpreter(
+        "import sys\n"
+        "import mfdgp.cli\n"
+        "assert 'scipy.optimize' not in sys.modules\n",
+        tmp_path,
     )
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------
@@ -560,18 +573,23 @@ def test_report_corrupt_log_exit_4(tmp_path):
      {"config": {"upper": [2.0]}},
      {"config": {"objective": "reactor-proxy", "lower": [5.0, 1.5, 3.0, 0.0],
                  "upper": [20.0, 4.0, 15.0, 1.0]}},
-     {"config": {"budget": 10**400}}, {"config": {"upper": [10**400]}}],
+     {"config": {"budget": 10**400}}, {"config": {"upper": [10**400]}},
+     {"config": {"lower": ["0.5"]}}, {"config": {"beta": "2"}},
+     {"config": {"objective": "reactor-proxy", "lower": [5.0, 1.5, 4.0, 0.0],
+                 "upper": [20.0, 4.0, 15.0, 1.0], "base_costs": ["1", "2", "4", "8", "16"]}}],
     ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch",
          "n-float", "n-bool", "seed-str", "beta-bool", "budget-bool", "lower-bool",
          "upper-bool", "upper-outside-box", "reactor-lower-outside-box",
-         "budget-huge-int", "upper-huge-int"],
+         "budget-huge-int", "upper-huge-int", "lower-str", "beta-str", "base-costs-str"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"
     log.write_text(json.dumps({"type": "header", "format": "mfdgp-results", **config}) + "\n")
+    before = log.read_bytes()
     argv = [command, "--log", str(log)] + (["--budget", "5.0"] if command == "resume" else [])
     assert cli.main(argv) == cli.EXIT_CORRUPT_LOG
     assert "(line 1)" in capsys.readouterr().err
+    assert log.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

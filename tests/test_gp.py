@@ -663,3 +663,53 @@ def test_fit_matches_a_fit_driven_by_the_reference_objective(seed, monkeypatch):
     assert model.kernel.signal_variance == reference.kernel.signal_variance
     assert np.array_equal(model.chol_factor, reference.chol_factor)
     assert np.array_equal(model.alpha, reference.alpha)
+
+
+# ---------------------------------------------------------------------------
+# gp.minimize takes scipy's Nelder-Mead steps bit for bit. Oracle: scipy's
+# own Nelder-Mead, imported here alone; the package does not import it.
+# ---------------------------------------------------------------------------
+
+
+def test_minimize_matches_scipy_nelder_mead_bit_for_bit():
+    from scipy.optimize import minimize as scipy_minimize
+
+    cases, _ = parity_corpus()
+    cases.append(("one-point", gp.GPDataset(inputs=[[0.3, -2.0]], targets=[1.5],
+                                            noise_variance=1e-8)))
+    stops = {"maxiter": set(), "converged": set()}
+    out_of_box = 0
+    for name, data in cases:
+        if name == "overflowing-alpha":
+            continue  # fit refuses this box before it draws a start
+        ranges, tv = gp._data_scales(data)
+        lo, hi = gp._param_bounds(ranges, tv)
+        objective = gp._negative_lml(data, lo, hi)
+        scores = {}  # both runs score the same vertices, so each is computed once
+
+        def scored(v):
+            key = v.tobytes()
+            if key not in scores:
+                scores[key] = objective(v)
+            return scores[key]
+
+        # every vertex of flat-huge overflows on the way to inf
+        quiet = name == "flat-huge"
+        for start in gp._restart_inits(data, ranges, tv, 4, np.random.default_rng(7)):
+            # one observation: the signal-variance start is log 1 = 0, scipy's 0.00025 branch
+            assert name != "one-point" or start[-1] == 0
+            maxiter = 400 * start.size
+            with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+                got = gp.minimize(scored, start, maxiter)
+                expected = scipy_minimize(
+                    scored, start, method="Nelder-Mead",
+                    options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": maxiter},
+                )
+            assert np.array_equal(got.x, expected.x), (name, start)
+            assert got.fun == expected.fun and got.nfev == expected.nfev, (name, start)
+            stops["maxiter" if expected.status == 2 else "converged"].add(name)
+        vertices = np.frombuffer(b"".join(scores), dtype=np.float64).reshape(-1, lo.size)
+        out_of_box += int(((vertices < lo) | (vertices > hi)).any(axis=1).sum())
+    assert {"flat-huge", "near-duplicates"} <= stops["maxiter"]
+    assert len(stops["converged"]) > 40
+    assert out_of_box > 0

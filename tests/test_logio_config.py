@@ -224,6 +224,19 @@ def test_bool_numbers_rejected(payload):
         cfgmod.CampaignConfig(**payload)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"lower": "0.5"}, {"lower": ["0.5"]}, {"beta": "2"}, {"budget": None},
+     {"nominals": ["0", 0.25, 0.5, 0.75, 1.0]}, {"base_costs": ["1", "2", "4", "8", "16"]}],
+    ids=["lower-str", "lower-str-item", "beta-str", "budget-none", "nominals-str-item",
+         "base-costs-str-items"],
+)
+def test_non_real_numbers_rejected(payload):
+    # DesignSpace and the ladder would convert "0.5" to 0.5; a string is refused instead
+    with pytest.raises(ConfigError, match="must hold numbers"):
+        cfgmod.CampaignConfig(**payload)
+
+
 def test_config_checks_itself_and_cannot_change():
     with pytest.raises(ConfigError, match="n must be >= 1"):
         cfgmod.CampaignConfig(n=0)
