@@ -6,8 +6,7 @@ timeline and compares the incumbent against the known optimum.
 
 import numpy as np
 
-from mfdgp import recommend, run
-from mfdgp.campaign import _train_from_state
+from mfdgp import recommend, run, train_model
 from mfdgp.objectives import ForresterFamily
 
 objective = ForresterFamily()
@@ -26,7 +25,7 @@ print("per-level evaluation counts:", state.per_level_counts())
 
 x_star, f_star = objective.known_optimum()
 incumbent = state.incumbent
-model = _train_from_state(state, 1)
+model = train_model(state, 1)
 model_best = recommend(state, model, objective.space)
 print(f"\ntrue optimum      : x={x_star[0]:.4f}  f={f_star:+.4f}")
 print(f"observed incumbent: x={incumbent.x[0]:.4f}  y={incumbent.y:+.4f}")

@@ -19,6 +19,7 @@ from .campaign import (
     run,
     run_single_fidelity,
     select_fidelity,
+    train_model,
 )
 from .dgp import (
     FidelityLevel,

@@ -217,7 +217,7 @@ def select_fidelity(model: MFDeepGP, x_star, tau, beta: float, rng_seed: int) ->
     return model.ladder[argmax_highest(scores)]
 
 
-def _train_from_state(state: CampaignState, rng_seed: int) -> MFDeepGP:
+def train_model(state: CampaignState, rng_seed: int) -> MFDeepGP:
     """The model of the ledger's next loop iteration, trained under its TRAIN seed.
 
     The loop trains iteration k's model on ``derive_seed(rng_seed, TRAIN, k)``;
@@ -245,7 +245,7 @@ def continue_run(
     while state.budget_spent < state.budget_total:
         k = state.loop_iterations + 1
         try:
-            model = _train_from_state(state, rng_seed)
+            model = train_model(state, rng_seed)
             x_star = acquisition.solve_ucb(
                 model, space, beta, derive_seed(rng_seed, ACQUISITION, k)
             )

@@ -56,7 +56,7 @@ LOG_NAME = "records.jsonl"
 
 
 def _final_model(state, cfg):
-    return campaign._train_from_state(state, cfg.seed)
+    return campaign.train_model(state, cfg.seed)
 
 
 def _campaign(args, cfg, state, budget_total, writer) -> int:

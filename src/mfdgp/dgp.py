@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp
-from .errors import DomainError, InsufficientDataError, ShapeError, StateError
+from .errors import DomainError, InsufficientDataError, ShapeError
 from .streams import PROPAGATION, point_hash, substream
 
 DEFAULT_NOMINALS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -116,20 +116,18 @@ class MultiFidelityDataset:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    @property
-    def dimension(self) -> int:
-        return self.levels[0].dimension
-
 
 @dataclass(frozen=True)
 class MFDeepGP:
-    """Trained layer stack plus the ladder it models."""
+    """Trained layer stack, at least one layer, plus the ladder it models."""
 
     layers: tuple
     ladder: tuple
     propagation_samples: int = REPORTING_SAMPLES
 
     def __post_init__(self):
+        if not self.layers:
+            raise ShapeError("a model needs at least one layer")
         if len(self.layers) != len(self.ladder):
             raise ShapeError("layer count must equal ladder length")
         if self.propagation_samples < 1:
@@ -140,10 +138,6 @@ class MFDeepGP:
     @property
     def num_levels(self) -> int:
         return len(self.layers)
-
-    @property
-    def dimension(self) -> int:
-        return self.layers[0].dataset.dimension
 
 
 def compose_mean(layers, X) -> np.ndarray:
@@ -183,20 +177,16 @@ def train(data: MultiFidelityDataset, restarts: int, rng_seed: int, ladder=None)
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """Retained Monte-Carlo state for one level of a propagation pass.
+    """The moments of one level of a propagation pass, and its per-draw moments.
 
     ``sample_means``/``sample_variances`` hold the per-draw predictive
-    moments (None at level 1, which is exact), and ``draws`` the propagated
-    output samples that feed the next layer (None at the top level, where
-    they are not needed).
+    moments, shape (m, S); they are None at level 1, which is exact.
     """
 
-    level: int
     mean: np.ndarray
     variance: np.ndarray
     sample_means: np.ndarray | None
     sample_variances: np.ndarray | None
-    draws: np.ndarray | None
 
     @property
     def sigma(self) -> np.ndarray:
@@ -219,7 +209,7 @@ def point_draws(model: MFDeepGP, x, rng_seed: int, num_samples: int | None = Non
 
 
 def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
-    """Run the sampling recursion through every level and retain the populations.
+    """Run the sampling recursion through every level; trace t-1 is level t's.
 
     ``base_draws`` holds standard normals, at least T-1 rows of S columns;
     row t-1 samples the level-t predictive. Every query row uses the same
@@ -227,8 +217,6 @@ def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
     are continuous in x, and a row's moments depend on the other rows of
     the batch only through floating-point rounding.
     """
-    if not model.layers:
-        raise StateError("model has no trained layers")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     base_draws = np.atleast_2d(np.asarray(base_draws, dtype=np.float64))
     top = model.num_levels
@@ -240,31 +228,26 @@ def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
 
     m = X.shape[0]
     mean, variance = gp.predict(model.layers[0], X)
-    draws = None
-    if top > 1:
-        draws = mean[:, None] + np.sqrt(variance)[:, None] * base_draws[0]
     traces = [
         LevelTrace(
-            level=1, mean=mean, variance=variance,
-            sample_means=None, sample_variances=None, draws=draws,
+            mean=mean, variance=variance, sample_means=None, sample_variances=None,
         )
     ]
+    if top > 1:
+        draws = mean[:, None] + np.sqrt(variance)[:, None] * base_draws[0]
     for t in range(2, top + 1):
-        prev = traces[-1].draws
-        aug = np.column_stack([np.repeat(X, S, axis=0), prev.reshape(-1)])
+        aug = np.column_stack([np.repeat(X, S, axis=0), draws.reshape(-1)])
         mu_flat, var_flat = gp.predict(model.layers[t - 1], aug)
         # layer predictive = identity in the augmented coordinate + correction GP
-        mus = prev + mu_flat.reshape(m, S)
+        mus = draws + mu_flat.reshape(m, S)
         vars_ = var_flat.reshape(m, S)
         mix_mean = np.mean(mus, axis=1)
         mix_var = np.mean(vars_, axis=1) + np.var(mus, axis=1)
-        draws = None
         if t < top:
             draws = mus + np.sqrt(vars_) * base_draws[t - 1]
         traces.append(
             LevelTrace(
-                level=t, mean=mix_mean, variance=mix_var,
-                sample_means=mus, sample_variances=vars_, draws=draws,
+                mean=mix_mean, variance=mix_var, sample_means=mus, sample_variances=vars_,
             )
         )
     return traces

@@ -27,26 +27,29 @@ Each check has one owner, and the code past it trusts it:
 * :func:`~mfdgp.kernels.kernel_matrix`: every kernel input. It is what
   refuses a kernel, dataset or query of another dimension in
   :meth:`TrainedGP.from_params` and :func:`predict`.
-* :func:`fit`: at least one restart; a log-parameter box with finite
-  bounds, ``exp(lo) > 0`` and ``exp(hi) < inf``; inputs whose scaled
-  norms ``sum((x / exp(hi))**2)`` are finite, since no vertex can give
-  smaller ones.
+* :func:`fit`: at least one restart.
+* :func:`_search_setup`, which builds a fit's box and starts from one
+  scan of the data: a log-parameter box with finite bounds,
+  ``exp(lo) > 0`` and ``exp(hi) < inf``; inputs whose scaled norms
+  ``sum((x / exp(hi))**2)`` are finite, since no vertex can give smaller
+  ones.
 * :func:`_factorize`: a finite covariance (``x / ls`` can still overflow
   at shorter lengthscales) and the jitter ladder; :func:`_trtrs`: LAPACK's
   ``info``; :func:`_factor_solve`: a finite alpha.
 * :func:`predict`: finite operands of its triangular solve
   (:func:`_solve_lower`), since no dataset check covers ``k_star``.
 
-A Nelder-Mead vertex (:func:`_negative_lml`) checks only that it lies in
-the box, and runs the trusted cores ``kernels._scaled_kernel_matrix``,
-:func:`_factor_solve` and :func:`_lml` on the dataset's read-only arrays:
-the box stands in for ``KernelSpec``'s checks and the dataset for
-``kernel_matrix``'s. Each fit builds its winner through the checked
-:meth:`TrainedGP.from_params`, whose factor and alpha are read-only. So a
-wrapper on ``kernel_matrix``, ``TrainedGP.from_params`` or
-``log_marginal_likelihood`` sees each fit's final model and none of its
-vertices; :func:`_lml`, looked up as a module attribute, is called once
-per scored vertex.
+A Nelder-Mead vertex is the list of floats :func:`minimize` keeps, handed
+to the objective as it is. The objective (:func:`_negative_lml`) checks
+only that the vertex lies in the box, and runs the trusted cores
+``kernels._scaled_kernel_matrix``, :func:`_factor_solve` and :func:`_lml`
+on the dataset's read-only arrays: the box stands in for ``KernelSpec``'s
+checks and the dataset for ``kernel_matrix``'s. Each fit builds its
+winner through the checked :meth:`TrainedGP.from_params`, whose factor
+and alpha are read-only. So a wrapper on ``kernel_matrix``,
+``TrainedGP.from_params`` or ``log_marginal_likelihood`` sees each fit's
+final model and none of its vertices; :func:`_lml`, looked up as a module
+attribute, is called once per scored vertex.
 """
 
 from __future__ import annotations
@@ -248,34 +251,39 @@ def _spectral_variance(gp: TrainedGP, k_star: np.ndarray) -> np.ndarray:
     return gp.kernel.signal_variance - quad
 
 
-def _data_scales(data: GPDataset) -> tuple[np.ndarray, float]:
-    """Per-dimension input range (1.0 if flat) and target variance (1.0 if constant).
-
-    Either may overflow to inf, silently: :func:`_param_bounds` refuses the box.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ranges = np.ptp(data.inputs, axis=0)
-        tv = float(np.var(data.targets))
-    return np.where(ranges > 0, ranges, 1.0), (tv if tv > 0 else 1.0)
-
-
-def _param_bounds(ranges: np.ndarray, tv: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log-space hyperparameter box, scaled to the data.
+def _search_setup(
+    data: GPDataset, restarts: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Log-space hyperparameter box ``(lo, hi)`` of one fit and its ``restarts`` starts.
 
     Lengthscales are confined to [1e-3, 3] times the per-dimension input
-    range and the signal variance to [1e-8, 1e6] times the target variance.
-    Flat likelihood directions (irrelevant inputs, perfectly dependent
-    targets) otherwise let the simplex drift to scales that destroy both
-    the conditioning of downstream predictions and every exploration
-    signal: beyond a few input ranges a stationary kernel is
-    indistinguishable from a trend, but its posterior variance collapses.
+    range (1.0 if flat) and the signal variance to [1e-8, 1e6] times the
+    target variance (1.0 if constant). Flat likelihood directions
+    (irrelevant inputs, perfectly dependent targets) otherwise let the
+    simplex drift to scales that destroy both the conditioning of
+    downstream predictions and every exploration signal: beyond a few
+    input ranges a stationary kernel is indistinguishable from a trend,
+    but its posterior variance collapses.
+
+    The first start puts each lengthscale at 0.5 times its dimension's
+    range, or at 1.0 on a flat dimension; the others draw it log-uniform in
+    [0.05, 2] times the range. Every start puts the signal variance at the
+    target variance, so every start lies well inside the box. A start is a
+    list of floats, the vertex type of :func:`minimize`.
 
     Raises :class:`~mfdgp.errors.DomainError` unless both bounds are finite,
     ``exp(lo) > 0`` and ``exp(hi) < inf``, so that every vertex inside the
-    box gives finite positive hyperparameters. Data whose scales underflow
-    or overflow fail here, before any likelihood evaluation.
+    box gives finite positive hyperparameters, and unless the scaled input
+    norms ``sum((x / exp(hi))**2)`` are finite, since no vertex gives
+    smaller ones. Data whose scales underflow or overflow fail here, before
+    any likelihood evaluation and without a numpy warning.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        spans = np.ptp(data.inputs, axis=0)
+        live = spans > 0
+        ranges = np.where(live, spans, 1.0)
+        tv = float(np.var(data.targets))
+        tv = tv if tv > 0 else 1.0
         lo = np.log(np.concatenate([1e-3 * ranges, [1e-8 * tv]]))
         hi = np.log(np.concatenate([3.0 * ranges, [1e6 * tv]]))
         box_ok = (
@@ -284,29 +292,40 @@ def _param_bounds(ranges: np.ndarray, tv: float) -> tuple[np.ndarray, np.ndarray
             and (np.exp(lo) > 0).all()
             and (np.exp(hi) < np.inf).all()
         )
-    if not box_ok:
+        if not box_ok:
+            raise DomainError(
+                f"input ranges {ranges} and target variance {tv} give no finite hyperparameter box"
+            )
+        norms = ((data.inputs / np.exp(hi[:-1])) ** 2).sum(axis=1)
+    if not np.isfinite(norms).all():
         raise DomainError(
-            f"input ranges {ranges} and target variance {tv} give no finite hyperparameter box"
+            "scaled input norms overflow at the longest lengthscales of the hyperparameter box"
         )
-    return lo, hi
+    ls = np.where(live, 0.5 * ranges, 1.0)
+    starts = [np.log(np.concatenate([ls, [tv]])).tolist()]
+    for _ in range(restarts - 1):
+        frac = np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=ranges.size))
+        starts.append(np.log(np.concatenate([frac * ranges, [tv]])).tolist())
+    return lo, hi, starts
 
 
 def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
     """The Nelder-Mead objective of one fit: vertex -> -LML, ``inf`` outside the box.
 
-    A vertex holds the log lengthscales and the log signal variance. The
-    objective runs the box test, then the trusted cores on the dataset's
-    read-only arrays, and scores a vertex whose factorization fails or
-    whose alpha is not finite ``inf``. The module docstring says which
-    per-fit fact stands in for each check it leaves out.
+    A vertex holds the log lengthscales and the log signal variance, as the
+    list of floats :func:`minimize` keeps; the objective reads it and never
+    changes it. It runs the box test, then the trusted cores on the
+    dataset's read-only arrays, and scores a vertex whose factorization
+    fails or whose alpha is not finite ``inf``. The module docstring says
+    which per-fit fact stands in for each check it leaves out.
     """
     inputs, targets, noise = data.inputs, data.targets, data.noise_variance
     # the box test compares Python floats: on a vertex's few entries that
     # costs a fraction of two numpy comparisons and their reductions
     bounds = list(zip(lo.tolist(), hi.tolist()))
 
-    def objective(log_params: np.ndarray) -> float:
-        for p, (low, high) in zip(log_params.tolist(), bounds):
+    def objective(log_params: list) -> float:
+        for p, (low, high) in zip(log_params, bounds):
             if p < low or p > high:
                 return np.inf
         ls = np.exp(log_params[:-1])
@@ -319,24 +338,6 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
         return -_lml(targets, alpha, L)
 
     return objective
-
-
-def _restart_inits(
-    data: GPDataset, ranges: np.ndarray, tv: float, restarts: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Log-space starting points: the data-scaled start, then scale-aware draws.
-
-    The data-scaled lengthscales are 0.5 times the per-dimension input range
-    (1.0 if flat); random ones are log-uniform in [0.05, 2] times it. Every
-    start puts the signal variance at the target variance, so every start
-    lies well inside the :func:`_param_bounds` box.
-    """
-    ls = np.where(np.ptp(data.inputs, axis=0) > 0, 0.5 * ranges, 1.0)
-    starts = [np.log(np.concatenate([ls, [tv]]))]
-    for _ in range(restarts - 1):
-        frac = np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=ranges.size))
-        starts.append(np.log(np.concatenate([frac * ranges, [tv]])))
-    return starts
 
 
 class SimplexResult(NamedTuple):
@@ -353,7 +354,7 @@ _XATOL = 1e-6
 _FATOL = 1e-9
 
 
-def minimize(objective, start: np.ndarray, maxiter: int) -> SimplexResult:
+def minimize(objective, start: list, maxiter: int) -> SimplexResult:
     """Nelder-Mead from ``start``, taking scipy's steps bit for bit.
 
     Runs the float operations of ``scipy.optimize.minimize(objective, start,
@@ -363,8 +364,9 @@ def minimize(objective, start: np.ndarray, maxiter: int) -> SimplexResult:
     summed row by row, reflection, expansion, outside and inside
     contraction, shrink, and the vertex order of ``np.argsort``, so that
     tied values (``inf`` vertices) break as scipy's do. It runs at most
-    ``maxiter - 1`` iterations, as scipy does, and passes ``objective`` a
-    fresh array per vertex. What it leaves out is scipy's per-call
+    ``maxiter - 1`` iterations, as scipy does, and passes ``objective`` each
+    vertex as the very list of floats its simplex keeps, which the
+    objective must not change. What it leaves out is scipy's per-call
     wrapping and per-iteration result and callback, and a convergence scan
     that reads every value and coordinate when the first ones already fail.
     """
@@ -373,10 +375,10 @@ def minimize(objective, start: np.ndarray, maxiter: int) -> SimplexResult:
     def f(vertex: list) -> float:
         nonlocal nfev
         nfev += 1
-        return objective(np.array(vertex))
+        return objective(vertex)
 
-    n = start.size
-    x0 = start.tolist()
+    n = len(start)
+    x0 = list(start)
     sim = [x0]
     for k, v in enumerate(x0):
         vertex = list(x0)
@@ -453,26 +455,21 @@ def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
     keeps the best optimum found inside the scaled hyperparameter box.
     Deterministic given ``rng_seed``.
 
-    The box and every start are scaled by :func:`_data_scales`. For a
-    one-observation layer those scales fall back to 1.0, and the
-    likelihood puts the signal variance at about the squared target.
+    The box and the starts come from one :func:`_search_setup` call, each
+    start a list of floats, the vertex type :func:`minimize` keeps and
+    hands to the objective. For a one-observation layer the data scales
+    fall back to 1.0, and the likelihood puts the signal variance at about
+    the squared target.
     """
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    ranges, tv = _data_scales(data)
-    lo, hi = _param_bounds(ranges, tv)
-    with np.errstate(over="ignore"):
-        norms = ((data.inputs / np.exp(hi[:-1])) ** 2).sum(axis=1)
-    if not np.isfinite(norms).all():
-        raise DomainError(
-            "scaled input norms overflow at the longest lengthscales of the hyperparameter box"
-        )
+    lo, hi, starts = _search_setup(data, restarts, rng)
     objective = _negative_lml(data, lo, hi)
     best_val = np.inf
     best_params = None
-    for start in _restart_inits(data, ranges, tv, restarts, rng):
-        res = minimize(objective, start, 400 * start.size)
+    for start in starts:
+        res = minimize(objective, start, 400 * len(start))
         # a vertex outside the box scores inf, so a finite res.fun has res.x inside it
         if res.fun < best_val:
             best_val = res.fun

@@ -29,7 +29,7 @@ def design(objective, n, rng_seed, state=None):
 def small_model(forrester):
     # a trained model on a fixed 5-level design, reused across read-only tests
     state = design(forrester, 3, rng_seed=5)
-    model = campaign._train_from_state(state, 17)
+    model = campaign.train_model(state, 17)
     return state, model
 
 

@@ -108,10 +108,12 @@ def test_level_one_is_plain_gp_bit_for_bit(five_level_model):
 def test_all_levels_shape_and_consistency(five_level_model):
     model = five_level_model
     traces = point_traces(model, np.array([0.61]), 21)
-    assert [tr.level for tr in traces] == [1, 2, 3, 4, 5]
+    assert len(traces) == 5
     assert all(tr.sigma[0] >= 0 for tr in traces)
-    assert traces[-1].draws is None
-    assert all(tr.draws.shape == (1, model.propagation_samples) for tr in traces[:-1])
+    assert traces[0].sample_means is None and traces[0].sample_variances is None
+    shape = (1, model.propagation_samples)
+    assert all(tr.sample_means.shape == shape for tr in traces[1:])
+    assert all(tr.sample_variances.shape == shape for tr in traces[1:])
 
 
 def test_propagate_rows_do_not_depend_on_the_batch(five_level_model):
@@ -221,12 +223,7 @@ def test_augmented_coordinate_invariant(five_level_model):
         assert np.max(np.abs(inputs[:, -1] - recomputed)) <= 1e-10
 
 
-def test_predict_on_untrained_model_is_state_error():
-    from mfdgp.errors import StateError
-
-    with pytest.raises((StateError, ShapeError, IndexError)):
-        broken = dgp.MFDeepGP.__new__(dgp.MFDeepGP)
-        object.__setattr__(broken, "layers", ())
-        object.__setattr__(broken, "ladder", ())
-        object.__setattr__(broken, "propagation_samples", 100)
-        dgp.propagate(broken, np.array([[0.5]]), np.zeros((1, 10)))
+def test_model_without_layers_is_refused():
+    # the constructor owns "at least one layer", so propagate never sees an empty stack
+    with pytest.raises(ShapeError, match="at least one layer"):
+        dgp.MFDeepGP(layers=(), ladder=())

@@ -528,8 +528,28 @@ def reference_nm_objective(log_params, data, lo, hi):
         return np.inf
 
 
+def search_setup(data, restarts, rng):
+    """``gp._search_setup``, also for data whose scaled input norms it refuses.
+
+    The box and the starts depend on the input ranges and the targets
+    alone, so for such data (flat-huge) they are those of the same inputs
+    moved to the origin. flat-huge exists to drive the objective and the
+    simplex into overflow at every vertex.
+    """
+    try:
+        return gp._search_setup(data, restarts, rng)
+    except DomainError as exc:
+        if "scaled input norms" not in str(exc):
+            raise
+    moved = gp.GPDataset(inputs=data.inputs - data.inputs.min(axis=0), targets=data.targets,
+                         noise_variance=data.noise_variance)
+    assert np.array_equal(np.ptp(moved.inputs, axis=0), np.ptp(data.inputs, axis=0))
+    return gp._search_setup(moved, restarts, rng)
+
+
 def objective_box(data):
-    return gp._param_bounds(*gp._data_scales(data))
+    lo, hi, _ = search_setup(data, 1, np.random.default_rng(0))
+    return lo, hi
 
 
 def box_vertices(lo, hi, rng, spread=24):
@@ -630,6 +650,17 @@ def test_corpus_reaches_each_check_the_objective_keeps():
         gp._factor_solve(K, 0.0, blown.targets)
 
 
+def test_first_start_tells_a_unit_range_from_a_flat_dimension():
+    # the first dimension spans exactly [0, 1], so its range 1.0 equals the
+    # flat fallback: its lengthscale starts at 0.5 of it, the flat one's at 1.0
+    data = gp.GPDataset(inputs=[[0.0, 2.0], [0.25, 2.0], [1.0, 2.0]], targets=[0.0, 1.0, 3.0],
+                        noise_variance=1e-8)
+    tv = float(np.var(data.targets))
+    _, _, starts = gp._search_setup(data, 3, np.random.default_rng(0))
+    assert starts[0] == np.log([0.5, 1.0, tv]).tolist()
+    assert len(starts) == 3 and all(type(p) is float for start in starts for p in start)
+
+
 def test_every_restart_start_lies_inside_the_box():
     # fit runs the simplex from each start as drawn, so each must sit
     # strictly inside the box, 1e-6 clear of both bounds
@@ -640,9 +671,7 @@ def test_every_restart_start_lies_inside_the_box():
     for name, data in cases:
         if name == "overflowing-alpha":
             continue  # fit refuses this box before it draws a start
-        ranges, tv = gp._data_scales(data)
-        lo, hi = gp._param_bounds(ranges, tv)
-        starts = gp._restart_inits(data, ranges, tv, 16, np.random.default_rng(7))
+        lo, hi, starts = search_setup(data, 16, np.random.default_rng(7))
         for start in starts:
             assert np.all((lo + 1e-6 < start) & (start < hi - 1e-6)), (name, start)
 
@@ -656,7 +685,8 @@ def test_fit_matches_a_fit_driven_by_the_reference_objective(seed, monkeypatch):
     model = gp.fit(data, restarts=3, rng_seed=seed)
     monkeypatch.setattr(
         gp, "_negative_lml",
-        lambda data, lo, hi: lambda v: reference_nm_objective(v, data, lo, hi),
+        # the reference scores each vertex as the array it used to take
+        lambda data, lo, hi: lambda v: reference_nm_objective(np.array(v), data, lo, hi),
     )
     reference = gp.fit(data, restarts=3, rng_seed=seed)
     assert np.array_equal(model.kernel.lengthscales, reference.kernel.lengthscales)
@@ -682,23 +712,22 @@ def test_minimize_matches_scipy_nelder_mead_bit_for_bit():
     for name, data in cases:
         if name == "overflowing-alpha":
             continue  # fit refuses this box before it draws a start
-        ranges, tv = gp._data_scales(data)
-        lo, hi = gp._param_bounds(ranges, tv)
+        lo, hi, starts = search_setup(data, 4, np.random.default_rng(7))
         objective = gp._negative_lml(data, lo, hi)
         scores = {}  # both runs score the same vertices, so each is computed once
 
         def scored(v):
-            key = v.tobytes()
+            key = np.asarray(v).tobytes()
             if key not in scores:
                 scores[key] = objective(v)
             return scores[key]
 
         # every vertex of flat-huge overflows on the way to inf
         quiet = name == "flat-huge"
-        for start in gp._restart_inits(data, ranges, tv, 4, np.random.default_rng(7)):
+        for start in starts:
             # one observation: the signal-variance start is log 1 = 0, scipy's 0.00025 branch
             assert name != "one-point" or start[-1] == 0
-            maxiter = 400 * start.size
+            maxiter = 400 * len(start)
             with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
                 got = gp.minimize(scored, start, maxiter)
                 expected = scipy_minimize(
