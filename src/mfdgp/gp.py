@@ -7,12 +7,15 @@ maximizing the log marginal likelihood with a derivative-free simplex
 search in log-parameter space, from a data-scaled start and then
 scale-aware random ones. The search is the module's own :func:`minimize`,
 which takes scipy's Nelder-Mead steps in scipy's order on Python floats,
-so a fit lands on the very vertex scipy's would, without scipy's per-call
-and per-iteration machinery and without importing ``scipy.optimize``. It
-keeps the name ``minimize``, which benchmark tracing wraps to count each
-search's evaluations. Training always fits a squared-exponential
-kernel; a Matérn-5/2 :class:`~mfdgp.kernels.KernelSpec` can still be
-factorized and predicted from with :meth:`TrainedGP.from_params`.
+so each restart lands on the very vertex scipy's would, without scipy's
+per-call and per-iteration machinery and without importing
+``scipy.optimize``. It runs a fit's restarts in lock step: each round
+scores the vertices that every running restart needs next in one call of
+the objective, which builds their kernel matrices as one batch. It keeps
+the name ``minimize``, which benchmark tracing wraps to count each fit's
+evaluations. Training always fits a squared-exponential kernel; a
+Matérn-5/2 :class:`~mfdgp.kernels.KernelSpec` can still be factorized and
+predicted from with :meth:`TrainedGP.from_params`.
 
 The factorization and the triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly: on the 1-32 row matrices the training loop builds,
@@ -35,21 +38,25 @@ Each check has one owner, and the code past it trusts it:
   ones.
 * :func:`_factorize`: a finite covariance (``x / ls`` can still overflow
   at shorter lengthscales) and the jitter ladder; :func:`_trtrs`: LAPACK's
-  ``info``; :func:`_factor_solve`: a finite alpha.
+  ``info``; :func:`_alpha`: a finite alpha.
 * :func:`predict`: finite operands of its triangular solve
   (:func:`_solve_lower`), since no dataset check covers ``k_star``.
 
 A Nelder-Mead vertex is the list of floats :func:`minimize` keeps, handed
-to the objective as it is. The objective (:func:`_negative_lml`) checks
-only that the vertex lies in the box, and runs the trusted cores
-``kernels._scaled_kernel_matrix``, :func:`_factor_solve` and :func:`_lml`
-on the dataset's read-only arrays: the box stands in for ``KernelSpec``'s
-checks and the dataset for ``kernel_matrix``'s. Each fit builds its
-winner through the checked :meth:`TrainedGP.from_params`, whose factor
-and alpha are read-only. So a wrapper on ``kernel_matrix``,
-``TrainedGP.from_params`` or ``log_marginal_likelihood`` sees each fit's
-final model and none of its vertices; :func:`_lml`, looked up as a module
-attribute, is called once per scored vertex.
+to the objective as it is, in the list of one round's vertices. The
+objective (:func:`_negative_lml`) checks only that each vertex lies in the
+box, and runs the trusted cores on the dataset's read-only arrays: the box
+stands in for ``KernelSpec``'s checks and the dataset for
+``kernel_matrix``'s. It builds the in-box vertices' covariances as one
+batch (``kernels._scaled_kernel_matrix`` and the noise diagonal) and scans
+them once for non-finite entries, then factors, solves and scores each
+vertex on its own, with :func:`_factorize`'s jitter ladder for that vertex
+alone when ``potrf`` fails. Each fit builds its winner through the checked
+:meth:`TrainedGP.from_params`, whose factor and alpha are read-only. So a
+wrapper on ``kernel_matrix``, ``TrainedGP.from_params`` or
+``log_marginal_likelihood`` sees each fit's final model and none of its
+vertices; :func:`_lml`, looked up as a module attribute, is called once
+per scored vertex.
 """
 
 from __future__ import annotations
@@ -105,10 +112,6 @@ class GPDataset:
         object.__setattr__(self, "noise_variance", nv)
 
     @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def dimension(self) -> int:
         return self.inputs.shape[1]
 
@@ -141,16 +144,23 @@ def _factor_solve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factor ``L`` of ``K + noise * I`` and ``alpha = (K + noise * I)^-1 targets``."""
     L = _factorize(K, noise_variance)
+    return L, _alpha(L, targets)
+
+
+def _alpha(L: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``alpha = (L L^T)^-1 targets`` by two triangular solves; refused unless finite."""
+    # one dpotrs call is not bit-identical to these two trtrs calls
     alpha = _trtrs(L, _trtrs(L, targets), trans=1)
     if not np.isfinite(alpha).all():
         raise ConditioningError("alpha = (K + noise * I)^-1 targets is not finite")
-    return L, alpha
+    return alpha
 
 
 def _plus_diagonal(A: np.ndarray, value: float) -> np.ndarray:
-    """A copy of the square matrix ``A`` with ``value`` added to its diagonal."""
+    """A copy of the square matrix ``A``, or (k, n, n) stack, plus ``value`` on the diagonal."""
     out = A.copy()
-    out.reshape(-1)[:: out.shape[0] + 1] += value
+    n = out.shape[-1]
+    out.reshape(*out.shape[:-2], n * n)[..., :: n + 1] += value
     return out
 
 
@@ -310,38 +320,61 @@ def _search_setup(
 
 
 def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
-    """The Nelder-Mead objective of one fit: vertex -> -LML, ``inf`` outside the box.
+    """The Nelder-Mead objective of one fit: vertices -> their -LML, ``inf`` outside the box.
 
     A vertex holds the log lengthscales and the log signal variance, as the
-    list of floats :func:`minimize` keeps; the objective reads it and never
-    changes it. It runs the box test, then the trusted cores on the
-    dataset's read-only arrays, and scores a vertex whose factorization
-    fails or whose alpha is not finite ``inf``. The module docstring says
-    which per-fit fact stands in for each check it leaves out.
+    list of floats :func:`minimize` keeps; the objective reads the vertices
+    and never changes them. It runs the box test on each vertex. On the
+    in-box ones it runs ``np.exp``, the input scaling, the SE kernel, the
+    noise diagonal and the finite scan once, on (k, n, n) arrays whose
+    slices hold the very floats a one-vertex call builds. Then, vertex by
+    vertex, it runs ``potrf`` (and :func:`_factorize`'s jitter ladder when
+    that fails), the two solves of :func:`_alpha` and :func:`_lml`. A vertex
+    whose covariance is not finite, whose ladder runs out or whose alpha is
+    not finite scores ``inf``. So a vertex's score does not depend on the
+    other vertices of its batch. The module docstring says which per-fit
+    fact stands in for each check it leaves out.
     """
     inputs, targets, noise = data.inputs, data.targets, data.noise_variance
     # the box test compares Python floats: on a vertex's few entries that
     # costs a fraction of two numpy comparisons and their reductions
     bounds = list(zip(lo.tolist(), hi.tolist()))
 
-    def objective(log_params: list) -> float:
-        for p, (low, high) in zip(log_params, bounds):
+    def in_box(vertex: list) -> bool:
+        for p, (low, high) in zip(vertex, bounds):
             if p < low or p > high:
-                return np.inf
-        ls = np.exp(log_params[:-1])
-        sv = float(np.exp(log_params[-1]))
-        K = _scaled_kernel_matrix(SQUARED_EXPONENTIAL, sv, inputs / ls)
-        try:
-            L, alpha = _factor_solve(K, noise, targets)
-        except ConditioningError:
-            return np.inf
-        return -_lml(targets, alpha, L)
+                return False
+        return True
+
+    def objective(vertices: list) -> list:
+        scores = [np.inf] * len(vertices)
+        inside = [i for i, vertex in enumerate(vertices) if in_box(vertex)]
+        if not inside:
+            return scores
+        log_params = np.array([vertices[i] for i in inside])
+        ls = np.exp(log_params[:, :-1])
+        sv = np.exp(log_params[:, -1])
+        K = _scaled_kernel_matrix(SQUARED_EXPONENTIAL, sv[:, None, None], inputs / ls[:, None, :])
+        base = _plus_diagonal(K, noise)
+        finite = np.isfinite(base).all(axis=(1, 2)).tolist()
+        for i, K_i, base_i, ok in zip(inside, K, base, finite):
+            if not ok:
+                continue
+            L, info = dpotrf(base_i, lower=1, clean=1)
+            try:
+                if info != 0:
+                    L = _factorize(K_i, noise)
+                alpha = _alpha(L, targets)
+            except ConditioningError:
+                continue
+            scores[i] = -_lml(targets, alpha, L)
+        return scores
 
     return objective
 
 
 class SimplexResult(NamedTuple):
-    """The best vertex of a :func:`minimize` run, its value and the objective call count."""
+    """The best vertex of a :func:`minimize` run, its value and the objective's vertex count."""
 
     x: np.ndarray
     fun: float
@@ -354,8 +387,42 @@ _XATOL = 1e-6
 _FATOL = 1e-9
 
 
-def minimize(objective, start: list, maxiter: int) -> SimplexResult:
-    """Nelder-Mead from ``start``, taking scipy's steps bit for bit.
+def minimize(objective, starts: list, maxiter: int) -> SimplexResult:
+    """Nelder-Mead from each of ``starts`` in lock step, each taking scipy's steps bit for bit.
+
+    ``objective`` maps a list of vertices to the list of their values. Each
+    start runs as one :func:`_nelder_mead` restart; each round hands
+    ``objective`` the vertices every running restart needs next, in start
+    order, in one call. The restarts do not depend on each other, so each
+    takes the steps it would take alone. Returns the first restart whose
+    value is the lowest below ``inf``, or the first restart when none is,
+    with ``nfev`` the vertices scored over all restarts.
+    """
+    runs = [_nelder_mead(start, maxiter) for start in starts]
+    ends = [None] * len(runs)
+    live = [(i, run, next(run)) for i, run in enumerate(runs)]
+    nfev = 0
+    while live:
+        scores = objective([vertex for _, _, vertices in live for vertex in vertices])
+        nfev += len(scores)
+        pos, running = 0, []
+        for i, run, vertices in live:
+            end = pos + len(vertices)
+            try:
+                running.append((i, run, run.send(scores[pos:end])))
+            except StopIteration as stop:
+                ends[i] = stop.value
+            pos = end
+        live = running
+    best, best_fun = ends[0], np.inf
+    for x, fun in ends:
+        if fun < best_fun:
+            best, best_fun = (x, fun), fun
+    return SimplexResult(x=np.array(best[0]), fun=best[1], nfev=nfev)
+
+
+def _nelder_mead(start: list, maxiter: int):
+    """One restart of :func:`minimize`: yields the vertices it needs next, receives their values.
 
     Runs the float operations of ``scipy.optimize.minimize(objective, start,
     method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-9, "maxiter":
@@ -364,19 +431,14 @@ def minimize(objective, start: list, maxiter: int) -> SimplexResult:
     summed row by row, reflection, expansion, outside and inside
     contraction, shrink, and the vertex order of ``np.argsort``, so that
     tied values (``inf`` vertices) break as scipy's do. It runs at most
-    ``maxiter - 1`` iterations, as scipy does, and passes ``objective`` each
-    vertex as the very list of floats its simplex keeps, which the
-    objective must not change. What it leaves out is scipy's per-call
-    wrapping and per-iteration result and callback, and a convergence scan
-    that reads every value and coordinate when the first ones already fail.
+    ``maxiter - 1`` iterations, as scipy does. It yields the whole first
+    simplex, then one trial vertex at a time, or the n vertices of a shrink,
+    each the very list of floats its simplex keeps, which the objective
+    must not change. What it leaves out is scipy's per-call wrapping and
+    per-iteration result and callback, and a convergence scan that reads
+    every value and coordinate when the first ones already fail. Returns
+    the best vertex and its value.
     """
-    nfev = 0
-
-    def f(vertex: list) -> float:
-        nonlocal nfev
-        nfev += 1
-        return objective(vertex)
-
     n = len(start)
     x0 = list(start)
     sim = [x0]
@@ -384,7 +446,7 @@ def minimize(objective, start: list, maxiter: int) -> SimplexResult:
         vertex = list(x0)
         vertex[k] = (1 + 0.05) * v if v != 0 else 0.00025
         sim.append(vertex)
-    fsim = [f(v) for v in sim]
+    fsim = yield sim
     for _ in range(2):  # scipy sorts the first simplex twice
         order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
@@ -400,35 +462,34 @@ def minimize(objective, start: list, maxiter: int) -> SimplexResult:
         xbar = [a / n for a in xbar]
         worst = sim[-1]
         xr = [2 * a - b for a, b in zip(xbar, worst)]
-        fxr = f(xr)
+        (fxr,) = yield [xr]
         shrink = False
         if fxr < f_best:
             xe = [3 * a - 2 * b for a, b in zip(xbar, worst)]
-            fxe = f(xe)
+            (fxe,) = yield [xe]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-1]:
             xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
-            fxc = f(xc)
+            (fxc,) = yield [xc]
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 shrink = True
         else:
             xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
-            fxcc = f(xcc)
+            (fxcc,) = yield [xcc]
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
                 shrink = True
         if shrink:
-            for j in range(1, n + 1):
-                sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
-                fsim[j] = f(sim[j])
+            sim[1:] = [[a + 0.5 * (b - a) for a, b in zip(best, v)] for v in sim[1:]]
+            fsim[1:] = yield sim[1:]
         order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    return SimplexResult(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev)
+    return sim[0], float(np.min(fsim))
 
 
 def _argsort(values: list) -> list:
@@ -448,12 +509,12 @@ def _argsort(values: list) -> list:
 def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
     """Train squared-exponential hyperparameters by marginal-likelihood maximization.
 
-    Runs one :func:`minimize` per start in log-parameter space from
-    ``restarts`` starting points (the data-scaled start first, then
-    randomized ones), each the Nelder-Mead search scipy would run with
-    ``xatol=1e-6``, ``fatol=1e-9`` and ``maxiter = 400 * parameters``, and
-    keeps the best optimum found inside the scaled hyperparameter box.
-    Deterministic given ``rng_seed``.
+    Runs one :func:`minimize` in log-parameter space over ``restarts``
+    starting points (the data-scaled start first, then randomized ones),
+    each restart the Nelder-Mead search scipy would run with ``xatol=1e-6``,
+    ``fatol=1e-9`` and ``maxiter = 400 * parameters``, and keeps the first
+    best optimum found inside the scaled hyperparameter box. Deterministic
+    given ``rng_seed``.
 
     The box and the starts come from one :func:`_search_setup` call, each
     start a list of floats, the vertex type :func:`minimize` keeps and
@@ -465,20 +526,13 @@ def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
         raise DomainError("restarts must be >= 1")
     rng = np.random.default_rng(rng_seed)
     lo, hi, starts = _search_setup(data, restarts, rng)
-    objective = _negative_lml(data, lo, hi)
-    best_val = np.inf
-    best_params = None
-    for start in starts:
-        res = minimize(objective, start, 400 * len(start))
-        # a vertex outside the box scores inf, so a finite res.fun has res.x inside it
-        if res.fun < best_val:
-            best_val = res.fun
-            best_params = res.x
-    if best_params is None:
+    res = minimize(_negative_lml(data, lo, hi), starts, 400 * len(starts[0]))
+    # a vertex outside the box scores inf, so a finite res.fun has res.x inside it
+    if not res.fun < np.inf:
         raise ConditioningError("no restart produced a finite marginal likelihood")
     kernel = KernelSpec(
         kind=SQUARED_EXPONENTIAL,
-        lengthscales=np.exp(best_params[:-1]),
-        signal_variance=float(np.exp(best_params[-1])),
+        lengthscales=np.exp(res.x[:-1]),
+        signal_variance=float(np.exp(res.x[-1])),
     )
     return TrainedGP.from_params(data, kernel)

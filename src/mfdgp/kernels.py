@@ -95,15 +95,17 @@ def _scaled_kernel_matrix(kind: str, signal_variance: float, xa, xb=None) -> np.
 
     Trusted core: it checks nothing. Its caller vouches for a known ``kind``
     and a finite positive ``signal_variance``, and scans the result where the
-    scaled inputs can overflow.
+    scaled inputs can overflow. Inputs may carry leading batch axes, (k, n,
+    d), with ``signal_variance`` shaped to broadcast against the (k, n, m)
+    result: each slice gets the very floats of its own 2-D call.
     """
-    norms_a = (xa**2).sum(axis=1)
+    norms_a = (xa**2).sum(axis=-1)
     if xb is None:
         xb, norms_b = xa, norms_a
     else:
-        norms_b = (xb**2).sum(axis=1)
+        norms_b = (xb**2).sum(axis=-1)
     # squared distances via the expanded form; clip tiny negatives from cancellation
-    sq = norms_a[:, None] + norms_b[None, :] - 2.0 * xa @ xb.T
+    sq = norms_a[..., :, None] + norms_b[..., None, :] - 2.0 * xa @ xb.swapaxes(-1, -2)
     np.maximum(sq, 0.0, out=sq)
     if kind == SQUARED_EXPONENTIAL:
         sq *= -0.5

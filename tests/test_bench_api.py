@@ -42,7 +42,8 @@ def test_every_trace_target_resolves():
 def test_fit_builds_only_its_final_model_through_the_traced_attributes(monkeypatch):
     # the simplex vertices run the trusted cores, and gp._lml, looked up as a
     # module attribute, scores each vertex that factorizes; the traced public
-    # entries see only the winner's checked build, and gp.minimize every search
+    # entries see only the winner's checked build, and gp.minimize each fit's
+    # one lock-step search, whose nfev sums the restarts' own
     calls = {"kernel_matrix": 0, "from_params": 0, "log_marginal_likelihood": 0, "_lml": 0}
     nfev = []
 
@@ -69,7 +70,10 @@ def test_fit_builds_only_its_final_model_through_the_traced_attributes(monkeypat
     x = rng.uniform(size=(6, 2))
     data = gp.GPDataset(inputs=x, targets=np.sin(3.0 * x.sum(axis=1)), noise_variance=1e-4)
     gp.fit(data, restarts=2, rng_seed=0)
-    assert len(nfev) == 2
+    assert len(nfev) == 1
     assert 100 < calls["_lml"] <= sum(nfev)
     assert calls["kernel_matrix"] == calls["from_params"] == 1
     assert calls["log_marginal_likelihood"] == 0
+    lo, hi, starts = gp._search_setup(data, 2, np.random.default_rng(0))
+    objective = gp._negative_lml(data, lo, hi)
+    assert nfev[0] == sum(gp_minimize(objective, [s], 400 * len(s)).nfev for s in starts)

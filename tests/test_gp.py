@@ -351,7 +351,7 @@ def test_from_params_raises_on_overflowing_alpha():
     with pytest.raises(ConditioningError, match="not finite"):
         gp.TrainedGP.from_params(data, kernel)
     lo, hi = np.full(2, -10.0), np.full(2, 10.0)
-    assert gp._negative_lml(data, lo, hi)(np.log([0.5, 1.0])) == np.inf
+    assert gp._negative_lml(data, lo, hi)([np.log([0.5, 1.0])])[0] == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,8 @@ def parity_gp(n, seed):
 
 def reference_factor(model):
     K = kernel_matrix(model.kernel, model.dataset.inputs)
-    return cholesky(K + model.dataset.noise_variance * np.eye(model.dataset.n), lower=True)
+    n = model.dataset.inputs.shape[0]
+    return cholesky(K + model.dataset.noise_variance * np.eye(n), lower=True)
 
 
 @pytest.mark.parametrize("n", PARITY_SIZES)
@@ -616,7 +617,8 @@ def test_objective_matches_the_checked_reference_on_a_corpus():
         # both objectives overflow on the way at many of these vertices
         quiet = name in ("overflowing-alpha", "flat-huge")
         with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
-            scores = [(reference_nm_objective(v, data, lo, hi), objective(v)) for v in vertices]
+            scores = [(reference_nm_objective(v, data, lo, hi), objective([v])[0])
+                      for v in vertices]
         for v, (expected, got) in zip(vertices, scores):
             assert got == expected or (np.isnan(got) and np.isnan(expected)), (name, v)
             inside = bool(np.all((lo <= v) & (v <= hi)))
@@ -624,6 +626,60 @@ def test_objective_matches_the_checked_reference_on_a_corpus():
             inf_inside += inside and expected == np.inf
     assert scored > 1500  # most vertices are scored, not refused
     assert inf_inside > 0  # and some in-box vertices fail to factorize or overflow
+
+
+def overflow_mix_data():
+    """A flat dimension at 3e152: in-box vertices both score and overflow.
+
+    Its range falls back to 1.0, so the box's lengthscales run from 1e-3 to
+    3. At the longest ones the scaled norms are about 1e304; below about
+    0.03 they or their pairwise sums overflow, and the covariance is not
+    finite.
+    """
+    return gp.GPDataset(inputs=[[3e152, 0.0], [3e152, 0.5], [3e152, 1.0]],
+                        targets=[0.0, 1.0, 0.5], noise_variance=1e-8)
+
+
+def test_a_vertex_scores_the_same_alone_and_in_any_batch(monkeypatch):
+    # the objective builds a round's covariances as one batch: one vertex's
+    # refusal, ladder, overflow or blown alpha must not move another's score
+    ladders = []
+    factorize = gp._factorize
+
+    def counted_factorize(K, noise_variance):
+        ladders.append(K.shape)
+        return factorize(K, noise_variance)
+
+    monkeypatch.setattr(gp, "_factorize", counted_factorize)
+    cases, rng = parity_corpus()
+    cases.append(("overflow-mix", overflow_mix_data()))
+    mixed = {"out-of-box": 0, "ladder": 0, "in-box inf": 0}
+    for name, data in cases:
+        if name == "overflowing-alpha":
+            lo, hi = np.full(2, -10.0), np.full(2, 10.0)
+        else:
+            lo, hi = objective_box(data)
+        objective = gp._negative_lml(data, lo, hi)
+        vertices = [v.tolist() for v in box_vertices(lo, hi, rng)]
+        if name == "overflowing-alpha":
+            vertices.append(np.log([0.5, 1.0]).tolist())
+        quiet = name in ("overflowing-alpha", "flat-huge", "overflow-mix")
+        with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+            expected = [reference_nm_objective(np.array(v), data, lo, hi) for v in vertices]
+            alone = [objective([v])[0] for v in vertices]
+            del ladders[:]
+            batch = objective(vertices)
+            batch_ladders = len(ladders)
+            backwards = objective(vertices[::-1])[::-1]
+        for scores in (alone, batch, backwards):
+            assert np.array(scores).tobytes() == np.array(expected).tobytes(), name
+        # what this batch mixes with finite scores
+        if np.isfinite(expected).any():
+            inside = [bool(np.all((lo <= v) & (v <= hi))) for v in np.array(vertices)]
+            mixed["out-of-box"] += not all(inside)
+            mixed["ladder"] += batch_ladders > 0
+            mixed["in-box inf"] += any(i and e == np.inf for i, e in zip(inside, expected))
+    assert min(mixed.values()) > 0, mixed
 
 
 def test_corpus_reaches_each_check_the_objective_keeps():
@@ -634,13 +690,13 @@ def test_corpus_reaches_each_check_the_objective_keeps():
     lo, hi = objective_box(near)
     K = kernel_matrix(KernelSpec("squared-exponential", np.exp(hi[:-1]), 1.0), near.inputs)
     assert dpotrf(K, lower=1)[1] > 0
-    assert np.isfinite(gp._negative_lml(near, lo, hi)(hi))
+    assert np.isfinite(gp._negative_lml(near, lo, hi)([hi])[0])
     # _factorize's finite scan: the flat huge dimension overflows the covariance
     huge = data["flat-huge"]
     lo, hi = objective_box(huge)
     with np.errstate(over="ignore", invalid="ignore"):
         K = _scaled_kernel_matrix("squared-exponential", 1.0, huge.inputs / np.exp(hi[:-1]))
-        assert gp._negative_lml(huge, lo, hi)(hi) == np.inf
+        assert gp._negative_lml(huge, lo, hi)([hi])[0] == np.inf
     with pytest.raises(ConditioningError, match="non-finite"):
         gp._factorize(K, 0.0)
     # the alpha scan: the solves overflow
@@ -685,14 +741,65 @@ def test_fit_matches_a_fit_driven_by_the_reference_objective(seed, monkeypatch):
     model = gp.fit(data, restarts=3, rng_seed=seed)
     monkeypatch.setattr(
         gp, "_negative_lml",
-        # the reference scores each vertex as the array it used to take
-        lambda data, lo, hi: lambda v: reference_nm_objective(np.array(v), data, lo, hi),
+        # the reference scores each vertex of a round, as the array it used to take
+        lambda data, lo, hi: lambda vertices: [
+            reference_nm_objective(np.array(v), data, lo, hi) for v in vertices
+        ],
     )
     reference = gp.fit(data, restarts=3, rng_seed=seed)
     assert np.array_equal(model.kernel.lengthscales, reference.kernel.lengthscales)
     assert model.kernel.signal_variance == reference.kernel.signal_variance
     assert np.array_equal(model.chol_factor, reference.chol_factor)
     assert np.array_equal(model.alpha, reference.alpha)
+
+
+def first_best(results):
+    """The one-start result a fit keeps: the first whose value is lowest below ``inf``."""
+    best, best_fun = results[0], np.inf
+    for res in results:
+        if res.fun < best_fun:
+            best, best_fun = res, res.fun
+    return best
+
+
+def test_lock_step_restarts_equal_their_one_start_runs():
+    cases, _ = parity_corpus()
+    cases.append(("one-point", gp.GPDataset(inputs=[[0.3, -2.0]], targets=[1.5],
+                                            noise_variance=1e-8)))
+    staggered = not_first = 0
+    for name, data in cases:
+        if name == "overflowing-alpha":
+            continue  # fit refuses this box before it draws a start
+        lo, hi, starts = search_setup(data, 4, np.random.default_rng(7))
+        objective = gp._negative_lml(data, lo, hi)
+        maxiter = 400 * len(starts[0])
+        # every vertex of flat-huge overflows on the way to inf
+        quiet = name == "flat-huge"
+        with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+            together = gp.minimize(objective, starts, maxiter)
+            alone = [gp.minimize(objective, [start], maxiter) for start in starts]
+        best = first_best(alone)
+        assert together.x.tobytes() == best.x.tobytes(), name
+        assert np.float64(together.fun).tobytes() == np.float64(best.fun).tobytes(), name
+        assert together.nfev == sum(res.nfev for res in alone), name
+        # restarts that score different vertex counts stop on different rounds
+        staggered += len({res.nfev for res in alone}) > 1
+        not_first += best is not alone[0]
+    assert staggered > 40 and not_first > 0
+
+
+def test_fit_raises_when_every_vertex_scores_inf():
+    # a flat dimension at 3e154: the scaled norms are finite at the box's
+    # longest lengthscales, so the box is accepted, but from 1e308 up their
+    # pairwise sums overflow and no covariance in the box is finite
+    data = gp.GPDataset(inputs=[[3e154, 0.0], [3e154, 1.0]], targets=[0.0, 1.0],
+                        noise_variance=0.0)
+    lo, hi, starts = gp._search_setup(data, 2, np.random.default_rng(0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = gp.minimize(gp._negative_lml(data, lo, hi), starts, 400 * len(starts[0]))
+        assert res.fun == np.inf and res.nfev > len(starts) * len(starts[0])
+        with pytest.raises(ConditioningError, match="no restart produced a finite"):
+            gp.fit(data, restarts=2, rng_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +826,11 @@ def test_minimize_matches_scipy_nelder_mead_bit_for_bit():
         def scored(v):
             key = np.asarray(v).tobytes()
             if key not in scores:
-                scores[key] = objective(v)
+                scores[key] = objective([v])[0]
             return scores[key]
+
+        def scored_round(vertices):
+            return [scored(v) for v in vertices]
 
         # every vertex of flat-huge overflows on the way to inf
         quiet = name == "flat-huge"
@@ -729,7 +839,7 @@ def test_minimize_matches_scipy_nelder_mead_bit_for_bit():
             assert name != "one-point" or start[-1] == 0
             maxiter = 400 * len(start)
             with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
-                got = gp.minimize(scored, start, maxiter)
+                got = gp.minimize(scored_round, [start], maxiter)
                 expected = scipy_minimize(
                     scored, start, method="Nelder-Mead",
                     options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": maxiter},
