@@ -16,9 +16,9 @@ surrogate Peclet map makes N grow with coil radius and shrink with pitch,
 so the optimization landscape rewards tightly wound, low-pitch coils.
 
 ``scipy.optimize`` is imported inside :func:`fit_tanks_in_series`, not at
-module level: it takes about half of the CLI's import time, and ``init``
-and ``report`` never fit a curve. A campaign loads it anyway, through the
-``scipy.stats`` import of its first Latin-hypercube draw.
+module level: it takes about half of the CLI's import time, and ``init``,
+``report`` and a forrester campaign never fit a curve. A reactor-proxy
+campaign loads it at its first tank fit, inside its first objective call.
 """
 
 from __future__ import annotations

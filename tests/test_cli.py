@@ -497,16 +497,21 @@ def _run_fresh_interpreter(script, cwd):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def test_only_sampling_loads_scipy_stats(tmp_path):
+def test_a_forrester_campaign_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
+    # the samplers are in-house and scipy.optimize waits for a tank fit, so
+    # a campaign whose loop draws a Sobol pool loads neither, and
+    # validate-fidelity never loads scipy.stats
+    write_config(tmp_path / "c.ini", out=str(tmp_path / "out"))
     _run_fresh_interpreter(
-        "import sys\n"
-        "import numpy as np\n"
+        "import json, sys\n"
         "from mfdgp import cli\n"
-        f"assert cli.main(['validate-fidelity', '--out', {str(tmp_path / 'rtd')!r}]) == 0\n"
+        f"assert cli.main(['run', '--config', {str(tmp_path / 'c.ini')!r}]) == 0\n"
+        f"lines = open({str(tmp_path / 'out' / 'records.jsonl')!r}).read().splitlines()\n"
+        "assert any(json.loads(line).get('phase') == 'bo-loop' for line in lines)\n"
         "assert 'scipy.stats' not in sys.modules\n"
-        "from mfdgp.space import DesignSpace\n"
-        "DesignSpace([0.0], [1.0]).sample_lhs(3, np.random.default_rng(0))\n"
-        "assert 'scipy.stats' in sys.modules\n",
+        "assert 'scipy.optimize' not in sys.modules\n"
+        f"assert cli.main(['validate-fidelity', '--out', {str(tmp_path / 'rtd')!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules\n",
         tmp_path,
     )
 
