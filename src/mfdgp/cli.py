@@ -7,7 +7,9 @@ Exit 2 covers:
 
 * a flag the subcommand does not take, or ``run`` without ``--config``;
 * ``init`` on an existing file without ``--force``;
-* a config file that is not UTF-8, or any config value that fails its checks;
+* a config file that is not UTF-8, that holds an unknown section or key
+  (a ``[DEFAULT]`` section with any key is one), or any config value that
+  fails its checks;
 * a ``--budget`` that is not finite and >= 0;
 * a ``--geometry`` outside the reactor's design box;
 * a file that cannot be read or written: a missing config or log, or an

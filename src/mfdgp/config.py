@@ -1,7 +1,9 @@
 """Campaign configuration: sectioned key/value text files.
 
 The format is INI-style with three sections. Unknown sections or keys are
-errors (fail-closed), so typos cannot silently fall back to defaults.
+errors (fail-closed), so typos cannot silently fall back to defaults; a
+``[DEFAULT]`` section holding any key is unknown too. Values are literal:
+``%`` is never interpolated, so ``out = runs/%(seed)s`` names that path.
 ``cmd_init`` writes a fully commented template that parses back equal to
 the built-in defaults.
 
@@ -116,7 +118,7 @@ class CampaignConfig:
 
 def parse_config(path) -> CampaignConfig:
     """Read a UTF-8 config file into a checked :class:`CampaignConfig`; unknown keys are errors."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
     except UnicodeDecodeError as exc:
@@ -124,6 +126,8 @@ def parse_config(path) -> CampaignConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
     payload = {}
     for section in parser.sections():
         if section not in _SCHEMA:

@@ -14,10 +14,12 @@ class DomainError(MfdgpError, ValueError):
 
 
 class ConditioningError(MfdgpError, RuntimeError):
-    """A matrix factorization failed even after jitter escalation.
+    """A factorization or a predictive variance that cannot be repaired.
 
-    Carries the jitter levels that were attempted so callers can report
-    how far the repair went before giving up.
+    Raised when a Cholesky factorization fails even after jitter
+    escalation, and when a GP predictive variance falls below the clamp
+    threshold, -1e-10. Carries the jitter levels that were attempted so
+    callers can report how far the repair went before giving up.
     """
 
     def __init__(self, message, jitter_levels=()):

@@ -7,19 +7,17 @@ maximizing the log marginal likelihood with a derivative-free simplex
 search in log-parameter space, from a data-scaled start and then
 scale-aware random ones. The search is the module's own :func:`minimize`,
 which takes scipy's Nelder-Mead steps in scipy's order on Python floats,
-so each restart lands on the very vertex scipy's would, without scipy's
-per-call and per-iteration machinery and without importing
-``scipy.optimize``. It runs a fit's restarts in lock step: each round
-scores the vertices that every running restart needs next in one call of
-the objective, which builds their kernel matrices as one batch. It keeps
-the name ``minimize``, which benchmark tracing wraps to count each fit's
-evaluations. Training always fits a squared-exponential kernel; a
-Matérn-5/2 :class:`~mfdgp.kernels.KernelSpec` can still be factorized and
-predicted from with :meth:`TrainedGP.from_params`.
+so each restart lands on the very vertex scipy's would. It runs a fit's
+restarts in lock step: each round scores the vertices that every running
+restart needs next in one call of the objective, which builds their
+kernel matrices as one batch. It keeps the name ``minimize``, which
+benchmark tracing wraps to count each fit's evaluations. Training always
+fits a squared-exponential kernel; a Matérn-5/2
+:class:`~mfdgp.kernels.KernelSpec` can still be factorized and predicted
+from with :meth:`TrainedGP.from_params`.
 
 The factorization and the triangular solves call LAPACK ``potrf`` and
-``trtrs`` directly: on the 1-32 row matrices the training loop builds,
-scipy's general wrappers cost many times the LAPACK work.
+``trtrs`` directly.
 
 Each check has one owner, and the code past it trusts it:
 
@@ -40,7 +38,8 @@ Each check has one owner, and the code past it trusts it:
   at shorter lengthscales) and the jitter ladder; :func:`_trtrs`: LAPACK's
   ``info``; :func:`_alpha`: a finite alpha.
 * :func:`predict`: finite operands of its triangular solve
-  (:func:`_solve_lower`), since no dataset check covers ``k_star``.
+  (:func:`_solve_lower`), since no dataset check covers ``k_star``, and
+  a predictive variance no lower than the clamp threshold.
 
 A Nelder-Mead vertex is the list of floats :func:`minimize` keeps, handed
 to the objective as it is, in the list of one round's vertices. The
@@ -225,40 +224,17 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
     Returns
     -------
     mean, variance : ndarray, shape (m,)
-        Variances are clamped to >= 0; values below -1e-10 that survive a
-        truncated-spectral recomputation raise a conditioning error rather
-        than being silently repaired.
+        The variance is ``sv - ||v||^2`` with ``v = L^-1 k_star``. Values in
+        [-1e-10, 0) are rounding noise and clamped to 0; a value below
+        -1e-10 raises a conditioning error rather than being repaired.
     """
     k_star = kernel_matrix(gp.kernel, gp.dataset.inputs, queries)
     mean = k_star.T @ gp.alpha
     v = _solve_lower(gp.chol_factor, k_star)
     variance = gp.kernel.signal_variance - (v**2).sum(axis=0)
-    low = float(variance.min()) if variance.size else 0.0
-    if low < -_VAR_CLAMP:
-        variance = _spectral_variance(gp, k_star)
-        low = float(np.min(variance))
-        if low < -_VAR_CLAMP:
-            raise ConditioningError(f"predictive variance {low} below clamp threshold")
+    if variance.size and variance.min() < -_VAR_CLAMP:
+        raise ConditioningError(f"predictive variance {variance.min()} below clamp threshold")
     return mean, np.maximum(variance, 0.0, out=variance)
-
-
-def _spectral_variance(gp: TrainedGP, k_star: np.ndarray) -> np.ndarray:
-    """Quadratic-form variance via a truncated eigendecomposition.
-
-    On severely ill-conditioned systems the Cholesky route loses enough
-    precision for sv - ||v||^2 to dip visibly negative. Discarding
-    eigenvalues below machine precision times the largest (a truncated
-    pseudo-inverse) never overshoots the quadratic form, so the result is
-    nonnegative up to rounding.
-    """
-    K = kernel_matrix(gp.kernel, gp.dataset.inputs)
-    A = K + gp.dataset.noise_variance * np.eye(K.shape[0])
-    w, u = np.linalg.eigh(0.5 * (A + A.T))
-    cutoff = np.finfo(np.float64).eps * float(np.max(w)) * K.shape[0]
-    keep = w > cutoff
-    proj = u[:, keep].T @ k_star
-    quad = np.sum(proj**2 / w[keep, None], axis=0)
-    return gp.kernel.signal_variance - quad
 
 
 def _search_setup(

@@ -126,22 +126,31 @@ def read_header(path) -> dict:
     return header
 
 
+def _is_number(value) -> bool:
+    """Whether a decoded JSON value is a number: an int or a float, not a bool or a string."""
+    return type(value) in (int, float)
+
+
 def _record_from_payload(payload: dict, line_no: int, levels: dict) -> EvaluationRecord:
     """The record of one eval line, holding the ladder's own level object."""
     index, nominal, phase = payload.get("level"), payload.get("nominal"), payload.get("phase")
     if type(index) is not int or index not in levels:  # JSON true is a bool, 1.0 a float
         raise CorruptLogError(f"level {index!r} is not on the ladder", line_no)
     level = levels[index]
-    if type(nominal) not in (int, float) or nominal != level.nominal:
+    if not _is_number(nominal) or nominal != level.nominal:
         raise CorruptLogError(
             f"nominal {nominal!r} is not level {index}'s {level.nominal!r}", line_no
         )
+    x, y, cost = payload.get("x"), payload.get("y"), payload.get("cost")
+    if not (_is_number(y) and _is_number(cost) and type(x) is list and all(map(_is_number, x))):
+        message = f"x {x!r} must be a list of numbers, y {y!r} and cost {cost!r} numbers"
+        raise CorruptLogError(message, line_no)
     try:
         rec = EvaluationRecord(
-            x=np.asarray(payload["x"], dtype=np.float64),
+            x=np.asarray(x, dtype=np.float64),
             level=level,
-            y=payload["y"],
-            cost=payload["cost"],
+            y=y,
+            cost=cost,
             iteration=payload["iteration"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -163,7 +172,8 @@ def replay(path, ladder, dimension: int) -> CampaignState:
     Its ``iteration`` must be an int >= 0 with the ``phase`` it implies, and
     the ledger's next, as :func:`~mfdgp.campaign.resume` numbers them: 0
     before the first loop record, else the last iteration plus one. Its
-    ``x`` must have the objective's ``dimension``, and
+    ``y`` and ``cost`` must be JSON numbers (not bools or strings), its
+    ``x`` a list of them of the objective's ``dimension``, and
     :class:`EvaluationRecord` checks the values. Any other line raises
     ``CorruptLogError`` naming its number.
     """
@@ -183,7 +193,7 @@ def replay(path, ladder, dimension: int) -> CampaignState:
             state.error = payload.get("message")
         elif payload["type"] == "summary":
             total = payload.get("budget_total")
-            if type(total) not in (int, float) or not 0 <= total <= _FLOAT_MAX:
+            if not _is_number(total) or not 0 <= total <= _FLOAT_MAX:
                 raise CorruptLogError(f"budget_total {total!r} is not finite and >= 0", i)
             state.budget_total = float(total)
     return state

@@ -51,10 +51,6 @@ class MultiFidelityObjective(ABC):
     def evaluate(self, x, level) -> tuple[float, float]:
         """Return (value, cost) for the design point x at the given level."""
 
-    def known_optimum(self):
-        """(x*, f*) when the true optimum is known, else None."""
-        return None
-
     def resolve_level(self, level) -> FidelityLevel:
         idx = level.index if isinstance(level, FidelityLevel) else int(level)
         for lv in self.ladder:

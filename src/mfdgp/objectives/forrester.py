@@ -41,6 +41,7 @@ class ForresterFamily(MultiFidelityObjective):
         return float(value), self.base_costs[lv.index - 1]
 
     def known_optimum(self):
+        """(x*, f*) of the top-fidelity function, the best of a 10,001-point grid."""
         xs = np.linspace(0.0, 1.0, 10_001)
         vals = forrester_high(xs)
         i = int(np.argmax(vals))

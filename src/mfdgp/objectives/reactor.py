@@ -286,16 +286,6 @@ def write_rtd_csv(curve: RTDCurve, path) -> None:
         )
 
 
-def read_rtd_csv(path) -> RTDCurve:
-    """Parse a curve written by :func:`write_rtd_csv`."""
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["theta", "e_theta"]:
-        raise DomainError(f"{path} is not an RTD CSV")
-    data = np.asarray([[float(a), float(b)] for a, b in rows[1:]])
-    return RTDCurve(theta=data[:, 0], e_theta=data[:, 1])
-
-
 class ReactorProxyObjective(MultiFidelityObjective):
     """Plug-flow tank count as a maximization objective over coil geometry.
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfdgp import cli, dgp
+from mfdgp import acquisition, cli, dgp, gp
 from mfdgp.dgp import default_ladder
 from mfdgp import logio
 from mfdgp.errors import ConditioningError
@@ -189,9 +189,11 @@ REACTOR_BOX = "[space]\nlower = 5.0, 1.5, 4.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0
         "[campaign]\nobjective = reactor-proxy\n"
         "[space]\nlower = 5.0, 1.5, 3.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0\n",
         b"[campaign]\nobjective = forrester5\n" + FORRESTER_BOX.encode() + b"# caf\xe9\n",
+        "[DEFAULT]\nbudget = 5\nbogus = 1\n",
     ],
     ids=["decreasing-nominals", "nominal-above-1", "zero-base-cost", "nan-bound",
-         "reactor-3-levels", "upper-outside-box", "reactor-lower-outside-box", "not-utf-8"],
+         "reactor-3-levels", "upper-outside-box", "reactor-lower-outside-box", "not-utf-8",
+         "default-section-only"],
 )
 def test_values_the_built_objects_reject_exit_2(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)
@@ -202,6 +204,16 @@ def test_values_the_built_objects_reject_exit_2(tmp_path, monkeypatch, capsys, t
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not Path("campaign-out").exists()
     assert Path("c.ini").read_bytes() == raw
+
+
+@pytest.mark.parametrize("out", ["runs/100%done", "runs/%(seed)s"])
+def test_percent_in_out_is_a_literal_directory(tmp_path, monkeypatch, out):
+    # no interpolation: %(seed)s names neither the file's seed nor --seed's
+    monkeypatch.chdir(tmp_path)
+    write_config(Path("c.ini"), n=1, budget=1.0, seed=4, out=out)
+    assert cli.main(["run", "--config", "c.ini", "--seed", "3"]) == 0
+    assert [p.name for p in Path("runs").iterdir()] == [Path(out).name]
+    assert len(eval_lines(Path(out) / "records.jsonl")) == 5
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -215,7 +227,7 @@ def test_seed_flag_overrides_config(tmp_path):
     )
 
 
-def test_training_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, capsys):
+def _fail_in_training(monkeypatch):
     # the 2nd training call (loop iteration 2) fails to factorize
     train = dgp.train
     calls = {"n": 0}
@@ -227,6 +239,36 @@ def test_training_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, ca
         return train(*args, **kwargs)
 
     monkeypatch.setattr(dgp, "train", failing_train)
+
+
+def _fail_in_acquisition(monkeypatch):
+    # one gp.predict call inside the 2nd UCB solve (loop iteration 2) fails
+    solve_ucb, predict = acquisition.solve_ucb, gp.predict
+    calls = {"solves": 0, "raised": False}
+
+    def counting_solve_ucb(*args, **kwargs):
+        calls["solves"] += 1
+        return solve_ucb(*args, **kwargs)
+
+    def failing_predict(*args, **kwargs):
+        if calls["solves"] == 2 and not calls["raised"]:
+            calls["raised"] = True
+            raise ConditioningError("forced variance below clamp threshold")
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(acquisition, "solve_ucb", counting_solve_ucb)
+    monkeypatch.setattr(gp, "predict", failing_predict)
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [(_fail_in_training, "forced factorization failure"),
+     (_fail_in_acquisition, "forced variance below clamp threshold")],
+    ids=["dgp.train", "gp.predict"],
+)
+def test_training_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, capsys, fail,
+                                                       message):
+    fail(monkeypatch)
     cfg = tmp_path / "c.ini"
     write_config(cfg, budget=58.0, out=str(tmp_path / "out"))
     log = tmp_path / "out" / "records.jsonl"
@@ -234,12 +276,12 @@ def test_training_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, ca
     assert "Traceback" not in capsys.readouterr().err
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert [p["type"] for p in lines[-2:]] == ["error", "summary"]
-    assert "forced factorization failure" in lines[-2]["message"]
+    assert message in lines[-2]["message"]
     assert len(eval_lines(log)) == 16  # 15 initial + 1 loop evaluation
     assert lines[-1]["model_best"] is not None  # the final model trained
 
     # resuming from the failed log finishes the same campaign
-    monkeypatch.setattr(dgp, "train", train)
+    monkeypatch.undo()
     assert cli.main(["resume", "--log", str(log), "--budget", "0.0"]) == 0
     write_config(cfg, budget=58.0, out=str(tmp_path / "full"))
     assert cli.main(["run", "--config", str(cfg)]) == 0
@@ -409,6 +451,13 @@ REFUSED_LOG_EDITS = {
     "summary-total-inf": (_fields(7, budget_total=float("inf")), 7),
     "summary-total-huge-int": (_fields(7, budget_total=10**400), 7),
     "y-huge-int": (_fields(3, y=10**400), 3),
+    "y-true": (_fields(3, y=True), 3),
+    "y-string": (_fields(3, y="1.5"), 3),
+    "cost-true": (_fields(3, cost=True), 3),
+    "cost-string": (_fields(3, cost="2"), 3),
+    "x-true": (_fields(2, x=True), 2),
+    "x-scalar": (_fields(2, x=0.5), 2),
+    "x-string-element": (_fields(2, x=["0.5"]), 2),
 }
 
 

@@ -295,37 +295,23 @@ def test_fit_trains_just_inside_the_scaled_norm_refusal():
 
 
 # Zero noise and a near-duplicate input pair: the Cholesky route's variance
-# sv - ||v||^2 falls far below -1e-10 on the query grid, so predict recomputes
-# it from the truncated eigendecomposition (_spectral_variance).
-_SPECTRAL_GRID = np.linspace(0.0, 1.0, 11)[:, None]
+# sv - ||v||^2 falls far below -1e-10 on the query grid, so predict raises.
+_CLAMP_GRID = np.linspace(0.0, 1.0, 11)[:, None]
 
 
-def _cholesky_route_variance(model):
-    k_star = kernel_matrix(model.kernel, model.dataset.inputs, _SPECTRAL_GRID)
-    v = gp._solve_lower(model.chol_factor, k_star)
-    return model.kernel.signal_variance - (v**2).sum(axis=0), k_star
-
-
-def test_predict_repairs_variance_through_the_spectral_fallback():
-    spec = KernelSpec(kind="squared-exponential", lengthscales=[0.2], signal_variance=1.0)
-    X = np.array([[0.2], [0.2 + 1e-8], [0.5], [0.9]])
-    model = make_gp(spec, X, np.cos(7 * X[:, 0]), 0.0)
-    chol_var, k_star = _cholesky_route_variance(model)
-    assert chol_var.min() < -1e-3
-    _, var = gp.predict(model, _SPECTRAL_GRID)
-    assert 0.0 <= var.min() and var.max() <= spec.signal_variance
-    np.testing.assert_array_equal(var, np.maximum(gp._spectral_variance(model, k_star), 0.0))
-
-
-def test_predict_raises_when_the_spectral_fallback_stays_negative():
-    spec = KernelSpec(kind="squared-exponential", lengthscales=[0.6], signal_variance=1.0)
-    X = np.array([[0.1], [0.1 + 3e-8]])
-    model = make_gp(spec, X, np.cos(7 * X[:, 0]), 0.0)
-    chol_var, k_star = _cholesky_route_variance(model)
-    assert chol_var.min() < -1e-5
-    assert gp._spectral_variance(model, k_star).min() < -1e-5
-    with pytest.raises(ConditioningError, match="below clamp threshold"):
-        gp.predict(model, _SPECTRAL_GRID)
+def test_predict_raises_when_the_cholesky_variance_is_below_the_clamp():
+    fixtures = [(0.2, [[0.2], [0.2 + 1e-8], [0.5], [0.9]], -1e-3),
+                (0.6, [[0.1], [0.1 + 3e-8]], -1e-5)]
+    for lengthscale, X, floor in fixtures:
+        spec = KernelSpec(kind="squared-exponential", lengthscales=[lengthscale],
+                          signal_variance=1.0)
+        X = np.array(X)
+        model = make_gp(spec, X, np.cos(7 * X[:, 0]), 0.0)
+        k_star = kernel_matrix(model.kernel, model.dataset.inputs, _CLAMP_GRID)
+        v = gp._solve_lower(model.chol_factor, k_star)
+        assert (spec.signal_variance - (v**2).sum(axis=0)).min() < floor
+        with pytest.raises(ConditioningError, match="below clamp threshold"):
+            gp.predict(model, _CLAMP_GRID)
 
 
 def test_factorize_failure_reports_jitter_levels():

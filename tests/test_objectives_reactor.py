@@ -253,7 +253,7 @@ def test_model_curve_formula_matches_scipy():
 
 
 # ---------------------------------------------------------------------------
-# RTD curve type and CSV round trip
+# RTD curve type and CSV export
 # ---------------------------------------------------------------------------
 
 
@@ -266,17 +266,6 @@ def test_rtd_curve_validation():
         reactor.RTDCurve(theta=[0.0, 1.0], e_theta=[-0.1, 2.1])  # negative density
     with pytest.raises(DomainError):
         reactor.RTDCurve(theta=[0.0, 1.0], e_theta=[5.0, 5.0])  # area far from 1
-
-
-def test_rtd_csv_round_trip(tmp_path):
-    curve = synthetic_curve(5.0, theta_max=4.0)
-    path = tmp_path / "rtd.csv"
-    reactor.write_rtd_csv(curve, path)
-    loaded = reactor.read_rtd_csv(path)
-    assert np.array_equal(loaded.theta, curve.theta)
-    assert np.array_equal(loaded.e_theta, curve.e_theta)
-    header = path.read_text().splitlines()[0]
-    assert header == "theta,e_theta"
 
 
 def test_rtd_csv_bytes_match_per_row_writer(tmp_path):
