@@ -260,15 +260,20 @@ def _fail_in_acquisition(monkeypatch):
     monkeypatch.setattr(gp, "predict", failing_predict)
 
 
-@pytest.mark.parametrize(
-    "fail, message",
-    [(_fail_in_training, "forced factorization failure"),
-     (_fail_in_acquisition, "forced variance below clamp threshold")],
-    ids=["dgp.train", "gp.predict"],
-)
-def test_training_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, capsys, fail,
-                                                       message):
-    fail(monkeypatch)
+def test_training_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, capsys):
+    _fail_in_training(monkeypatch)
+    _assert_exit_3_and_resume_completes(tmp_path, monkeypatch, capsys,
+                                        "forced factorization failure")
+
+
+def test_acquisition_failure_exits_3_and_resume_completes(tmp_path, monkeypatch, capsys):
+    _fail_in_acquisition(monkeypatch)
+    _assert_exit_3_and_resume_completes(tmp_path, monkeypatch, capsys,
+                                        "forced variance below clamp threshold")
+
+
+def _assert_exit_3_and_resume_completes(tmp_path, monkeypatch, capsys, message):
+    # the failure is patched in: the run stops in loop iteration 2 with exit 3
     cfg = tmp_path / "c.ini"
     write_config(cfg, budget=58.0, out=str(tmp_path / "out"))
     log = tmp_path / "out" / "records.jsonl"

@@ -299,19 +299,22 @@ def test_fit_trains_just_inside_the_scaled_norm_refusal():
 _CLAMP_GRID = np.linspace(0.0, 1.0, 11)[:, None]
 
 
-def test_predict_raises_when_the_cholesky_variance_is_below_the_clamp():
-    fixtures = [(0.2, [[0.2], [0.2 + 1e-8], [0.5], [0.9]], -1e-3),
-                (0.6, [[0.1], [0.1 + 3e-8]], -1e-5)]
-    for lengthscale, X, floor in fixtures:
-        spec = KernelSpec(kind="squared-exponential", lengthscales=[lengthscale],
-                          signal_variance=1.0)
-        X = np.array(X)
-        model = make_gp(spec, X, np.cos(7 * X[:, 0]), 0.0)
-        k_star = kernel_matrix(model.kernel, model.dataset.inputs, _CLAMP_GRID)
-        v = gp._solve_lower(model.chol_factor, k_star)
-        assert (spec.signal_variance - (v**2).sum(axis=0)).min() < floor
-        with pytest.raises(ConditioningError, match="below clamp threshold"):
-            gp.predict(model, _CLAMP_GRID)
+@pytest.mark.parametrize(
+    "lengthscale, X, floor",
+    [(0.2, [[0.2], [0.2 + 1e-8], [0.5], [0.9]], -1e-3),
+     (0.6, [[0.1], [0.1 + 3e-8]], -1e-5)],
+    ids=["four-points", "two-points"],
+)
+def test_predict_raises_when_the_cholesky_variance_is_below_the_clamp(lengthscale, X, floor):
+    spec = KernelSpec(kind="squared-exponential", lengthscales=[lengthscale],
+                      signal_variance=1.0)
+    X = np.array(X)
+    model = make_gp(spec, X, np.cos(7 * X[:, 0]), 0.0)
+    k_star = kernel_matrix(model.kernel, model.dataset.inputs, _CLAMP_GRID)
+    v = gp._solve_lower(model.chol_factor, k_star)
+    assert (spec.signal_variance - (v**2).sum(axis=0)).min() < floor
+    with pytest.raises(ConditioningError, match="below clamp threshold"):
+        gp.predict(model, _CLAMP_GRID)
 
 
 def test_factorize_failure_reports_jitter_levels():
