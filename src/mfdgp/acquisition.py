@@ -76,7 +76,7 @@ def solve_ucb(model: dgp.MFDeepGP, space: DesignSpace, beta: float, rng_seed: in
     point seen, inside the box.
     """
     draw_rng = substream(rng_seed, ACQUISITION, "draws")
-    base_draws = draw_rng.standard_normal((max(model.num_levels - 1, 1), dgp.ACQUISITION_SAMPLES))
+    base_draws = draw_rng.standard_normal((model.num_levels - 1, dgp.ACQUISITION_SAMPLES))
     pool_rng = substream(rng_seed, ACQUISITION, "pool")
     pool = space.sample_sobol(_POOL_SIZE, pool_rng)
     values = ucb_values(model, pool, beta, base_draws)

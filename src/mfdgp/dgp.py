@@ -66,8 +66,10 @@ class FidelityLevel:
 
 
 def ladder_from_nominals(nominals) -> list[FidelityLevel]:
-    """Build a fidelity ladder, checking that nominals strictly increase."""
+    """Build a fidelity ladder of at least one level, checking that nominals strictly increase."""
     values = [float(v) for v in nominals]
+    if not values:
+        raise DomainError("a fidelity ladder needs at least one nominal")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError(f"nominal fidelities must be strictly increasing, got {values}")
     return [FidelityLevel(index=i + 1, nominal=v) for i, v in enumerate(values)]
@@ -177,16 +179,10 @@ def train(data: MultiFidelityDataset, restarts: int, rng_seed: int, ladder=None)
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """The moments of one level of a propagation pass, and its per-draw moments.
-
-    ``sample_means``/``sample_variances`` hold the per-draw predictive
-    moments, shape (m, S); they are None at level 1, which is exact.
-    """
+    """The predictive moments of one level of a propagation pass, each of shape (m,)."""
 
     mean: np.ndarray
     variance: np.ndarray
-    sample_means: np.ndarray | None
-    sample_variances: np.ndarray | None
 
     @property
     def sigma(self) -> np.ndarray:
@@ -194,13 +190,14 @@ class LevelTrace:
         return np.sqrt(np.maximum(self.variance, 0.0))
 
 
-def point_draws(model: MFDeepGP, x, rng_seed: int, num_samples: int | None = None) -> np.ndarray:
-    """Base draws of one query point, shape (T-1, S), S defaulting to the model's.
+def point_draws(model: MFDeepGP, x, rng_seed: int) -> np.ndarray:
+    """Base draws of one query point, shape (T-1, S) with S = ``model.propagation_samples``.
 
     Row t-1 is ``substream(rng_seed, PROPAGATION, point_hash(x), t)``, so a
-    point's draws depend only on the seed and the point itself.
+    point's draws depend only on the seed and the point itself; another S
+    is ``dataclasses.replace(model, propagation_samples=S)``.
     """
-    S = model.propagation_samples if num_samples is None else int(num_samples)
+    S = model.propagation_samples
     rows = [
         substream(rng_seed, PROPAGATION, point_hash(x), t).standard_normal(S)
         for t in range(1, model.num_levels)
@@ -209,13 +206,15 @@ def point_draws(model: MFDeepGP, x, rng_seed: int, num_samples: int | None = Non
 
 
 def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
-    """Run the sampling recursion through every level; trace t-1 is level t's.
+    """Run the sampling recursion through every level; trace t-1 holds level t's moments.
 
     ``base_draws`` holds standard normals, at least T-1 rows of S columns;
     row t-1 samples the level-t predictive. Every query row uses the same
     draws (common random numbers), so downstream functions of the output
     are continuous in x, and a row's moments depend on the other rows of
-    the batch only through floating-point rounding.
+    the batch only through floating-point rounding. Only the mixture
+    moments are returned: a one-column pass, ``base_draws[:, [s]]``, gives
+    draw s's own predictive moments at every level.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     base_draws = np.atleast_2d(np.asarray(base_draws, dtype=np.float64))
@@ -228,11 +227,7 @@ def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
 
     m = X.shape[0]
     mean, variance = gp.predict(model.layers[0], X)
-    traces = [
-        LevelTrace(
-            mean=mean, variance=variance, sample_means=None, sample_variances=None,
-        )
-    ]
+    traces = [LevelTrace(mean=mean, variance=variance)]
     if top > 1:
         draws = mean[:, None] + np.sqrt(variance)[:, None] * base_draws[0]
     for t in range(2, top + 1):
@@ -241,13 +236,10 @@ def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
         # layer predictive = identity in the augmented coordinate + correction GP
         mus = draws + mu_flat.reshape(m, S)
         vars_ = var_flat.reshape(m, S)
-        mix_mean = np.mean(mus, axis=1)
-        mix_var = np.mean(vars_, axis=1) + np.var(mus, axis=1)
         if t < top:
             draws = mus + np.sqrt(vars_) * base_draws[t - 1]
         traces.append(
-            LevelTrace(
-                mean=mix_mean, variance=mix_var, sample_means=mus, sample_variances=vars_,
-            )
+            LevelTrace(mean=np.mean(mus, axis=1),
+                       variance=np.mean(vars_, axis=1) + np.var(mus, axis=1))
         )
     return traces

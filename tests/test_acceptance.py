@@ -7,6 +7,7 @@ come from the independent oracles defined here (dense-inverse GP algebra,
 scipy's gamma density, 10^4-point grid search).
 """
 
+import dataclasses
 import json
 import time
 
@@ -168,15 +169,31 @@ def test_criterion_4_monte_carlo_consistency():
     model = dgp.train(data, 2, 0)
     x = np.array([[0.37]])
 
-    decomposition_ok = True
-    for tr in dgp.propagate(model, x, dgp.point_draws(model, x, 1, 700))[1:]:
-        recomputed = np.mean(tr.sample_variances, axis=1) + np.var(tr.sample_means, axis=1)
-        decomposition_ok = decomposition_ok and abs(recomputed[0] - tr.variance[0]) <= 1e-12
+    def draw_moments(S, seed):
+        """The batched pass's traces, and each draw's own (means, variances) at
+        levels 2..T from independent one-column passes (one draw's mixture is itself)."""
+        sized = dataclasses.replace(model, propagation_samples=S)
+        draws = dgp.point_draws(sized, x, seed)
+        passes = [dgp.propagate(model, x, draws[:, [s]]) for s in range(S)]
+        per_draw = [
+            (np.array([p[t].mean[0] for p in passes]), np.array([p[t].variance[0] for p in passes]))
+            for t in range(1, model.num_levels)
+        ]
+        return dgp.propagate(model, x, draws), per_draw
 
-    a = dgp.propagate(model, x, dgp.point_draws(model, x, 11, 5000))[-1]
-    b = dgp.propagate(model, x, dgp.point_draws(model, x, 22, 5000))[-1]
-    se = np.sqrt(np.var(a.sample_means) / 5000) + np.sqrt(np.var(b.sample_means) / 5000)
-    gap = abs(a.mean[0] - b.mean[0])
+    traces, per_draw = draw_moments(700, 1)
+    decomposition_ok = all(
+        abs(np.mean(variances) + np.var(means) - tr.variance[0]) <= 1e-12
+        for tr, (means, variances) in zip(traces[1:], per_draw)
+    )
+
+    tops, ses = [], []
+    for seed in (11, 22):
+        traces, per_draw = draw_moments(5000, seed)
+        tops.append(traces[-1].mean[0])
+        ses.append(np.sqrt(np.var(per_draw[-1][0]) / 5000))
+    se = sum(ses)
+    gap = abs(tops[0] - tops[1])
     _criterion(
         4,
         f"variance decomposition recomputable <=1e-12 ({decomposition_ok}); "

@@ -190,10 +190,11 @@ REACTOR_BOX = "[space]\nlower = 5.0, 1.5, 4.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0
         "[space]\nlower = 5.0, 1.5, 3.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0\n",
         b"[campaign]\nobjective = forrester5\n" + FORRESTER_BOX.encode() + b"# caf\xe9\n",
         "[DEFAULT]\nbudget = 5\nbogus = 1\n",
+        "[fidelity]\nnominals = ,\n",
     ],
     ids=["decreasing-nominals", "nominal-above-1", "zero-base-cost", "nan-bound",
          "reactor-3-levels", "upper-outside-box", "reactor-lower-outside-box", "not-utf-8",
-         "default-section-only"],
+         "default-section-only", "empty-nominals"],
 )
 def test_values_the_built_objects_reject_exit_2(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)
@@ -635,11 +636,13 @@ def test_report_corrupt_log_exit_4(tmp_path):
      {"config": {"budget": 10**400}}, {"config": {"upper": [10**400]}},
      {"config": {"lower": ["0.5"]}}, {"config": {"beta": "2"}},
      {"config": {"objective": "reactor-proxy", "lower": [5.0, 1.5, 4.0, 0.0],
-                 "upper": [20.0, 4.0, 15.0, 1.0], "base_costs": ["1", "2", "4", "8", "16"]}}],
+                 "upper": [20.0, 4.0, 15.0, 1.0], "base_costs": ["1", "2", "4", "8", "16"]}},
+     {"config": {"nominals": []}}],
     ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch",
          "n-float", "n-bool", "seed-str", "beta-bool", "budget-bool", "lower-bool",
          "upper-bool", "upper-outside-box", "reactor-lower-outside-box",
-         "budget-huge-int", "upper-huge-int", "lower-str", "beta-str", "base-costs-str"],
+         "budget-huge-int", "upper-huge-int", "lower-str", "beta-str", "base-costs-str",
+         "empty-nominals"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,23 @@ from mfdgp.errors import DomainError, InsufficientDataError, ShapeError
 from mfdgp.streams import PROPAGATION, point_hash, substream
 
 
-def point_traces(model, x, rng_seed, num_samples=None):
+def point_traces(model, x, rng_seed):
     """Propagate one point with its own seeded draws (dgp.point_draws)."""
     x = np.atleast_2d(x)
-    return dgp.propagate(model, x, dgp.point_draws(model, x, rng_seed, num_samples))
+    return dgp.propagate(model, x, dgp.point_draws(model, x, rng_seed))
+
+
+def draw_moments(model, x, draws):
+    """Each draw's predictive (means, variances) at levels 2..T, shape (S,) each.
+
+    Taken from one-column passes, not from the batched pass: the mixture of
+    one draw is that draw's own moments (mean of one value, variance 0).
+    """
+    passes = [dgp.propagate(model, x, draws[:, [s]]) for s in range(draws.shape[1])]
+    return [
+        (np.array([p[t].mean[0] for p in passes]), np.array([p[t].variance[0] for p in passes]))
+        for t in range(1, model.num_levels)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +53,8 @@ def test_ladder_construction():
     assert [lv.nominal for lv in ladder] == [0.0, 0.25, 0.5, 0.75, 1.0]
     with pytest.raises(DomainError):
         dgp.ladder_from_nominals([0.0, 0.5, 0.5])
+    with pytest.raises(DomainError, match="at least one"):
+        dgp.ladder_from_nominals([])
     with pytest.raises(DomainError):
         dgp.FidelityLevel(index=0, nominal=0.0)
 
@@ -107,13 +124,17 @@ def test_level_one_is_plain_gp_bit_for_bit(five_level_model):
 
 def test_all_levels_shape_and_consistency(five_level_model):
     model = five_level_model
-    traces = point_traces(model, np.array([0.61]), 21)
+    x = np.array([[0.61]])
+    draws = dgp.point_draws(model, x, 21)
+    traces = dgp.propagate(model, x, draws)
     assert len(traces) == 5
+    assert [f.name for f in dataclasses.fields(dgp.LevelTrace)] == ["mean", "variance"]
+    assert all(tr.mean.shape == tr.variance.shape == (1,) for tr in traces)
     assert all(tr.sigma[0] >= 0 for tr in traces)
-    assert traces[0].sample_means is None and traces[0].sample_variances is None
-    shape = (1, model.propagation_samples)
-    assert all(tr.sample_means.shape == shape for tr in traces[1:])
-    assert all(tr.sample_variances.shape == shape for tr in traces[1:])
+    # every level's mixture mean is the mean of its draws' own means
+    for tr, (means, _) in zip(traces[1:], draw_moments(model, x, draws)):
+        assert means.shape == (model.propagation_samples,)
+        assert abs(np.mean(means) - tr.mean[0]) <= 1e-12
 
 
 def test_propagate_rows_do_not_depend_on_the_batch(five_level_model):
@@ -130,14 +151,16 @@ def test_propagate_rows_do_not_depend_on_the_batch(five_level_model):
 
 
 def test_point_draws_are_the_point_substreams(five_level_model):
-    model = five_level_model
+    model = dataclasses.replace(five_level_model, propagation_samples=50)
     x = np.array([0.27])
-    draws = dgp.point_draws(model, x, 21, 50)
+    draws = dgp.point_draws(model, x, 21)
     assert draws.shape == (4, 50)
     for t in range(1, 5):
         expected = substream(21, PROPAGATION, point_hash(x), t).standard_normal(50)
         assert np.array_equal(draws[t - 1], expected)
-    assert dgp.point_draws(model, x, 21).shape == (4, model.propagation_samples)
+    default = dgp.point_draws(five_level_model, x, 21)
+    assert default.shape == (4, five_level_model.propagation_samples)
+    assert np.array_equal(default[:, :50], draws)
 
 
 def test_propagate_needs_a_draw_row_per_lower_level(five_level_model):
@@ -151,23 +174,28 @@ def test_propagate_needs_a_draw_row_per_lower_level(five_level_model):
 
 
 def test_variance_decomposition_recomputable(five_level_model):
-    model = five_level_model
-    traces = point_traces(model, np.array([[0.44]]), 5, 800)
-    for tr in traces[1:]:
-        recomputed = np.mean(tr.sample_variances, axis=1) + np.var(tr.sample_means, axis=1)
-        assert abs(recomputed[0] - tr.variance[0]) <= 1e-12
+    # the batched mixture against the draws' own moments from one-column passes
+    model = dataclasses.replace(five_level_model, propagation_samples=800)
+    x = np.array([[0.44]])
+    draws = dgp.point_draws(model, x, 5)
+    traces = dgp.propagate(model, x, draws)
+    for tr, (means, variances) in zip(traces[1:], draw_moments(model, x, draws)):
+        recomputed = np.mean(variances) + np.var(means)
+        assert abs(recomputed - tr.variance[0]) <= 1e-12
 
 
 def test_monte_carlo_self_consistency(correlated_two_level):
     # two S = 5000 runs with different seeds agree within 3 standard errors,
-    # the spread measured from the retained sample population
-    _, _, model = correlated_two_level
+    # the spread measured from the draws' own means (one-column passes)
+    model = dataclasses.replace(correlated_two_level[2], propagation_samples=5000)
     x = np.array([[0.415]])
-    t1 = point_traces(model, x, 101, 5000)[-1]
-    t2 = point_traces(model, x, 202, 5000)[-1]
-    se1 = np.sqrt(np.var(t1.sample_means) / 5000)
-    se2 = np.sqrt(np.var(t2.sample_means) / 5000)
-    assert abs(t1.mean[0] - t2.mean[0]) <= 3 * (se1 + se2) + 1e-12
+    tops, ses = [], []
+    for seed in (101, 202):
+        draws = dgp.point_draws(model, x, seed)
+        tops.append(dgp.propagate(model, x, draws)[-1].mean[0])
+        means, _ = draw_moments(model, x, draws)[-1]
+        ses.append(np.sqrt(np.var(means) / 5000))
+    assert abs(tops[0] - tops[1]) <= 3 * sum(ses) + 1e-12
 
 
 def test_sigma_never_negative(five_level_model):
@@ -205,11 +233,7 @@ def test_monotone_data_effect():
     grown = dgp.MFDeepGP(layers=(model.layers[0], layer2), ladder=model.ladder)
     sigma_after = dgp.propagate(grown, x_new, draws)[-1].sigma[0]
 
-    blocks = dgp.propagate(model, x_new[None, :], base_draws=draws)[-1]
-    block_sigmas = [
-        np.sqrt(np.mean(blocks.sample_variances[0, i::10]) + np.var(blocks.sample_means[0, i::10]))
-        for i in range(10)
-    ]
+    block_sigmas = [dgp.propagate(model, x_new, draws[:, i::10])[-1].sigma[0] for i in range(10)]
     standard_error = np.std(block_sigmas) / np.sqrt(10)
     assert sigma_after <= sigma_before + 3 * standard_error
 
