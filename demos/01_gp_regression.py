@@ -7,7 +7,7 @@ against the observations.
 
 import numpy as np
 
-from mfdgp import GPDataset, fit, log_marginal_likelihood, predict
+from mfdgp.gp import GPDataset, fit, log_marginal_likelihood, predict
 
 rng = np.random.default_rng(0)
 X = np.sort(rng.uniform(0, 1, 9))[:, None]

@@ -7,14 +7,8 @@ observations; a plain GP sees only the 8 expensive ones.
 
 import numpy as np
 
-from mfdgp import (
-    GPDataset,
-    MultiFidelityDataset,
-    fit,
-    predict,
-    propagate,
-    train,
-)
+from mfdgp.dgp import MultiFidelityDataset, propagate, train
+from mfdgp.gp import GPDataset, fit, predict
 
 
 def f_low(x):

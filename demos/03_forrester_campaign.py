@@ -6,7 +6,7 @@ timeline and compares the incumbent against the known optimum.
 
 import numpy as np
 
-from mfdgp import recommend, run, train_model
+from mfdgp.campaign import recommend, run, train_model
 from mfdgp.objectives import ForresterFamily
 
 objective = ForresterFamily()
@@ -26,7 +26,7 @@ print("per-level evaluation counts:", state.per_level_counts())
 x_star, f_star = objective.known_optimum()
 incumbent = state.incumbent
 model = train_model(state, 1)
-model_best = recommend(state, model, objective.space)
+model_best = recommend(model, objective.space)
 print(f"\ntrue optimum      : x={x_star[0]:.4f}  f={f_star:+.4f}")
 print(f"observed incumbent: x={incumbent.x[0]:.4f}  y={incumbent.y:+.4f}")
 print(f"model-best point  : x={model_best[0]:.4f}")

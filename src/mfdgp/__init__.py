@@ -5,41 +5,18 @@ over a discrete fidelity ladder, and drives a cost-aware UCB loop that
 decides both where to evaluate next and at which fidelity. Synthetic
 benchmarks and a coiled-tube reactor proxy (tracer transport plus
 tanks-in-series scoring) are included as pluggable objectives.
+
+Each layer has one home, and callers import its names from there:
+
+* :mod:`.kernels` -- covariance functions (``KernelSpec``, ``kernel_matrix``);
+* :mod:`.gp` -- one exact GP layer (``GPDataset``, ``fit``, ``predict``,
+  ``TrainedGP``, ``log_marginal_likelihood``);
+* :mod:`.dgp` -- the fidelity ladder and the deep GP stack (``FidelityLevel``,
+  ``MultiFidelityDataset``, ``MFDeepGP``, ``train``, ``propagate``);
+* :mod:`.space` -- the design box (``DesignSpace``);
+* :mod:`.acquisition` -- the top-fidelity UCB and its maximizer (``solve_ucb``);
+* :mod:`.campaign` -- the ledger and the BO loop (``run``, ``resume``,
+  ``train_model``, ``select_fidelity``, ``recommend``);
+* :mod:`.objectives` -- the benchmark objectives and the reactor proxy;
+* :mod:`.config`, :mod:`.logio` and :mod:`.cli` -- the command-line front end.
 """
-
-from .acquisition import solve_ucb, ucb_values
-from .campaign import (
-    CampaignState,
-    EvaluationRecord,
-    argmax_highest,
-    fidelity_scores,
-    initial_design,
-    recommend,
-    resume,
-    run,
-    run_single_fidelity,
-    select_fidelity,
-    train_model,
-)
-from .dgp import (
-    FidelityLevel,
-    LevelTrace,
-    MFDeepGP,
-    MultiFidelityDataset,
-    default_ladder,
-    ladder_from_nominals,
-    point_draws,
-    propagate,
-    train,
-)
-from .gp import (
-    GPDataset,
-    TrainedGP,
-    fit,
-    log_marginal_likelihood,
-    predict,
-)
-from .kernels import KernelSpec, kernel_matrix
-from .space import DesignSpace
-
-__version__ = "0.1.0"

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import acquisition, dgp
 from .dgp import FidelityLevel, MFDeepGP, MultiFidelityDataset
-from .errors import DomainError, MfdgpError, StateError
+from .errors import DomainError, MfdgpError
 from .space import DesignSpace
 from .streams import ACQUISITION, DESIGN, PROPAGATION, TRAIN, derive_seed, substream
 
@@ -308,16 +308,13 @@ def run(
     )
 
 
-def recommend(state: CampaignState, model: MFDeepGP, space: DesignSpace) -> np.ndarray:
+def recommend(model: MFDeepGP, space: DesignSpace) -> np.ndarray:
     """The maximizer of the top-fidelity posterior mean, the campaign's recommendation.
 
     It is the UCB solve at beta = 0. The maximizer may interpolate beyond
     the data; the best observed top-fidelity record is
-    :attr:`CampaignState.incumbent`. Raises ``StateError`` while no
-    top-fidelity record exists.
+    :attr:`CampaignState.incumbent`.
     """
-    if state.incumbent is None:
-        raise StateError("no highest-fidelity record exists yet")
     return acquisition.solve_ucb(model, space, 0.0, 0)
 
 

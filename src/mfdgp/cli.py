@@ -31,9 +31,9 @@ Exit 3 covers every way a ``run`` or ``resume`` campaign fails part-way:
 the objective raises or returns a cost that is not finite and > 0, or a
 package error (such as a ``ConditioningError``) is raised while training
 or acquiring. The log keeps the records so far and ends with an ``error``
-line and a ``summary`` line; the recommendation is skipped if the final
-model cannot be trained. ``validate-fidelity`` exits 3 when the transport
-solve diverges.
+line and a ``summary`` line. The recommendation is skipped when no
+top-fidelity record exists, and when the final model cannot be trained.
+``validate-fidelity`` exits 3 when the transport solve diverges.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _campaign(args, cfg, state, budget_total, writer) -> int:
         model_best = None
         if state.incumbent is not None:
             try:
-                model_best = campaign.recommend(state, _final_model(state, cfg), space)
+                model_best = campaign.recommend(_final_model(state, cfg), space)
             except MfdgpError as exc:
                 state.error = state.error or f"final model failed: {exc}"
         if state.error:
@@ -88,7 +88,7 @@ def cmd_init(args) -> int:
     path = Path(args.path)
     if path.exists() and not args.force:
         raise ConfigError(f"{path} exists (use --force to overwrite)")
-    cfgmod.write_template(path)
+    path.write_text(cfgmod.TEMPLATE)
     print(f"wrote configuration template to {path}")
     return EXIT_OK
 

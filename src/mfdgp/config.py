@@ -173,8 +173,3 @@ nominals = 0.0, 0.25, 0.5, 0.75, 1.0
 # Optional per-level base costs, one per level; blank = objective defaults
 base_costs =
 """
-
-
-def write_template(path) -> None:
-    Path(path).write_text(TEMPLATE)
-

@@ -31,10 +31,6 @@ class InsufficientDataError(MfdgpError, ValueError):
     """A dataset (or one fidelity level of it) has too few observations."""
 
 
-class StateError(MfdgpError, RuntimeError):
-    """An operation was called on an object in the wrong state."""
-
-
 class SimulationDivergedError(MfdgpError, RuntimeError):
     """The transport solve produced non-finite values."""
 

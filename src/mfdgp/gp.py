@@ -133,17 +133,10 @@ class TrainedGP:
     def from_params(cls, dataset: GPDataset, kernel: KernelSpec) -> "TrainedGP":
         """Build the cached factorization for fixed hyperparameters; read-only arrays."""
         K = kernel_matrix(kernel, dataset.inputs)
-        L, alpha = _factor_solve(K, dataset.noise_variance, dataset.targets)
+        L = _factorize(K, dataset.noise_variance)
+        alpha = _alpha(L, dataset.targets)
         L.flags.writeable = alpha.flags.writeable = False
         return cls(dataset=dataset, kernel=kernel, chol_factor=L, alpha=alpha)
-
-
-def _factor_solve(
-    K: np.ndarray, noise_variance: float, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor ``L`` of ``K + noise * I`` and ``alpha = (K + noise * I)^-1 targets``."""
-    L = _factorize(K, noise_variance)
-    return L, _alpha(L, targets)
 
 
 def _alpha(L: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from .base import MultiFidelityObjective
-from .forrester import ForresterFamily, forrester_high
+from .forrester import ForresterFamily
 from .reactor import ReactorProxyObjective
 
 _REGISTRY = {"forrester5": ForresterFamily, "reactor-proxy": ReactorProxyObjective}

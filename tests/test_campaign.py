@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfdgp import acquisition, campaign, dgp, gp
-from mfdgp.errors import DomainError, StateError
+from mfdgp.errors import DomainError
 from mfdgp.kernels import KernelSpec
 from mfdgp.objectives import ForresterFamily
 from mfdgp.objectives.reactor import RTDCurve
@@ -502,19 +502,13 @@ def test_loop_takes_beta_alone(forrester):
 
 
 def test_recommend_returns_the_model_maximizer(forrester, small_model):
-    assert list(inspect.signature(campaign.recommend).parameters) == ["state", "model", "space"]
-    state, model = small_model
-    model_best = campaign.recommend(state, model, forrester.space)
+    assert list(inspect.signature(campaign.recommend).parameters) == ["model", "space"]
+    _, model = small_model
+    model_best = campaign.recommend(model, forrester.space)
     assert forrester.space.contains(model_best)
     # beta = 0 solve equals the model_best definitionally
     again = acquisition.solve_ucb(model, forrester.space, 0.0, 0)
     assert np.array_equal(model_best, again)
-
-
-def test_recommend_without_top_level_records():
-    state = campaign.CampaignState(ladder=tuple(dgp.default_ladder()))
-    with pytest.raises(StateError):
-        campaign.recommend(state, None, DesignSpace([0.0], [1.0]))
 
 
 def test_single_fidelity_baseline_runs(forrester):

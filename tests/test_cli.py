@@ -311,6 +311,8 @@ def test_resume_finishes_failed_initial_design(tmp_path, monkeypatch):
     log = tmp_path / "out" / "records.jsonl"
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OBJECTIVE
     assert len(eval_lines(log)) == 6
+    # no top-level record yet, so the summary holds no recommendation
+    assert json.loads(log.read_text().splitlines()[-1])["model_best"] is None
     monkeypatch.setattr(ForresterFamily, "evaluate", evaluate)
     assert cli.main(["resume", "--log", str(log), "--budget", "5.0"]) == 0
     lines = [json.loads(line) for line in log.read_text().splitlines()]
@@ -572,8 +574,11 @@ def test_a_forrester_campaign_loads_neither_scipy_stats_nor_scipy_optimize(tmp_p
 
 
 def test_importing_the_cli_leaves_out_scipy_optimize(tmp_path):
+    # the package root is a docstring: importing it loads no submodule
     _run_fresh_interpreter(
         "import sys\n"
+        "import mfdgp\n"
+        "assert not [m for m in sys.modules if m.startswith('mfdgp.')]\n"
         "import mfdgp.cli\n"
         "assert 'scipy.optimize' not in sys.modules\n",
         tmp_path,

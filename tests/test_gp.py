@@ -692,7 +692,7 @@ def test_corpus_reaches_each_check_the_objective_keeps():
     blown = data["overflowing-alpha"]
     K = kernel_matrix(KernelSpec("squared-exponential", [0.5], 1.0), blown.inputs)
     with pytest.raises(ConditioningError, match="not finite"):
-        gp._factor_solve(K, 0.0, blown.targets)
+        gp._alpha(gp._factorize(K, 0.0), blown.targets)
 
 
 def test_first_start_tells_a_unit_range_from_a_flat_dimension():

@@ -156,13 +156,13 @@ def test_error_marker_survives_replay(tmp_path):
 
 def test_template_parses_to_defaults(tmp_path):
     path = tmp_path / "c.ini"
-    cfgmod.write_template(path)
+    path.write_text(cfgmod.TEMPLATE)
     assert cfgmod.parse_config(path) == cfgmod.CampaignConfig()
 
 
 def test_unknown_key_fails_closed(tmp_path):
     path = tmp_path / "c.ini"
-    cfgmod.write_template(path)
+    path.write_text(cfgmod.TEMPLATE)
     path.write_text(path.read_text() + "\nbudgit = 10\n")
     with pytest.raises(ConfigError, match="budgit"):
         cfgmod.parse_config(path)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mfdgp.errors import ConfigError, DomainError
-from mfdgp.objectives import ForresterFamily, forrester_high, get_objective, objective_names
+from mfdgp.objectives import ForresterFamily, get_objective, objective_names
+from mfdgp.objectives.forrester import forrester_high
 
 
 @pytest.fixture(scope="module")
