@@ -7,7 +7,7 @@ observations; a plain GP sees only the 8 expensive ones.
 
 import numpy as np
 
-from mfdgp.dgp import MultiFidelityDataset, propagate, train
+from mfdgp.dgp import propagate, train
 from mfdgp.gp import GPDataset, fit, predict
 
 
@@ -22,10 +22,12 @@ def f_high(x):
 x_lo = np.linspace(0, 1, 30)[:, None]
 x_hi = np.linspace(0, 1, 8)[:, None]
 
-data = MultiFidelityDataset.from_arrays(
-    [x_lo, x_hi], [f_low(x_lo[:, 0]), f_high(x_hi[:, 0])], noise_variance=1e-8
-)
-model = train(data, 4, 0)
+# one dataset per fidelity, lowest first
+levels = [
+    GPDataset(inputs=x_lo, targets=f_low(x_lo[:, 0]), noise_variance=1e-8),
+    GPDataset(inputs=x_hi, targets=f_high(x_hi[:, 0]), noise_variance=1e-8),
+]
+model = train(levels, 4, 0)
 
 # one set of base draws, shared by every grid point
 grid = np.linspace(0, 1, 201)[:, None]

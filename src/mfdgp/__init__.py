@@ -12,7 +12,7 @@ Each layer has one home, and callers import its names from there:
 * :mod:`.gp` -- one exact GP layer (``GPDataset``, ``fit``, ``predict``,
   ``TrainedGP``, ``log_marginal_likelihood``);
 * :mod:`.dgp` -- the fidelity ladder and the deep GP stack (``FidelityLevel``,
-  ``MultiFidelityDataset``, ``MFDeepGP``, ``train``, ``propagate``);
+  ``MFDeepGP``, ``train`` on one ``GPDataset`` per level, ``propagate``);
 * :mod:`.space` -- the design box (``DesignSpace``);
 * :mod:`.acquisition` -- the top-fidelity UCB and its maximizer (``solve_ucb``);
 * :mod:`.campaign` -- the ledger and the BO loop (``run``, ``resume``,

@@ -8,12 +8,13 @@ empty ledger. One loop iteration retrains the deep GP on all data so far,
 maximizes the highest-fidelity UCB to propose a design point, picks the
 fidelity whose cost-weighted predictive uncertainty there is largest,
 evaluates the objective and appends the record. The spend, the per-fidelity
-cost tau_t (:attr:`CampaignState.tau`) and the training data all derive
-from the records, so a campaign rebuilt from its log holds the same state
-as the live one. The budget is in objective-reported cost units, and the
-single evaluation that crosses it is kept. Any package
-error while training or acquiring, and any objective failure, ends the
-campaign with ``error`` set and the records gathered so far kept.
+cost tau_t (:attr:`CampaignState.tau`) and the training data, one
+``gp.GPDataset`` per level, all derive from the records, so a campaign
+rebuilt from its log holds the same state as the live one. The budget is in
+objective-reported cost units, and the single evaluation that crosses it is
+kept. Any package error while training or acquiring, any objective failure,
+and any cost that would make the spend non-finite ends the campaign with
+``error`` set and the records gathered so far kept.
 
 A ladder may have a single rung: the loop on the top rung alone is the
 single-fidelity baseline, with a one-layer (plain GP) surrogate.
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import acquisition, dgp
-from .dgp import FidelityLevel, MFDeepGP, MultiFidelityDataset
-from .errors import DomainError, MfdgpError
+from . import acquisition, dgp, gp
+from .dgp import FidelityLevel, MFDeepGP
+from .errors import DomainError, InsufficientDataError, MfdgpError
 from .space import DesignSpace
 from .streams import ACQUISITION, DESIGN, PROPAGATION, TRAIN, derive_seed, substream
 
@@ -38,6 +39,10 @@ PHASE_LOOP = "bo-loop"
 # Optimizer restarts per layer of every campaign model: each loop
 # iteration's and the final one a run reports its recommendation from.
 TRAIN_RESTARTS = 4
+
+# Observation noise of every level's training data; objectives here are
+# deterministic, so this is purely a conditioning floor.
+OBS_NOISE = 1e-8
 
 
 def _phase_of(iteration: int) -> str:
@@ -125,7 +130,7 @@ class CampaignState:
         A function of the records alone, so a state replayed from a log holds
         the live campaign's tau after its last record, bit for bit. Costs are
         finite and > 0 (:class:`EvaluationRecord` checks them). A level with no
-        record has no mean, but ``dgp.train`` then stops with
+        record has no mean, but :func:`train_model` then stops with
         ``InsufficientDataError`` before the loop reads tau.
         """
         return np.asarray(
@@ -140,6 +145,17 @@ class CampaignState:
     def per_level_counts(self) -> dict[int, int]:
         return {lv.index: len(group) for lv, group in zip(self.ladder, self._by_level())}
 
+    def append(self, rec: EvaluationRecord) -> None:
+        """Append ``rec``, refusing it when it would make the spend non-finite.
+
+        Both ledger appenders, a campaign's evaluation and a log's replay, go
+        through here, so no ledger's :attr:`budget_spent` is infinite.
+        """
+        spent = self.budget_spent + rec.cost
+        if not np.isfinite(spent):
+            raise DomainError(f"cost {rec.cost!r} takes the spend to {spent!r}")
+        self.records.append(rec)
+
     def _by_level(self) -> list[list[EvaluationRecord]]:
         """Each ladder level's records, in ladder order and in record order within a level."""
         groups = {lv.index: [] for lv in self.ladder}
@@ -148,33 +164,39 @@ class CampaignState:
         return list(groups.values())
 
 
-def _dataset_from_state(state: CampaignState) -> MultiFidelityDataset:
+def _dataset_from_state(state: CampaignState) -> list[gp.GPDataset]:
+    """Each ladder level's training data, in ladder order, at :data:`OBS_NOISE`.
+
+    Raises ``InsufficientDataError`` naming the first level with no record.
+    """
     # The acquisition may re-propose an already-evaluated point; objectives
     # are deterministic, so merging exact duplicates loses nothing and keeps
     # the kernel matrices well conditioned.
-    merged_x, merged_y = [], []
-    for group in state._by_level():
+    levels = []
+    for level, group in zip(state.ladder, state._by_level()):
+        if not group:
+            raise InsufficientDataError(f"level {level.index} has no observations")
         x = np.asarray([rec.x for rec in group], dtype=np.float64)
         y = np.asarray([rec.y for rec in group], dtype=np.float64)
         _, keep = np.unique(x, axis=0, return_index=True)
         keep.sort()
-        merged_x.append(x[keep])
-        merged_y.append(y[keep])
-    return MultiFidelityDataset.from_arrays(merged_x, merged_y)
+        levels.append(gp.GPDataset(inputs=x[keep], targets=y[keep], noise_variance=OBS_NOISE))
+    return levels
 
 
 def _evaluate(state, objective, x, level, iteration, on_record) -> bool:
-    """Evaluate once and append the record; on a raise or a bad cost, set ``state.error``."""
+    """Evaluate once and append the record; on a raise, a bad cost or a spend
+    that would not be finite, set ``state.error``."""
     try:
         y, cost = objective.evaluate(x, level)
         rec = EvaluationRecord(x=x, level=level, y=y, cost=cost, iteration=iteration)
+        state.append(rec)
     except Exception as exc:
         state.error = (
             f"objective failed at iteration {iteration} ({_phase_of(iteration)}), "
             f"level {level.index}, x={np.asarray(x).tolist()}: {exc}"
         )
         return False
-    state.records.append(rec)
     if on_record is not None:
         on_record(rec)
     return True

@@ -10,29 +10,32 @@ Exit 2 covers:
 * a config file that is not UTF-8, that holds an unknown section or key
   (a ``[DEFAULT]`` section with any key is one), or any config value that
   fails its checks;
-* a ``--budget`` that is not finite and >= 0;
+* a ``--budget`` that is not finite and >= 0, or that makes the resumed
+  total, the log's total plus ``--budget``, not finite;
 * a ``--geometry`` outside the reactor's design box;
 * a file that cannot be read or written: a missing config or log, or an
   output directory (``--out`` or the configured ``out``) that names a
   plain file or a path below one, in which case ``run`` writes no log.
 
 Exit 4 covers a results log that :func:`logio.replay` refuses: a line that
-is not UTF-8 or not JSON, an eval line whose values fail their checks or
+is not UTF-8 or not JSON; an eval line whose values fail their checks,
 whose level, nominal, phase or iteration disagree with the ladder or with
-each other, or a summary whose budget total is not finite and >= 0. A
-header whose config fails the same checks as a config file is a corrupt
-line 1. ``resume`` and ``report`` leave a refused log unchanged.
+each other, or whose cost makes the spend not finite; or a summary whose
+budget total is not finite and >= 0. A header whose config fails the same
+checks as a config file is a corrupt line 1. ``resume`` and ``report``
+leave a refused log unchanged.
 
 ``run`` brings an empty ledger to the configured budget, ``resume`` the
 replayed log to its last total plus ``--budget``, through one body.
 ``resume`` always continues on the seed the log header names.
 
 Exit 3 covers every way a ``run`` or ``resume`` campaign fails part-way:
-the objective raises or returns a cost that is not finite and > 0, or a
-package error (such as a ``ConditioningError``) is raised while training
-or acquiring. The log keeps the records so far and ends with an ``error``
-line and a ``summary`` line. The recommendation is skipped when no
-top-fidelity record exists, and when the final model cannot be trained.
+the objective raises, returns a cost that is not finite and > 0 or one
+that makes the spend not finite, or a package error (such as a
+``ConditioningError``) is raised while training or acquiring. The log
+keeps the records so far and ends with an ``error`` line and a ``summary``
+line. The recommendation is skipped when no top-fidelity record exists,
+and when the final model cannot be trained.
 ``validate-fidelity`` exits 3 when the transport solve diverges.
 """
 
@@ -120,9 +123,12 @@ def cmd_resume(args) -> int:
         raise ConfigError("--budget must be finite and >= 0")
     log_path = Path(args.log)
     cfg, state = _load_log(log_path)
-    base_total = state.budget_total or cfg.budget  # a log cut before its first summary
+    # cfg.budget stands in for the total of a log cut before its first summary
+    total = (state.budget_total or cfg.budget) + args.budget
+    if not math.isfinite(total):
+        raise ConfigError(f"--budget {args.budget!r} makes the total {total!r}")
     writer = logio.ResultsLogWriter(log_path, append=True)
-    return _campaign(args, cfg, state, base_total + args.budget, writer)
+    return _campaign(args, cfg, state, total, writer)
 
 
 def cmd_validate_fidelity(args) -> int:

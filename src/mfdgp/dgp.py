@@ -35,14 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp
-from .errors import DomainError, InsufficientDataError, ShapeError
+from .errors import DomainError, ShapeError
 from .streams import PROPAGATION, point_hash, substream
 
 DEFAULT_NOMINALS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-# Observation noise of a dataset that names none, campaign data among them;
-# objectives here are deterministic, so this is purely a conditioning floor.
-DEFAULT_OBS_NOISE = 1e-8
 
 # Declared defaults for the number of propagation samples: a small budget
 # while an acquisition optimizer is hammering the model, a larger one for
@@ -81,45 +77,6 @@ def default_ladder() -> list[FidelityLevel]:
 
 
 @dataclass(frozen=True)
-class MultiFidelityDataset:
-    """Per-level GP datasets sharing one input dimensionality."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        levels = tuple(self.levels)
-        if not levels:
-            raise InsufficientDataError("a dataset needs at least 1 level")
-        d = levels[0].dimension
-        for t, ds in enumerate(levels, start=1):
-            if ds.dimension != d:
-                raise ShapeError(f"level {t} has dimension {ds.dimension}, expected {d}")
-        object.__setattr__(self, "levels", levels)
-
-    @classmethod
-    def from_arrays(cls, xs, ys, noise_variance=DEFAULT_OBS_NOISE) -> "MultiFidelityDataset":
-        """Assemble from per-level input/target arrays.
-
-        Raises an insufficient-data error naming the first empty level.
-        """
-        if len(xs) != len(ys):
-            raise ShapeError("xs and ys must have one entry per level")
-        for t, (x, y) in enumerate(zip(xs, ys), start=1):
-            if len(np.atleast_1d(y)) == 0:
-                raise InsufficientDataError(f"level {t} has no observations")
-        return cls(
-            levels=tuple(
-                gp.GPDataset(inputs=x, targets=y, noise_variance=noise_variance)
-                for x, y in zip(xs, ys)
-            )
-        )
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-
-@dataclass(frozen=True)
 class MFDeepGP:
     """Trained layer stack, at least one layer, plus the ladder it models."""
 
@@ -152,23 +109,25 @@ def compose_mean(layers, X) -> np.ndarray:
     return m
 
 
-def train(data: MultiFidelityDataset, restarts: int, rng_seed: int, ladder=None) -> MFDeepGP:
-    """Fit the stack bottom-up, each layer with ``restarts`` optimizer restarts.
+def train(levels, restarts: int, rng_seed: int, ladder=None) -> MFDeepGP:
+    """Fit the stack bottom-up on ``levels``, each layer with ``restarts`` optimizer restarts.
 
-    Layer 1 is fit on (x_1, y_1). Each later layer t is fit on the level-t
-    inputs augmented with the composed posterior mean m of the layers
-    below; its GP carries the correction y_t - m(x_t), so the layer's
-    predictive is the identity in the augmented coordinate plus that
-    learned mismatch. Deterministic given ``rng_seed``. ``ladder``
-    defaults to evenly spaced nominals when not supplied.
+    ``levels`` holds one :class:`gp.GPDataset` per fidelity, lowest first,
+    all of one input dimension (:func:`~mfdgp.kernels.kernel_matrix`
+    refuses another). Layer 1 is fit on (x_1, y_1). Each later layer t is
+    fit on the level-t inputs augmented with the composed posterior mean m
+    of the layers below; its GP carries the correction y_t - m(x_t), so the
+    layer's predictive is the identity in the augmented coordinate plus that
+    learned mismatch. Deterministic given ``rng_seed``. ``ladder`` defaults
+    to evenly spaced nominals when not supplied.
     """
     if ladder is None:
-        ladder = ladder_from_nominals(np.linspace(0.0, 1.0, data.num_levels))
-    elif len(ladder) != data.num_levels:
-        raise ShapeError(f"ladder has {len(ladder)} levels, dataset has {data.num_levels}")
-    seeds = np.random.SeedSequence(rng_seed).generate_state(data.num_levels)
+        ladder = ladder_from_nominals(np.linspace(0.0, 1.0, len(levels)))
+    elif len(ladder) != len(levels):
+        raise ShapeError(f"ladder has {len(ladder)} levels, got {len(levels)} datasets")
+    seeds = np.random.SeedSequence(rng_seed).generate_state(len(levels))
     layers = []
-    for t, ds in enumerate(data.levels, start=1):
+    for t, ds in enumerate(levels, start=1):
         if t > 1:
             aug = compose_mean(layers, ds.inputs)
             ds = gp.GPDataset(inputs=np.column_stack([ds.inputs, aug]),

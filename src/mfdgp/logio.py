@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .campaign import CampaignState, EvaluationRecord
-from .errors import CorruptLogError
+from .errors import CorruptLogError, DomainError
 
 _FORMAT = "mfdgp-results"
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -174,7 +174,8 @@ def replay(path, ladder, dimension: int) -> CampaignState:
     before the first loop record, else the last iteration plus one. Its
     ``y`` and ``cost`` must be JSON numbers (not bools or strings), its
     ``x`` a list of them of the objective's ``dimension``, and
-    :class:`EvaluationRecord` checks the values. Any other line raises
+    :class:`EvaluationRecord` checks the values; its cost must keep the
+    spend finite (:meth:`CampaignState.append`). Any other line raises
     ``CorruptLogError`` naming its number.
     """
     state = CampaignState(ladder=tuple(ladder))
@@ -188,7 +189,10 @@ def replay(path, ladder, dimension: int) -> CampaignState:
             if rec.iteration not in ((0, 1) if last == 0 else (last + 1,)):
                 raise CorruptLogError(f"iteration {rec.iteration} does not follow {last}", i)
             last = rec.iteration
-            state.records.append(rec)
+            try:
+                state.append(rec)
+            except DomainError as exc:
+                raise CorruptLogError(str(exc), i) from exc
         elif payload["type"] == "error":
             state.error = payload.get("message")
         elif payload["type"] == "summary":

@@ -29,7 +29,6 @@ class MultiFidelityObjective(ABC):
     and report a strictly positive evaluation cost.
     """
 
-    dimension: int
     ladder: tuple
     space: DesignSpace
 
@@ -46,6 +45,11 @@ class MultiFidelityObjective(ABC):
             raise DomainError(f"base costs must be > 0 and finite, got {list(base_costs)}")
         self.base_costs = tuple(float(c) for c in base_costs)
         self.seed = int(seed)
+
+    @property
+    def dimension(self) -> int:
+        """The design dimension, the dimension of :attr:`space`."""
+        return self.space.dimension
 
     @abstractmethod
     def evaluate(self, x, level) -> tuple[float, float]:

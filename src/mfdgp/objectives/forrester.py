@@ -30,7 +30,6 @@ def forrester_low(x):
 class ForresterFamily(MultiFidelityObjective):
     """The benchmark objective with a configurable cost ladder."""
 
-    dimension = 1
     space = DesignSpace(lower=[0.0], upper=[1.0])
 
     def evaluate(self, x, level):

@@ -128,16 +128,9 @@ class RTDCurve:
 
 @dataclass(frozen=True)
 class PlugFlowMetric:
-    """Fitted tanks-in-series count and the attained fit residual."""
+    """Fitted tanks-in-series count."""
 
     n_tanks: float
-    fit_residual: float
-
-    def __post_init__(self):
-        if not self.n_tanks > 0:
-            raise DomainError("n_tanks must be > 0")
-        if self.fit_residual < 0:
-            raise DomainError("fit_residual must be >= 0")
 
 
 def _initial_pulse(cells: int) -> np.ndarray:
@@ -262,8 +255,7 @@ def fit_tanks_in_series(curve: RTDCurve) -> PlugFlowMetric:
         sse, bounds=(np.log(lo), np.log(hi)), method="bounded",
         options={"xatol": 1e-12},
     )
-    n_fit = float(np.exp(res.x))
-    return PlugFlowMetric(n_tanks=n_fit, fit_residual=float(res.fun))
+    return PlugFlowMetric(n_tanks=float(np.exp(res.x)))
 
 
 def moments_tank_estimate(curve: RTDCurve) -> float:
@@ -293,7 +285,6 @@ class ReactorProxyObjective(MultiFidelityObjective):
     inversion_fraction) inside :data:`GEOMETRY_BOX`; total volume is fixed.
     """
 
-    dimension = 4
     space = GEOMETRY_BOX
 
     def __init__(self, seed: int = 0, nominals=None, base_costs=None):

@@ -134,8 +134,7 @@ def test_criterion_2_noise_free_interpolation():
 def test_criterion_3_dgp_degeneracy():
     X = np.linspace(0, 1, 8)[:, None]
     y = np.sin(4 * X[:, 0])
-    data = dgp.MultiFidelityDataset.from_arrays([X, X], [y, y], noise_variance=1e-10)
-    model = dgp.train(data, 2, 5)
+    model = dgp.train([gp.GPDataset(X, y, 1e-10), gp.GPDataset(X, y, 1e-10)], 2, 5)
 
     bitwise = True
     for x in (np.array([0.11]), np.array([0.53]), np.array([0.97])):
@@ -165,8 +164,7 @@ def test_criterion_4_monte_carlo_consistency():
     rng = np.random.default_rng(2)
     xs = [np.sort(rng.uniform(size=n))[:, None] for n in (6, 4, 3)]
     ys = [np.sin(4 * x[:, 0]) * (1 + 0.1 * t) for t, x in enumerate(xs)]
-    data = dgp.MultiFidelityDataset.from_arrays(xs, ys)
-    model = dgp.train(data, 2, 0)
+    model = dgp.train([gp.GPDataset(x, y, 1e-8) for x, y in zip(xs, ys)], 2, 0)
     x = np.array([[0.37]])
 
     def draw_moments(S, seed):

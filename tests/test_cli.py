@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfdgp import acquisition, cli, dgp, gp
+from mfdgp import acquisition, campaign, cli, dgp, gp
 from mfdgp.dgp import default_ladder
 from mfdgp import logio
 from mfdgp.errors import ConditioningError
@@ -322,6 +322,23 @@ def test_resume_finishes_failed_initial_design(tmp_path, monkeypatch):
     assert eval_lines(log) == eval_lines(tmp_path / "full" / "records.jsonl")
 
 
+def test_cost_overflow_exits_3(tmp_path, capsys):
+    # base costs of 1e308 take the spend to infinity at the level-2 design
+    # point: the run refuses that record and its summary holds the last
+    # finite spend
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, n=1, base_costs=", ".join(["1e308"] * 5), out=str(tmp_path / "out"))
+    log = tmp_path / "out" / "records.jsonl"
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OBJECTIVE
+    assert "Traceback" not in capsys.readouterr().err
+    assert "Infinity" not in log.read_text()
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [p["type"] for p in lines[-2:]] == ["error", "summary"]
+    assert "level 2" in lines[-2]["message"]
+    assert lines[-1]["budget_spent"] == 1e308
+    assert len(eval_lines(log)) == 1
+
+
 # ---------------------------------------------------------------------------
 # resume
 # ---------------------------------------------------------------------------
@@ -360,6 +377,20 @@ def test_resume_rejects_bad_budget_exit_2(tmp_path, budget):
     log = tmp_path / "out" / "records.jsonl"
     before = log.read_text()
     assert cli.main(["resume", "--log", str(log), "--budget", budget]) == cli.EXIT_CONFIG
+    assert log.read_text() == before
+
+
+def test_resume_total_overflow_exit_2(tmp_path, monkeypatch):
+    # the log's total of 1.5e308 plus --budget 1.5e308 is infinite; the loop
+    # is stubbed out, as no spend reaches such totals
+    monkeypatch.setattr(campaign, "continue_run", lambda state, *args, **kwargs: state)
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, n=1, budget=1.5e308, out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    log = tmp_path / "out" / "records.jsonl"
+    before = log.read_text()
+    assert json.loads(before.splitlines()[-1])["budget_total"] == 1.5e308
+    assert cli.main(["resume", "--log", str(log), "--budget", "1.5e308"]) == cli.EXIT_CONFIG
     assert log.read_text() == before
 
 
@@ -440,6 +471,12 @@ def _fields(line_no, **fields):
     return lambda lines: _set_fields(lines, line_no, **fields)
 
 
+def _overflowing_costs(lines):
+    # two costs of 1e308 sum to infinity at the second, line 3
+    for line_no in (2, 3):
+        _set_fields(lines, line_no, cost=1e308)
+
+
 # A 1-D, n=1 campaign's log: the header, then the initial design at levels
 # 1-5 on lines 2-6 (line 3 is level 2, nominal 0.25), then the summary on
 # line 7. An infinite total would let resume run without end, and a
@@ -463,6 +500,7 @@ REFUSED_LOG_EDITS = {
     "y-string": (_fields(3, y="1.5"), 3),
     "cost-true": (_fields(3, cost=True), 3),
     "cost-string": (_fields(3, cost="2"), 3),
+    "cost-overflow": (_overflowing_costs, 3),
     "x-true": (_fields(2, x=True), 2),
     "x-scalar": (_fields(2, x=0.5), 2),
     "x-string-element": (_fields(2, x=["0.5"]), 2),

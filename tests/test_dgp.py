@@ -3,9 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mfdgp import dgp, gp
-from mfdgp.errors import DomainError, InsufficientDataError, ShapeError
+from mfdgp import campaign, dgp, gp
+from mfdgp.errors import DomainError, InsufficientDataError, MfdgpError, ShapeError
 from mfdgp.streams import PROPAGATION, point_hash, substream
+
+
+def datasets(xs, ys, noise_variance=1e-8):
+    """One GP dataset per level, lowest fidelity first: what dgp.train takes."""
+    return [gp.GPDataset(x, y, noise_variance) for x, y in zip(xs, ys)]
 
 
 def point_traces(model, x, rng_seed):
@@ -33,8 +38,7 @@ def correlated_two_level():
     rng = np.random.default_rng(3)
     X = np.linspace(0, 1, 8)[:, None]
     y = np.sin(4 * X[:, 0])
-    data = dgp.MultiFidelityDataset.from_arrays([X, X], [y, y], noise_variance=1e-10)
-    model = dgp.train(data, 2, 5)
+    model = dgp.train(datasets([X, X], [y, y], noise_variance=1e-10), 2, 5)
     return X, y, model
 
 
@@ -43,8 +47,7 @@ def five_level_model():
     rng = np.random.default_rng(9)
     xs = [np.sort(rng.uniform(size=n))[:, None] for n in (6, 5, 4, 3, 2)]
     ys = [np.sin(5 * x[:, 0]) + 0.1 * t * x[:, 0] for t, x in enumerate(xs)]
-    data = dgp.MultiFidelityDataset.from_arrays(xs, ys, noise_variance=1e-8)
-    return dgp.train(data, 2, 1)
+    return dgp.train(datasets(xs, ys), 2, 1)
 
 
 def test_ladder_construction():
@@ -60,13 +63,22 @@ def test_ladder_construction():
 
 
 def test_dataset_needs_every_level_populated():
-    X = np.zeros((1, 1))
+    # the campaign names the first level that has no record
+    ladder = tuple(dgp.default_ladder()[:2])
+    rec = campaign.EvaluationRecord(x=[0.5], level=ladder[0], y=1.0, cost=1.0, iteration=0)
     with pytest.raises(InsufficientDataError, match="level 2"):
-        dgp.MultiFidelityDataset.from_arrays([X, np.zeros((0, 1))], [[1.0], []])
-    with pytest.raises(InsufficientDataError):
-        dgp.MultiFidelityDataset(levels=())
+        campaign.train_model(campaign.CampaignState(ladder=ladder, records=[rec]), 0)
+    with pytest.raises(MfdgpError):
+        dgp.train([], 2, 0)
     # one level is a valid (single-fidelity) dataset
-    assert dgp.MultiFidelityDataset(levels=(gp.GPDataset(X, [0.0], 0.0),)).num_levels == 1
+    assert dgp.train(datasets([np.zeros((1, 1))], [[0.0]]), 2, 0).num_levels == 1
+
+
+def test_train_refuses_levels_of_another_dimension():
+    rng = np.random.default_rng(4)
+    xs = [rng.uniform(size=(3, 1)), rng.uniform(size=(3, 2))]
+    with pytest.raises(ShapeError):
+        dgp.train(datasets(xs, [np.zeros(3), np.zeros(3)]), 2, 0)
 
 
 def test_train_layer_shapes(correlated_two_level):
@@ -86,10 +98,7 @@ def test_train_accepts_single_point_top_level():
     rng = np.random.default_rng(0)
     X1 = rng.uniform(size=(5, 1))
     X2 = rng.uniform(size=(1, 1))
-    data = dgp.MultiFidelityDataset.from_arrays(
-        [X1, X2], [np.sin(X1[:, 0]), np.sin(X2[:, 0])]
-    )
-    model = dgp.train(data, 2, 0)
+    model = dgp.train(datasets([X1, X2], [np.sin(X1[:, 0]), np.sin(X2[:, 0])]), 2, 0)
     assert model.num_levels == 2
 
 
@@ -97,7 +106,7 @@ def test_train_deterministic():
     rng = np.random.default_rng(8)
     xs = [rng.uniform(size=(4, 1)) for _ in range(2)]
     ys = [np.cos(3 * x[:, 0]) for x in xs]
-    data = dgp.MultiFidelityDataset.from_arrays(xs, ys)
+    data = datasets(xs, ys)
     a = dgp.train(data, 3, 11)
     b = dgp.train(data, 3, 11)
     for la, lb in zip(a.layers, b.layers):
@@ -108,7 +117,7 @@ def test_train_deterministic():
 def test_ladder_length_must_match_levels():
     rng = np.random.default_rng(2)
     xs = [rng.uniform(size=(3, 1)) for _ in range(2)]
-    data = dgp.MultiFidelityDataset.from_arrays(xs, [x[:, 0] for x in xs])
+    data = datasets(xs, [x[:, 0] for x in xs])
     with pytest.raises(ShapeError):
         dgp.train(data, 2, 0, ladder=dgp.default_ladder())
 
@@ -214,8 +223,7 @@ def test_monotone_data_effect():
     y1 = np.sin(4 * X1[:, 0])
     X2 = np.array([[0.2], [0.8]])
     y2 = np.sin(4 * X2[:, 0])
-    data = dgp.MultiFidelityDataset.from_arrays([X1, X2], [y1, y2], noise_variance=1e-10)
-    model = dgp.train(data, 2, 3)
+    model = dgp.train(datasets([X1, X2], [y1, y2], noise_variance=1e-10), 2, 3)
 
     x_new = np.array([0.5])
     draws = np.random.default_rng(77).standard_normal((1, 10_000))

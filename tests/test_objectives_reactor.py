@@ -226,7 +226,6 @@ def test_round_trip_identity(n_true, theta_max):
     curve = synthetic_curve(float(n_true), theta_max)
     metric = reactor.fit_tanks_in_series(curve)
     assert metric.n_tanks == pytest.approx(n_true, abs=1e-3)
-    assert metric.fit_residual >= 0
 
 
 def test_moment_initializer_matches_gamma_identity():
