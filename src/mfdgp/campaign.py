@@ -13,8 +13,8 @@ cost tau_t (:attr:`CampaignState.tau`) and the training data, one
 rebuilt from its log holds the same state as the live one. The budget is in
 objective-reported cost units, and the single evaluation that crosses it is
 kept. Any package error while training or acquiring, any objective failure,
-and any cost that would make the spend non-finite ends the campaign with
-``error`` set and the records gathered so far kept.
+and any cost that would make the spend non-finite or leave it unchanged
+ends the campaign with ``error`` set and the records gathered so far kept.
 
 A ladder may have a single rung: the loop on the top rung alone is the
 single-fidelity baseline, with a one-layer (plain GP) surrogate.
@@ -146,14 +146,19 @@ class CampaignState:
         return {lv.index: len(group) for lv, group in zip(self.ladder, self._by_level())}
 
     def append(self, rec: EvaluationRecord) -> None:
-        """Append ``rec``, refusing it when it would make the spend non-finite.
+        """Append ``rec``, refusing it when it would leave the spend non-finite or unchanged.
 
         Both ledger appenders, a campaign's evaluation and a log's replay, go
-        through here, so no ledger's :attr:`budget_spent` is infinite.
+        through here, so no ledger's :attr:`budget_spent` is infinite, and
+        every record moves it: a cost below half an ulp of the spend would
+        let the loop run without end.
         """
-        spent = self.budget_spent + rec.cost
+        before = self.budget_spent
+        spent = before + rec.cost
         if not np.isfinite(spent):
             raise DomainError(f"cost {rec.cost!r} takes the spend to {spent!r}")
+        if spent == before:
+            raise DomainError(f"cost {rec.cost!r} leaves the spend at {before!r}")
         self.records.append(rec)
 
     def _by_level(self) -> list[list[EvaluationRecord]]:
@@ -186,7 +191,7 @@ def _dataset_from_state(state: CampaignState) -> list[gp.GPDataset]:
 
 def _evaluate(state, objective, x, level, iteration, on_record) -> bool:
     """Evaluate once and append the record; on a raise, a bad cost or a spend
-    that would not be finite, set ``state.error``."""
+    that would not be finite or would not move, set ``state.error``."""
     try:
         y, cost = objective.evaluate(x, level)
         rec = EvaluationRecord(x=x, level=level, y=y, cost=cost, iteration=iteration)

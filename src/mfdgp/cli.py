@@ -20,9 +20,10 @@ Exit 2 covers:
 Exit 4 covers a results log that :func:`logio.replay` refuses: a line that
 is not UTF-8 or not JSON; an eval line whose values fail their checks,
 whose level, nominal, phase or iteration disagree with the ladder or with
-each other, or whose cost makes the spend not finite; or a summary whose
-budget total is not finite and >= 0. A header whose config fails the same
-checks as a config file is a corrupt line 1. ``resume`` and ``report``
+each other, or whose cost makes the spend not finite or leaves it
+unchanged; or a summary whose budget total is not finite and >= 0. A
+header whose config fails the same checks as a config file is a corrupt
+line 1. ``resume`` and ``report``
 leave a refused log unchanged.
 
 ``run`` brings an empty ledger to the configured budget, ``resume`` the
@@ -31,7 +32,7 @@ replayed log to its last total plus ``--budget``, through one body.
 
 Exit 3 covers every way a ``run`` or ``resume`` campaign fails part-way:
 the objective raises, returns a cost that is not finite and > 0 or one
-that makes the spend not finite, or a package error (such as a
+that makes the spend not finite or leaves it unchanged, or a package error (such as a
 ``ConditioningError``) is raised while training or acquiring. The log
 keeps the records so far and ends with an ``error`` line and a ``summary``
 line. The recommendation is skipped when no top-fidelity record exists,

@@ -47,19 +47,24 @@ objective (:func:`_negative_lml`) checks only that each vertex lies in the
 box, and runs the trusted cores on the dataset's read-only arrays: the box
 stands in for ``KernelSpec``'s checks and the dataset for
 ``kernel_matrix``'s. It builds the in-box vertices' covariances as one
-batch (``kernels._scaled_kernel_matrix`` and the noise diagonal) and scans
-them once for non-finite entries, then factors, solves and scores each
-vertex on its own, with :func:`_factorize`'s jitter ladder for that vertex
-alone when ``potrf`` fails. Each fit builds its winner through the checked
-:meth:`TrainedGP.from_params`, whose factor and alpha are read-only. So a
-wrapper on ``kernel_matrix``, ``TrainedGP.from_params`` or
-``log_marginal_likelihood`` sees each fit's final model and none of its
-vertices; :func:`_lml`, looked up as a module attribute, is called once
-per scored vertex.
+batch (``kernels._scaled_kernel_matrix``). On a dataset of two or more
+rows it adds the noise diagonal and scans the batch once for non-finite
+entries, then factors, solves and scores each vertex on its own, with
+:func:`_factorize`'s jitter ladder for that vertex alone when ``potrf``
+fails. On a one-row dataset it scores the whole batch in closed form, the
+same floats that ``potrf`` and ``trtrs`` give on a 1 x 1 matrix. Each fit
+builds its winner through the checked :meth:`TrainedGP.from_params`, whose
+factor and alpha are read-only. So a wrapper on ``kernel_matrix``,
+``TrainedGP.from_params`` or ``log_marginal_likelihood`` sees each fit's
+final model and none of its vertices; :func:`_lml`, looked up as a module
+attribute, is called once per scored vertex of a dataset with two or more
+rows, and for a one-row dataset only at a vertex that needs the jitter
+ladder. :func:`minimize`'s ``nfev`` counts every vertex of every fit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -294,17 +299,25 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
     A vertex holds the log lengthscales and the log signal variance, as the
     list of floats :func:`minimize` keeps; the objective reads the vertices
     and never changes them. It runs the box test on each vertex. On the
-    in-box ones it runs ``np.exp``, the input scaling, the SE kernel, the
-    noise diagonal and the finite scan once, on (k, n, n) arrays whose
-    slices hold the very floats a one-vertex call builds. Then, vertex by
-    vertex, it runs ``potrf`` (and :func:`_factorize`'s jitter ladder when
-    that fails), the two solves of :func:`_alpha` and :func:`_lml`. A vertex
-    whose covariance is not finite, whose ladder runs out or whose alpha is
-    not finite scores ``inf``. So a vertex's score does not depend on the
-    other vertices of its batch. The module docstring says which per-fit
-    fact stands in for each check it leaves out.
+    in-box ones it runs ``np.exp``, the input scaling and the SE kernel
+    once, on (k, n, n) arrays whose slices hold the very floats a one-vertex
+    call builds. Then, for a dataset of two or more rows, it adds the noise
+    diagonal, scans for non-finite entries once and, vertex by vertex, runs
+    ``potrf`` (and :func:`_factorize`'s jitter ladder when that fails), the
+    two solves of :func:`_alpha` and :func:`_lml`. For a one-row dataset it
+    scores all in-box vertices together with elementwise ops in the order
+    of :func:`_alpha` and :func:`_lml`: on a 1 x 1 matrix ``potrf`` is a
+    square root and each ``trtrs`` one division, both correctly rounded in
+    IEEE arithmetic, so the scores are the floats of the per-vertex path.
+    Only a vertex whose covariance plus noise is 0, which ``potrf`` refuses,
+    takes that path and its jitter ladder. A vertex whose covariance is not
+    finite, whose ladder runs out or whose alpha is not finite scores
+    ``inf``. So a vertex's score does not depend on the other vertices of
+    its batch. The module docstring says which per-fit fact stands in for
+    each check it leaves out.
     """
     inputs, targets, noise = data.inputs, data.targets, data.noise_variance
+    one_row = targets.shape[0] == 1
     # the box test compares Python floats: on a vertex's few entries that
     # costs a fraction of two numpy comparisons and their reductions
     bounds = list(zip(lo.tolist(), hi.tolist()))
@@ -315,6 +328,32 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
                 return False
         return True
 
+    def by_lapack(K_i: np.ndarray, base_i: np.ndarray) -> float:
+        L, info = dpotrf(base_i, lower=1, clean=1)
+        try:
+            if info != 0:
+                L = _factorize(K_i, noise)
+            alpha = _alpha(L, targets)
+        except ConditioningError:
+            return np.inf
+        return -_lml(targets, alpha, L)
+
+    def one_row_scores(K: np.ndarray) -> list:
+        # by_lapack's floats, op for op in _alpha's and _lml's order
+        y = targets[0]
+        b = K[:, 0, 0] + noise
+        with np.errstate(all="ignore"):
+            root = np.sqrt(b)
+            alpha = y / root / root
+            values = -((-0.5 * (y * alpha) + -np.log(root)) - 0.5 * _LOG_2PI)
+        scores = values.tolist()
+        for j, (b_j, alpha_j) in enumerate(zip(b.tolist(), alpha.tolist())):
+            if b_j <= 0:  # potrf's refusal: noise 0 and an underflowed covariance
+                scores[j] = by_lapack(K[j], _plus_diagonal(K[j], noise))
+            elif not math.isfinite(alpha_j):  # _alpha's refusal, and a covariance of nan
+                scores[j] = np.inf
+        return scores
+
     def objective(vertices: list) -> list:
         scores = [np.inf] * len(vertices)
         inside = [i for i, vertex in enumerate(vertices) if in_box(vertex)]
@@ -324,19 +363,15 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
         ls = np.exp(log_params[:, :-1])
         sv = np.exp(log_params[:, -1])
         K = _scaled_kernel_matrix(SQUARED_EXPONENTIAL, sv[:, None, None], inputs / ls[:, None, :])
-        base = _plus_diagonal(K, noise)
-        finite = np.isfinite(base).all(axis=(1, 2)).tolist()
-        for i, K_i, base_i, ok in zip(inside, K, base, finite):
-            if not ok:
-                continue
-            L, info = dpotrf(base_i, lower=1, clean=1)
-            try:
-                if info != 0:
-                    L = _factorize(K_i, noise)
-                alpha = _alpha(L, targets)
-            except ConditioningError:
-                continue
-            scores[i] = -_lml(targets, alpha, L)
+        if one_row:
+            values = one_row_scores(K)
+        else:
+            base = _plus_diagonal(K, noise)
+            finite = np.isfinite(base).all(axis=(1, 2)).tolist()
+            values = [by_lapack(K_i, base_i) if ok else np.inf
+                      for K_i, base_i, ok in zip(K, base, finite)]
+        for i, value in zip(inside, values):
+            scores[i] = value
         return scores
 
     return objective

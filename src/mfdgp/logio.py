@@ -175,7 +175,7 @@ def replay(path, ladder, dimension: int) -> CampaignState:
     ``y`` and ``cost`` must be JSON numbers (not bools or strings), its
     ``x`` a list of them of the objective's ``dimension``, and
     :class:`EvaluationRecord` checks the values; its cost must keep the
-    spend finite (:meth:`CampaignState.append`). Any other line raises
+    spend finite and move it (:meth:`CampaignState.append`). Any other line raises
     ``CorruptLogError`` naming its number.
     """
     state = CampaignState(ladder=tuple(ladder))

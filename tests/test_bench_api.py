@@ -39,11 +39,9 @@ def test_every_trace_target_resolves():
     assert len(tracing.snapshot(targets)) == len(targets)
 
 
-def test_fit_builds_only_its_final_model_through_the_traced_attributes(monkeypatch):
-    # the simplex vertices run the trusted cores, and gp._lml, looked up as a
-    # module attribute, scores each vertex that factorizes; the traced public
-    # entries see only the winner's checked build, and gp.minimize each fit's
-    # one lock-step search, whose nfev sums the restarts' own
+def traced_fit(monkeypatch, data):
+    """``gp.fit(data, 2, 0)`` with the traced attributes counted; the calls, each nfev, and the
+    lock-step search's summed one-start nfev."""
     calls = {"kernel_matrix": 0, "from_params": 0, "log_marginal_likelihood": 0, "_lml": 0}
     nfev = []
 
@@ -66,14 +64,37 @@ def test_fit_builds_only_its_final_model_through_the_traced_attributes(monkeypat
     monkeypatch.setattr(gp, "_lml", counted("_lml", gp._lml))
     monkeypatch.setattr(gp.TrainedGP, "from_params",
                         counted("from_params", gp.TrainedGP.from_params))
+    gp.fit(data, restarts=2, rng_seed=0)
+    fit_calls = dict(calls)
+    lo, hi, starts = gp._search_setup(data, 2, np.random.default_rng(0))
+    objective = gp._negative_lml(data, lo, hi)
+    one_start = sum(gp_minimize(objective, [s], 400 * len(s)).nfev for s in starts)
+    return fit_calls, nfev, one_start
+
+
+def test_fit_builds_only_its_final_model_through_the_traced_attributes(monkeypatch):
+    # the simplex vertices run the trusted cores, and gp._lml, looked up as a
+    # module attribute, scores each vertex that factorizes; the traced public
+    # entries see only the winner's checked build, and gp.minimize each fit's
+    # one lock-step search, whose nfev sums the restarts' own
     rng = np.random.default_rng(9)
     x = rng.uniform(size=(6, 2))
     data = gp.GPDataset(inputs=x, targets=np.sin(3.0 * x.sum(axis=1)), noise_variance=1e-4)
-    gp.fit(data, restarts=2, rng_seed=0)
+    calls, nfev, one_start = traced_fit(monkeypatch, data)
     assert len(nfev) == 1
     assert 100 < calls["_lml"] <= sum(nfev)
     assert calls["kernel_matrix"] == calls["from_params"] == 1
     assert calls["log_marginal_likelihood"] == 0
-    lo, hi, starts = gp._search_setup(data, 2, np.random.default_rng(0))
-    objective = gp._negative_lml(data, lo, hi)
-    assert nfev[0] == sum(gp_minimize(objective, [s], 400 * len(s)).nfev for s in starts)
+    assert nfev[0] == one_start
+
+
+def test_a_one_row_fit_scores_its_vertices_without_lml(monkeypatch):
+    # a one-row layer's vertices are scored in closed form, so a wrapper on
+    # gp._lml sees none of them; gp.minimize's nfev still counts every one
+    data = gp.GPDataset(inputs=[[0.4, 0.7]], targets=[1.3], noise_variance=1e-8)
+    calls, nfev, one_start = traced_fit(monkeypatch, data)
+    assert len(nfev) == 1 and nfev[0] > 100
+    assert calls["_lml"] == 0
+    assert calls["kernel_matrix"] == calls["from_params"] == 1
+    assert calls["log_marginal_likelihood"] == 0
+    assert nfev[0] == one_start

@@ -339,6 +339,26 @@ def test_cost_overflow_exits_3(tmp_path, capsys):
     assert len(eval_lines(log)) == 1
 
 
+def test_cost_that_leaves_the_spend_unchanged_exits_3(tmp_path, capsys, monkeypatch, recwarn):
+    # a level-5 cost of 1e-320 is below half an ulp of the design's spend of
+    # 15, so it would leave the spend there and the loop would never reach
+    # the budget; the run refuses that record. The loop is stubbed out, so
+    # a run that accepts the record ends instead of spinning
+    monkeypatch.setattr(campaign, "continue_run", lambda state, *args, **kwargs: state)
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, n=1, base_costs="1, 2, 4, 8, 1e-320", out=str(tmp_path / "out"))
+    log = tmp_path / "out" / "records.jsonl"
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OBJECTIVE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [p["type"] for p in lines[-2:]] == ["error", "summary"]
+    assert "level 5" in lines[-2]["message"]
+    assert lines[-1]["budget_spent"] == 15.0
+    assert len(eval_lines(log)) == 4
+
+
 # ---------------------------------------------------------------------------
 # resume
 # ---------------------------------------------------------------------------
@@ -479,8 +499,9 @@ def _overflowing_costs(lines):
 
 # A 1-D, n=1 campaign's log: the header, then the initial design at levels
 # 1-5 on lines 2-6 (line 3 is level 2, nominal 0.25), then the summary on
-# line 7. An infinite total would let resume run without end, and a
-# 401-digit integer overflows a float.
+# line 7. An infinite total, or a cost that leaves the spend unchanged
+# (1e-320 after level 1's cost of 1), would let resume run without end, and
+# a 401-digit integer overflows a float.
 REFUSED_LOG_EDITS = {
     "header-not-utf-8": (_not_utf_8(1), 1),
     "eval-not-utf-8": (_not_utf_8(4), 4),
@@ -501,6 +522,7 @@ REFUSED_LOG_EDITS = {
     "cost-true": (_fields(3, cost=True), 3),
     "cost-string": (_fields(3, cost="2"), 3),
     "cost-overflow": (_overflowing_costs, 3),
+    "cost-no-spend": (_fields(3, cost=1e-320), 3),
     "x-true": (_fields(2, x=True), 2),
     "x-scalar": (_fields(2, x=0.5), 2),
     "x-string-element": (_fields(2, x=["0.5"]), 2),

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
-from mfdgp import gp
+from mfdgp import gp, kernels
 from mfdgp.errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
 from mfdgp.kernels import KernelSpec, _scaled_kernel_matrix, kernel_matrix
 
@@ -581,7 +581,37 @@ def special_data():
         # a flat dimension at 1e200: (x / ls)**2 overflows the covariance at every vertex
         "flat-huge": gp.GPDataset(inputs=[[1e200, 0.0], [1e200, 1.0]], targets=[0.0, 1.0],
                                   noise_variance=0.0),
+        # one row, scored by the objective's closed form: zero noise
+        "one-row-noise-0": gp.GPDataset(inputs=[[0.3, -1.2]], targets=[0.7],
+                                        noise_variance=0.0),
+        # one row: y * alpha overflows at every vertex, and alpha itself at signal
+        # variances below about 5.6e-9, which only scoring_box's box reaches
+        "one-row-overflowing-alpha": gp.GPDataset(inputs=[[0.4]], targets=[1e300],
+                                                  noise_variance=0.0),
+        # one row at 1e200: the covariance is not finite at any vertex
+        "one-row-flat-huge": gp.GPDataset(inputs=[[1e200, 0.3]], targets=[1.0],
+                                          noise_variance=1e-8),
     }
+
+
+# corpus cases that overflow on the way to their scores
+OVERFLOWING = {"overflowing-alpha", "flat-huge", "one-row-overflowing-alpha",
+               "one-row-flat-huge", "overflow-mix"}
+
+
+def scoring_box(name, data):
+    """The box whose vertices a corpus test scores: the fit's, or one that reaches alpha's check.
+
+    fit refuses overflowing-alpha's targets' box, so its vertices come from
+    test_from_params_raises_on_overflowing_alpha's box. The fit's box keeps
+    one-row-overflowing-alpha's signal variance at 1e-8 and up, where alpha
+    is still finite.
+    """
+    if name == "overflowing-alpha":
+        return np.full(2, -10.0), np.full(2, 10.0)
+    if name == "one-row-overflowing-alpha":
+        return np.array([-10.0, -40.0]), np.array([10.0, 10.0])
+    return objective_box(data)
 
 
 def parity_corpus():
@@ -592,19 +622,15 @@ def parity_corpus():
 
 def test_objective_matches_the_checked_reference_on_a_corpus():
     cases, rng = parity_corpus()
-    scored = inf_inside = 0
+    scored = inf_inside = one_row_scored = 0
     for name, data in cases:
-        if name == "overflowing-alpha":
-            # fit refuses these targets' box; score the vertices in that test's box
-            lo, hi = np.full(2, -10.0), np.full(2, 10.0)
-        else:
-            lo, hi = objective_box(data)
+        lo, hi = scoring_box(name, data)
         objective = gp._negative_lml(data, lo, hi)
         vertices = box_vertices(lo, hi, rng)
         if name == "overflowing-alpha":
             vertices.append(np.log([0.5, 1.0]))
         # both objectives overflow on the way at many of these vertices
-        quiet = name in ("overflowing-alpha", "flat-huge")
+        quiet = name in OVERFLOWING
         with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
             scores = [(reference_nm_objective(v, data, lo, hi), objective([v])[0])
                       for v in vertices]
@@ -613,8 +639,11 @@ def test_objective_matches_the_checked_reference_on_a_corpus():
             inside = bool(np.all((lo <= v) & (v <= hi)))
             scored += np.isfinite(expected)
             inf_inside += inside and expected == np.inf
+            # the one-row closed form, checked against LAPACK's 1 x 1 potrf and trtrs
+            one_row_scored += data.inputs.shape[0] == 1 and np.isfinite(expected)
     assert scored > 1500  # most vertices are scored, not refused
     assert inf_inside > 0  # and some in-box vertices fail to factorize or overflow
+    assert one_row_scored > 0
 
 
 def overflow_mix_data():
@@ -644,15 +673,12 @@ def test_a_vertex_scores_the_same_alone_and_in_any_batch(monkeypatch):
     cases.append(("overflow-mix", overflow_mix_data()))
     mixed = {"out-of-box": 0, "ladder": 0, "in-box inf": 0}
     for name, data in cases:
-        if name == "overflowing-alpha":
-            lo, hi = np.full(2, -10.0), np.full(2, 10.0)
-        else:
-            lo, hi = objective_box(data)
+        lo, hi = scoring_box(name, data)
         objective = gp._negative_lml(data, lo, hi)
         vertices = [v.tolist() for v in box_vertices(lo, hi, rng)]
         if name == "overflowing-alpha":
             vertices.append(np.log([0.5, 1.0]).tolist())
-        quiet = name in ("overflowing-alpha", "flat-huge", "overflow-mix")
+        quiet = name in OVERFLOWING
         with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
             expected = [reference_nm_objective(np.array(v), data, lo, hi) for v in vertices]
             alone = [objective([v])[0] for v in vertices]
@@ -669,6 +695,42 @@ def test_a_vertex_scores_the_same_alone_and_in_any_batch(monkeypatch):
             mixed["ladder"] += batch_ladders > 0
             mixed["in-box inf"] += any(i and e == np.inf for i, e in zip(inside, expected))
     assert min(mixed.values()) > 0, mixed
+
+
+def test_a_one_row_covariance_of_zero_takes_the_jitter_ladder(monkeypatch):
+    # potrf refuses a 1 x 1 matrix of 0, which noise 0 and a covariance that
+    # underflows to 0 give; such vertices leave the closed form for the
+    # ladder. Whether a one-row covariance underflows depends on the
+    # platform's rounding of the squared distance, so the covariance is set
+    # to 0 here, in the objective and in the reference alike
+    def zero_covariance(kind, signal_variance, xa, xb=None):
+        return np.zeros(xa.shape[:-1] + xa.shape[-2:-1])
+
+    monkeypatch.setattr(gp, "_scaled_kernel_matrix", zero_covariance)
+    monkeypatch.setattr(kernels, "_scaled_kernel_matrix", zero_covariance)
+    ladders = []
+    factorize = gp._factorize
+
+    def counted_factorize(K, noise_variance):
+        ladders.append(K.shape)
+        return factorize(K, noise_variance)
+
+    monkeypatch.setattr(gp, "_factorize", counted_factorize)
+    finite = 0
+    # target 0 keeps alpha finite at the jittered factor; 0.5 overflows it
+    for target in (0.0, 0.5):
+        data = gp.GPDataset(inputs=[[0.3, -1.2]], targets=[target], noise_variance=0.0)
+        lo, hi = objective_box(data)
+        objective = gp._negative_lml(data, lo, hi)
+        vertices = [v.tolist() for v in box_vertices(lo, hi, np.random.default_rng(5))]
+        expected = [reference_nm_objective(np.array(v), data, lo, hi) for v in vertices]
+        del ladders[:]
+        got = objective(vertices)
+        assert np.array(got).tobytes() == np.array(expected).tobytes(), target
+        inside = sum(bool(np.all((lo <= v) & (v <= hi))) for v in np.array(vertices))
+        assert len(ladders) == inside > 0
+        finite += np.isfinite(got).sum()
+    assert finite > 0
 
 
 def test_corpus_reaches_each_check_the_objective_keeps():
@@ -762,8 +824,7 @@ def test_lock_step_restarts_equal_their_one_start_runs():
         lo, hi, starts = search_setup(data, 4, np.random.default_rng(7))
         objective = gp._negative_lml(data, lo, hi)
         maxiter = 400 * len(starts[0])
-        # every vertex of flat-huge overflows on the way to inf
-        quiet = name == "flat-huge"
+        quiet = name in OVERFLOWING
         with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
             together = gp.minimize(objective, starts, maxiter)
             alone = [gp.minimize(objective, [start], maxiter) for start in starts]
@@ -821,8 +882,7 @@ def test_minimize_matches_scipy_nelder_mead_bit_for_bit():
         def scored_round(vertices):
             return [scored(v) for v in vertices]
 
-        # every vertex of flat-huge overflows on the way to inf
-        quiet = name == "flat-huge"
+        quiet = name in OVERFLOWING
         for start in starts:
             # one observation: the signal-variance start is log 1 = 0, scipy's 0.00025 branch
             assert name != "one-point" or start[-1] == 0
