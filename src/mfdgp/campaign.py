@@ -12,9 +12,11 @@ cost tau_t (:attr:`CampaignState.tau`) and the training data, one
 ``gp.GPDataset`` per level, all derive from the records, so a campaign
 rebuilt from its log holds the same state as the live one. The budget is in
 objective-reported cost units, and the single evaluation that crosses it is
-kept. Any package error while training or acquiring, any objective failure,
-and any cost that would make the spend non-finite or leave it unchanged
-ends the campaign with ``error`` set and the records gathered so far kept.
+kept. Any package error while training, acquiring or picking a fidelity
+(recorded costs so far apart that a fidelity score overflows among them),
+any objective failure, and any cost that would make the spend non-finite or
+leave it unchanged ends the campaign with ``error`` set and the records
+gathered so far kept.
 
 A ladder may have a single rung: the loop on the top rung alone is the
 single-fidelity baseline, with a one-layer (plain GP) surrogate.
@@ -54,12 +56,20 @@ def fidelity_scores(sigmas, taus, beta: float) -> np.ndarray:
 
     gamma_t = max(tau) / tau_t is a pure ratio of recorded costs, so the
     scores are invariant to rescaling all taus by a common factor, and the
-    argmax is invariant to rescaling beta.
+    argmax is invariant to rescaling beta. Costs so far apart that a score
+    is not finite (a subnormal tau can overflow the ratio) raise
+    ``DomainError`` naming them.
     """
     sigmas = np.asarray(sigmas, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
-    gamma = np.max(taus) / taus
-    return gamma * np.sqrt(beta) * sigmas
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.max(taus) / taus
+        scores = gamma * np.sqrt(beta) * sigmas
+    if not np.isfinite(scores).all():
+        raise DomainError(
+            f"cost ratio max(tau) / tau overflows the fidelity scores at tau = {taus.tolist()}"
+        )
+    return scores
 
 
 def argmax_highest(scores) -> int:
@@ -190,17 +200,27 @@ def _dataset_from_state(state: CampaignState) -> list[gp.GPDataset]:
 
 
 def _evaluate(state, objective, x, level, iteration, on_record) -> bool:
-    """Evaluate once and append the record; on a raise, a bad cost or a spend
-    that would not be finite or would not move, set ``state.error``."""
+    """Evaluate once and append the record, or set ``state.error`` and return False.
+
+    The error reads "objective failed" when the objective raises or returns
+    a value :class:`EvaluationRecord` refuses, and "ledger refused the
+    evaluation" when :meth:`CampaignState.append` refuses a cost that would
+    leave the spend not finite or unchanged.
+    """
+    where = (
+        f"at iteration {iteration} ({_phase_of(iteration)}), "
+        f"level {level.index}, x={np.asarray(x).tolist()}"
+    )
     try:
         y, cost = objective.evaluate(x, level)
         rec = EvaluationRecord(x=x, level=level, y=y, cost=cost, iteration=iteration)
-        state.append(rec)
     except Exception as exc:
-        state.error = (
-            f"objective failed at iteration {iteration} ({_phase_of(iteration)}), "
-            f"level {level.index}, x={np.asarray(x).tolist()}: {exc}"
-        )
+        state.error = f"objective failed {where}: {exc}"
+        return False
+    try:
+        state.append(rec)
+    except DomainError as exc:
+        state.error = f"ledger refused the evaluation {where}: {exc}"
         return False
     if on_record is not None:
         on_record(rec)
@@ -266,8 +286,9 @@ def continue_run(
 
     Each iteration's randomness is derived from (seed, stream, iteration),
     so continuing a reloaded state reproduces an uninterrupted run exactly.
-    A package error while training or acquiring, or a failing objective,
-    stops the loop with ``state.error`` set; the records so far are kept.
+    A package error while training, acquiring or picking a fidelity, a
+    failing objective or a refused cost stops the loop with ``state.error``
+    set; the records so far are kept.
     """
     while state.budget_spent < state.budget_total:
         k = state.loop_iterations + 1
@@ -304,7 +325,7 @@ def resume(
     of predictive sigmas and recorded costs. It must be finite and >= 0, and
     is checked here, before any evaluation.
 
-    An error carried in from an earlier run (a replayed log) is cleared. The
+    An error left on ``state`` by an earlier run is cleared. The
     design points the ledger lacks are evaluated whatever the budget; the
     loop runs only once the design is complete.
     """
@@ -326,12 +347,14 @@ def run(
     beta: float,
     budget_total: float,
     rng_seed: int,
-    on_record=None,
 ) -> CampaignState:
-    """Full campaign: :func:`resume` on an empty ledger over ``ladder``."""
+    """Full campaign: :func:`resume` on an empty ledger over ``ladder``.
+
+    A campaign whose records are logged as they happen is :func:`resume`
+    on ``CampaignState(ladder=...)`` with ``on_record``.
+    """
     return resume(
-        CampaignState(ladder=tuple(ladder)), objective, space, n, beta, budget_total,
-        rng_seed, on_record=on_record,
+        CampaignState(ladder=tuple(ladder)), objective, space, n, beta, budget_total, rng_seed
     )
 
 
@@ -352,7 +375,6 @@ def run_single_fidelity(
     beta: float,
     budget_total: float,
     rng_seed: int,
-    on_record=None,
 ) -> CampaignState:
     """UCB baseline that only ever evaluates the highest fidelity.
 
@@ -361,4 +383,4 @@ def run_single_fidelity(
     training and failure handling, with a one-layer (plain GP) surrogate.
     """
     top = tuple(objective.ladder)[-1:]
-    return run(objective, space, top, n, beta, budget_total, rng_seed, on_record=on_record)
+    return run(objective, space, top, n, beta, budget_total, rng_seed)

@@ -32,8 +32,10 @@ replayed log to its last total plus ``--budget``, through one body.
 
 Exit 3 covers every way a ``run`` or ``resume`` campaign fails part-way:
 the objective raises, returns a cost that is not finite and > 0 or one
-that makes the spend not finite or leaves it unchanged, or a package error (such as a
-``ConditioningError``) is raised while training or acquiring. The log
+that makes the spend not finite or leaves it unchanged, or a package error
+is raised while training, acquiring or picking a fidelity: a
+``ConditioningError``, say, or recorded costs so far apart that the cost
+ratio max(tau) / tau overflows a fidelity score. The log
 keeps the records so far and ends with an ``error`` line and a ``summary``
 line. The recommendation is skipped when no top-fidelity record exists,
 and when the final model cannot be trained.

@@ -115,10 +115,6 @@ class GPDataset:
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "noise_variance", nv)
 
-    @property
-    def dimension(self) -> int:
-        return self.inputs.shape[1]
-
 
 @dataclass(frozen=True)
 class TrainedGP:
@@ -187,11 +183,11 @@ def _factorize(K: np.ndarray, noise_variance: float) -> np.ndarray:
     return L
 
 
-def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve ``L x = b`` (``trans=1``: ``L.T x = b``) for lower-triangular ``L``."""
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L x = b`` for lower-triangular ``L``, refusing non-finite operands."""
     if not (np.isfinite(L).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    return _trtrs(L, b, trans)
+    return _trtrs(L, b)
 
 
 def _trtrs(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:

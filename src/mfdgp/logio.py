@@ -3,12 +3,12 @@
 A log starts with a header line carrying the campaign configuration, then
 one ``eval`` line per objective evaluation in the order they happened.
 Every run or resume ends with a ``summary`` line, preceded by an ``error``
-line when it stopped on a failure (an objective error, or a package error
-while training or acquiring); a resumed log therefore may contain errors
-and summaries mid-file. Replay keeps the last error and the last summary's
-budget total. Line-delimited writes mean a crash loses at most one line, and
-reloading a log reconstructs a campaign state whose budget and incumbent
-invariants hold exactly.
+line when it stopped on a failure (an objective error, a refused cost, or a
+package error while training or acquiring); a resumed log therefore may
+contain errors and summaries mid-file. Replay keeps the last summary's
+budget total and skips error lines. Line-delimited writes mean a crash
+loses at most one line, and reloading a log reconstructs a campaign state
+whose budget and incumbent invariants hold exactly.
 
 An ``eval`` line repeats two facts that have one owner each: its
 ``nominal`` is the ladder level's, and its ``phase`` derives from its
@@ -163,7 +163,7 @@ def _record_from_payload(payload: dict, line_no: int, levels: dict) -> Evaluatio
 
 
 def replay(path, ladder, dimension: int) -> CampaignState:
-    """Rebuild a CampaignState from a log's eval lines, last error and last summary.
+    """Rebuild a CampaignState from a log's eval lines and last summary.
 
     ``budget_total`` is the last summary's total, a finite number >= 0 (not
     a bool), 0.0 if the log has none. Every line must be UTF-8 JSON. An
@@ -175,8 +175,11 @@ def replay(path, ladder, dimension: int) -> CampaignState:
     ``y`` and ``cost`` must be JSON numbers (not bools or strings), its
     ``x`` a list of them of the objective's ``dimension``, and
     :class:`EvaluationRecord` checks the values; its cost must keep the
-    spend finite and move it (:meth:`CampaignState.append`). Any other line raises
-    ``CorruptLogError`` naming its number.
+    spend finite and move it (:meth:`CampaignState.append`). A line that
+    breaks these rules raises ``CorruptLogError`` naming its number. Lines
+    of other types, ``error`` lines among them, are skipped, so the state's
+    ``error`` is None: :func:`~mfdgp.campaign.resume` starts each run
+    without one.
     """
     state = CampaignState(ladder=tuple(ladder))
     levels = {lv.index: lv for lv in state.ladder}
@@ -193,8 +196,6 @@ def replay(path, ladder, dimension: int) -> CampaignState:
                 state.append(rec)
             except DomainError as exc:
                 raise CorruptLogError(str(exc), i) from exc
-        elif payload["type"] == "error":
-            state.error = payload.get("message")
         elif payload["type"] == "summary":
             total = payload.get("budget_total")
             if not _is_number(total) or not 0 <= total <= _FLOAT_MAX:

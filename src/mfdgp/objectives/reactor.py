@@ -155,11 +155,13 @@ def cells_for_level(level_index: int) -> int:
 
 def reactor_proxy_simulate(
     geom: ReactorGeometry,
-    level,
+    level: int,
     seed: int = 0,
     base_cost: float | None = None,
 ) -> tuple[RTDCurve, float]:
     """Simulate a tracer pulse at one fidelity and return (RTD, cost).
+
+    ``level`` is the fidelity's index, 1..5 (:func:`cells_for_level`).
 
     Solves dc/dtheta = (1/Pe) d2c/dz2 - dc/dz on z in [0, 1] with closed
     boundaries by explicit conservative finite volumes (upwind advection,
@@ -175,8 +177,7 @@ def reactor_proxy_simulate(
     numpy's overflow and invalid-value warnings silenced, and the finite
     check after the loop reports it as ``SimulationDivergedError``.
     """
-    level_index = level.index if hasattr(level, "index") else int(level)
-    cells = cells_for_level(level_index)
+    cells = cells_for_level(level)
     pe = geometry_to_peclet(geom)
 
     dz = 1.0 / cells
@@ -219,8 +220,8 @@ def reactor_proxy_simulate(
     theta, e = theta / mean, e * mean
     e = e / np.trapezoid(e, theta)
 
-    base = DEFAULT_BASE_COSTS[level_index - 1] if base_cost is None else float(base_cost)
-    cost = base * _cost_multiplier(geom, level_index, seed)
+    base = DEFAULT_BASE_COSTS[level - 1] if base_cost is None else float(base_cost)
+    cost = base * _cost_multiplier(geom, level, seed)
     return RTDCurve(theta=theta, e_theta=e), cost
 
 
@@ -308,7 +309,7 @@ class ReactorProxyObjective(MultiFidelityObjective):
         # a module-global lookup, so a patch of reactor.reactor_proxy_simulate
         # (perfbench's tracer and setup_probe.py make one) reaches both callers
         return reactor_proxy_simulate(
-            geom, level, seed=self.seed, base_cost=self.base_costs[level.index - 1]
+            geom, level.index, seed=self.seed, base_cost=self.base_costs[level.index - 1]
         )
 
     def evaluate(self, x, level):

@@ -1,7 +1,7 @@
 """The reactor-proxy protocol: does the multi-fidelity loop beat the single-fidelity one?
 
 Runs reactor-proxy campaigns (n = 1, beta 2, budget 80) and the
-single-fidelity baseline on seeds 0-2. The reference optimum f* is the
+single-fidelity baseline on seeds 0-5. The reference optimum f* is the
 level-5 tank count N at the Pe-maximizing corner of the design box,
 (20, 1.5, 4, 0.5): N depends on the geometry only through Pe, and it rises
 with Pe. For each seed it prints the regret f* - y of the campaign's
@@ -20,7 +20,7 @@ import numpy as np
 from mfdgp import campaign
 from mfdgp.objectives import ReactorProxyObjective
 
-SEEDS = range(3)
+SEEDS = range(6)
 BUDGET = 80.0
 PE_ARGMAX = (20.0, 1.5, 4.0, 0.5)
 

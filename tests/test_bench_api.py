@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from mfdgp import dgp, gp
-from mfdgp.objectives.reactor import GEOMETRY_BOX
+from mfdgp.objectives.reactor import GEOMETRY_BOX, ReactorProxyObjective
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import micro  # noqa: E402
@@ -98,3 +98,17 @@ def test_a_one_row_fit_scores_its_vertices_without_lml(monkeypatch):
     assert calls["kernel_matrix"] == calls["from_params"] == 1
     assert calls["log_marginal_likelihood"] == 0
     assert nfev[0] == one_start
+
+
+def test_the_light_trace_sees_each_solve_and_evaluation_level():
+    # perfbench's reactor.simulate_s_level<t> figures read each span's amount,
+    # the level that tracing._level takes from the call's arguments
+    tracer = tracing.Tracer()
+    x = np.array([12.5, 2.5, 10.0, 0.0])
+    with tracer.installed(tracing.package_targets(full=False)):
+        for t in range(1, 6):
+            ReactorProxyObjective().evaluate(x, t)
+    spans = tracer.window()
+    names = np.asarray(tracer.names)[spans["kind"]]
+    for name in ("reactor.simulate", "objective.evaluate"):
+        assert spans["amount"][names == name].tolist() == [1, 2, 3, 4, 5]

@@ -311,6 +311,8 @@ def test_resume_finishes_failed_initial_design(tmp_path, monkeypatch):
     log = tmp_path / "out" / "records.jsonl"
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OBJECTIVE
     assert len(eval_lines(log)) == 6
+    error = json.loads(log.read_text().splitlines()[-2])
+    assert error["message"].startswith("objective failed at iteration 0 (initial-design), level 3")
     # no top-level record yet, so the summary holds no recommendation
     assert json.loads(log.read_text().splitlines()[-1])["model_best"] is None
     monkeypatch.setattr(ForresterFamily, "evaluate", evaluate)
@@ -334,6 +336,7 @@ def test_cost_overflow_exits_3(tmp_path, capsys):
     assert "Infinity" not in log.read_text()
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert [p["type"] for p in lines[-2:]] == ["error", "summary"]
+    assert lines[-2]["message"].startswith("ledger refused the evaluation at iteration 0")
     assert "level 2" in lines[-2]["message"]
     assert lines[-1]["budget_spent"] == 1e308
     assert len(eval_lines(log)) == 1
@@ -354,9 +357,28 @@ def test_cost_that_leaves_the_spend_unchanged_exits_3(tmp_path, capsys, monkeypa
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert [p["type"] for p in lines[-2:]] == ["error", "summary"]
+    assert lines[-2]["message"].startswith("ledger refused the evaluation at iteration 0")
     assert "level 5" in lines[-2]["message"]
     assert lines[-1]["budget_spent"] == 15.0
     assert len(eval_lines(log)) == 4
+
+
+def test_cost_ratio_that_overflows_exits_3(tmp_path, capsys, recwarn):
+    # level 1's design cost of 1e-320 moves the empty ledger's spend, so the
+    # ledger takes it; at the first loop iteration max(tau) / tau overflows,
+    # and the fidelity pick refuses the costs instead of scoring infinity
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, n=1, budget=34.0, base_costs="1e-320, 2, 4, 8, 16",
+                 out=str(tmp_path / "out"))
+    log = tmp_path / "out" / "records.jsonl"
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_OBJECTIVE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [p["type"] for p in lines[-2:]] == ["error", "summary"]
+    assert lines[-2]["message"].startswith("model failed at iteration 1: cost ratio")
+    assert len(eval_lines(log)) == 5
 
 
 # ---------------------------------------------------------------------------

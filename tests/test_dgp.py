@@ -83,8 +83,8 @@ def test_train_refuses_levels_of_another_dimension():
 
 def test_train_layer_shapes(correlated_two_level):
     _, _, model = correlated_two_level
-    assert model.layers[0].dataset.dimension == 1
-    assert model.layers[1].dataset.dimension == 2
+    assert model.layers[0].dataset.inputs.shape[1] == 1
+    assert model.layers[1].dataset.inputs.shape[1] == 2
 
 
 def test_perfectly_correlated_round_trip(correlated_two_level):

@@ -405,13 +405,17 @@ def test_predict_matches_scipy_solves(n, m):
 @pytest.mark.parametrize("trans", [0, 1])
 @pytest.mark.parametrize("rhs_shape", [(), (3,)], ids=["vector", "matrix"])
 def test_solve_lower_matches_solve_triangular(n, trans, rhs_shape):
+    # trans=0 is predict's checked solve; trans=1 is _alpha's second solve,
+    # L.T x = b, which calls _trtrs directly
     L = cholesky(random_spd(n, seed=30 + n), lower=True)
     b = np.random.default_rng(n).standard_normal((n, *rhs_shape))
     if trans:
         expected = solve_triangular(L.T, b, lower=False)
+        solved = gp._trtrs(L, b, trans=1)
     else:
         expected = solve_triangular(L, b, lower=True)
-    assert np.array_equal(gp._solve_lower(L, b, trans=trans), expected)
+        solved = gp._solve_lower(L, b)
+    assert np.array_equal(solved, expected)
 
 
 def test_factorize_near_singular_takes_one_jitter_step():

@@ -16,9 +16,9 @@ def run_small_campaign(tmp_path, budget=36.0, seed=0):
     log_path = tmp_path / "records.jsonl"
     cfg = cfgmod.CampaignConfig(budget=budget, seed=seed)
     with logio.ResultsLogWriter(log_path, config_payload=cfg.as_payload()) as writer:
-        state = campaign.run(
-            obj, obj.space, obj.ladder, 1, 2.0, budget, seed,
-            on_record=writer.record,
+        state = campaign.resume(
+            campaign.CampaignState(ladder=tuple(obj.ladder)), obj, obj.space, 1, 2.0, budget,
+            seed, on_record=writer.record,
         )
         writer.summary(state)
     return log_path, state
@@ -64,8 +64,8 @@ def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
     monkeypatch.setattr(campaign, "select_fidelity", spy)
     log_path = tmp_path / "records.jsonl"
     with logio.ResultsLogWriter(log_path, config_payload={}) as writer:
-        state = campaign.run(
-            Scripted(), obj.space, top, 1, 2.0, 6.0, 0,
+        state = campaign.resume(
+            campaign.CampaignState(ladder=top), Scripted(), obj.space, 1, 2.0, 6.0, 0,
             on_record=writer.record,
         )
     assert [r.cost for r in state.records] == costs
@@ -140,12 +140,12 @@ def test_header_required(tmp_path):
         logio.read_header(p)
 
 
-def test_error_marker_survives_replay(tmp_path):
+def test_replay_skips_an_error_line(tmp_path):
     p = tmp_path / "err.jsonl"
     with logio.ResultsLogWriter(p, config_payload={}) as writer:
         writer.error("solver died")
     state = logio.replay(p, default_ladder(), 1)
-    assert state.error == "solver died"
+    assert state.error is None
     assert state.records == []
 
 
