@@ -14,7 +14,7 @@ X = np.sort(rng.uniform(0, 1, 9))[:, None]
 y = np.sin(6 * X[:, 0]) + 0.05 * rng.standard_normal(9)
 
 data = GPDataset(inputs=X, targets=y, noise_variance=0.05**2)
-model = fit(data, restarts=4, rng_seed=1)
+model = fit(data, rng_seed=1)
 
 print("fitted lengthscale :", model.kernel.lengthscales)
 print("fitted signal var  :", model.kernel.signal_variance)

@@ -27,7 +27,7 @@ levels = [
     GPDataset(inputs=x_lo, targets=f_low(x_lo[:, 0]), noise_variance=1e-8),
     GPDataset(inputs=x_hi, targets=f_high(x_hi[:, 0]), noise_variance=1e-8),
 ]
-model = train(levels, 4, 0)
+model = train(levels, 0)
 
 # one set of base draws, shared by every grid point
 grid = np.linspace(0, 1, 201)[:, None]
@@ -37,9 +37,7 @@ truth = f_high(grid[:, 0])
 print("deep GP   rmse vs truth:", float(np.sqrt(np.mean((mu - truth) ** 2))))
 
 single = fit(
-    GPDataset(inputs=x_hi, targets=f_high(x_hi[:, 0]), noise_variance=1e-8),
-    restarts=4,
-    rng_seed=0,
+    GPDataset(inputs=x_hi, targets=f_high(x_hi[:, 0]), noise_variance=1e-8), rng_seed=0
 )
 mu_sf, _ = predict(single, grid)
 print("plain GP  rmse vs truth:", float(np.sqrt(np.mean((mu_sf - truth) ** 2))))

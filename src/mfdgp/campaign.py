@@ -38,10 +38,6 @@ from .streams import ACQUISITION, DESIGN, PROPAGATION, TRAIN, derive_seed, subst
 PHASE_INITIAL = "initial-design"
 PHASE_LOOP = "bo-loop"
 
-# Optimizer restarts per layer of every campaign model: each loop
-# iteration's and the final one a run reports its recommendation from.
-TRAIN_RESTARTS = 4
-
 # Observation noise of every level's training data; objectives here are
 # deterministic, so this is purely a conditioning floor.
 OBS_NOISE = 1e-8
@@ -267,11 +263,12 @@ def select_fidelity(model: MFDeepGP, x_star, tau, beta: float, rng_seed: int) ->
 def train_model(state: CampaignState, rng_seed: int) -> MFDeepGP:
     """The model of the ledger's next loop iteration, trained under its TRAIN seed.
 
-    The loop trains iteration k's model on ``derive_seed(rng_seed, TRAIN, k)``;
-    after the last iteration this is the final model a run reports from.
+    The loop trains iteration k's model by :func:`dgp.train` on
+    ``derive_seed(rng_seed, TRAIN, k)``; after the last iteration this is
+    the final model a run reports from.
     """
     seed = derive_seed(rng_seed, TRAIN, state.loop_iterations + 1)
-    return dgp.train(_dataset_from_state(state), TRAIN_RESTARTS, seed, ladder=state.ladder)
+    return dgp.train(_dataset_from_state(state), seed, ladder=state.ladder)
 
 
 def continue_run(

@@ -109,8 +109,8 @@ def compose_mean(layers, X) -> np.ndarray:
     return m
 
 
-def train(levels, restarts: int, rng_seed: int, ladder=None) -> MFDeepGP:
-    """Fit the stack bottom-up on ``levels``, each layer with ``restarts`` optimizer restarts.
+def train(levels, rng_seed: int, ladder=None) -> MFDeepGP:
+    """Fit the stack bottom-up on ``levels``, each layer by one :func:`gp.fit`.
 
     ``levels`` holds one :class:`gp.GPDataset` per fidelity, lowest first,
     all of one input dimension (:func:`~mfdgp.kernels.kernel_matrix`
@@ -132,7 +132,7 @@ def train(levels, restarts: int, rng_seed: int, ladder=None) -> MFDeepGP:
             aug = compose_mean(layers, ds.inputs)
             ds = gp.GPDataset(inputs=np.column_stack([ds.inputs, aug]),
                               targets=ds.targets - aug, noise_variance=ds.noise_variance)
-        layers.append(gp.fit(ds, restarts=restarts, rng_seed=int(seeds[t - 1])))
+        layers.append(gp.fit(ds, rng_seed=int(seeds[t - 1])))
     return MFDeepGP(layers=tuple(layers), ladder=tuple(ladder))
 
 

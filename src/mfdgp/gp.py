@@ -1,20 +1,19 @@
 """Exact Gaussian process regression.
 
-A :class:`TrainedGP` bundles a dataset, a kernel and the cached Cholesky
-factorization of ``K + noise * I``; prediction and the log marginal
-likelihood both reuse that factorization. Hyperparameters are trained by
-maximizing the log marginal likelihood with a derivative-free simplex
-search in log-parameter space, from a data-scaled start and then
-scale-aware random ones. The search is the module's own :func:`minimize`,
-which takes scipy's Nelder-Mead steps in scipy's order on Python floats,
-so each restart lands on the very vertex scipy's would. It runs a fit's
-restarts in lock step: each round scores the vertices that every running
-restart needs next in one call of the objective, which builds their
-kernel matrices as one batch. It keeps the name ``minimize``, which
-benchmark tracing wraps to count each fit's evaluations. Training always
-fits a squared-exponential kernel; a Matérn-5/2
-:class:`~mfdgp.kernels.KernelSpec` can still be factorized and predicted
-from with :meth:`TrainedGP.from_params`.
+A :class:`TrainedGP` bundles a dataset, a squared-exponential kernel and
+the cached Cholesky factorization of ``K + noise * I``; prediction and the
+log marginal likelihood both reuse that factorization. Training has one
+configuration: the hyperparameters maximize the log marginal likelihood
+by a derivative-free simplex search in log-parameter space, from
+``_RESTARTS`` starts, a data-scaled one and then scale-aware random ones,
+each capped at 400 iterations per parameter. The search is the module's
+own :func:`minimize`, which takes scipy's Nelder-Mead steps in scipy's
+order on Python floats, so each restart lands on the very vertex scipy's
+would. It runs a fit's restarts in lock step: each round scores the
+vertices that every running restart needs next in one call of the
+objective, which builds their kernel matrices as one batch. It keeps the
+name ``minimize``, which benchmark tracing wraps to count each fit's
+evaluations.
 
 The factorization and the triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly.
@@ -28,7 +27,6 @@ Each check has one owner, and the code past it trusts it:
 * :func:`~mfdgp.kernels.kernel_matrix`: every kernel input. It is what
   refuses a kernel, dataset or query of another dimension in
   :meth:`TrainedGP.from_params` and :func:`predict`.
-* :func:`fit`: at least one restart.
 * :func:`_search_setup`, which builds a fit's box and starts from one
   scan of the data: a log-parameter box with finite bounds,
   ``exp(lo) > 0`` and ``exp(hi) < inf``; inputs whose scaled norms
@@ -37,9 +35,10 @@ Each check has one owner, and the code past it trusts it:
 * :func:`_factorize`: a finite covariance (``x / ls`` can still overflow
   at shorter lengthscales) and the jitter ladder; :func:`_trtrs`: LAPACK's
   ``info``; :func:`_alpha`: a finite alpha.
-* :func:`predict`: finite operands of its triangular solve
-  (:func:`_solve_lower`), since no dataset check covers ``k_star``, and
-  a predictive variance no lower than the clamp threshold.
+* :func:`predict`: a finite cross-covariance ``k_star``, since no dataset
+  check covers the queries' distances to the data, and a predictive
+  variance no lower than the clamp threshold. Its factor is finite, since
+  ``potrf`` ran on a finite matrix.
 
 A Nelder-Mead vertex is the list of floats :func:`minimize` keeps, handed
 to the objective as it is, in the list of one round's vertices. The
@@ -74,6 +73,9 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_matrix
 from .kernels import _scaled_kernel_matrix
+
+# Simplex restarts of every fit: the data-scaled start and three random ones.
+_RESTARTS = 4
 
 # Jitter escalation ladder: fractions of the mean diagonal of K, tried in
 # order until the Cholesky succeeds.
@@ -183,13 +185,6 @@ def _factorize(K: np.ndarray, noise_variance: float) -> np.ndarray:
     return L
 
 
-def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` for lower-triangular ``L``, refusing non-finite operands."""
-    if not (np.isfinite(L).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    return _trtrs(L, b)
-
-
 def _trtrs(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """LAPACK ``trtrs`` for lower-triangular ``L``, unchecked operands, checked ``info``."""
     x, info = dtrtrs(L, b, lower=1, trans=trans)
@@ -220,11 +215,14 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
     mean, variance : ndarray, shape (m,)
         The variance is ``sv - ||v||^2`` with ``v = L^-1 k_star``. Values in
         [-1e-10, 0) are rounding noise and clamped to 0; a value below
-        -1e-10 raises a conditioning error rather than being repaired.
+        -1e-10 raises a conditioning error rather than being repaired, and
+        so does a query whose covariance with the data is not finite.
     """
     k_star = kernel_matrix(gp.kernel, gp.dataset.inputs, queries)
+    if not np.isfinite(k_star).all():
+        raise ConditioningError("covariance between queries and data is not finite")
     mean = k_star.T @ gp.alpha
-    v = _solve_lower(gp.chol_factor, k_star)
+    v = _trtrs(gp.chol_factor, k_star)
     variance = gp.kernel.signal_variance - (v**2).sum(axis=0)
     if variance.size and variance.min() < -_VAR_CLAMP:
         raise ConditioningError(f"predictive variance {variance.min()} below clamp threshold")
@@ -232,9 +230,9 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _search_setup(
-    data: GPDataset, restarts: int, rng: np.random.Generator
+    data: GPDataset, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-    """Log-space hyperparameter box ``(lo, hi)`` of one fit and its ``restarts`` starts.
+    """Log-space hyperparameter box ``(lo, hi)`` of one fit and its ``_RESTARTS`` starts.
 
     Lengthscales are confined to [1e-3, 3] times the per-dimension input
     range (1.0 if flat) and the signal variance to [1e-8, 1e6] times the
@@ -283,7 +281,7 @@ def _search_setup(
         )
     ls = np.where(live, 0.5 * ranges, 1.0)
     starts = [np.log(np.concatenate([ls, [tv]])).tolist()]
-    for _ in range(restarts - 1):
+    for _ in range(_RESTARTS - 1):
         frac = np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=ranges.size))
         starts.append(np.log(np.concatenate([frac * ranges, [tv]])).tolist())
     return lo, hi, starts
@@ -358,7 +356,7 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
         log_params = np.array([vertices[i] for i in inside])
         ls = np.exp(log_params[:, :-1])
         sv = np.exp(log_params[:, -1])
-        K = _scaled_kernel_matrix(SQUARED_EXPONENTIAL, sv[:, None, None], inputs / ls[:, None, :])
+        K = _scaled_kernel_matrix(sv[:, None, None], inputs / ls[:, None, :])
         if one_row:
             values = one_row_scores(K)
         else:
@@ -387,18 +385,19 @@ _XATOL = 1e-6
 _FATOL = 1e-9
 
 
-def minimize(objective, starts: list, maxiter: int) -> SimplexResult:
+def minimize(objective, starts: list) -> SimplexResult:
     """Nelder-Mead from each of ``starts`` in lock step, each taking scipy's steps bit for bit.
 
     ``objective`` maps a list of vertices to the list of their values. Each
-    start runs as one :func:`_nelder_mead` restart; each round hands
-    ``objective`` the vertices every running restart needs next, in start
-    order, in one call. The restarts do not depend on each other, so each
-    takes the steps it would take alone. Returns the first restart whose
+    start runs as one :func:`_nelder_mead` restart, of at most 400
+    iterations per coordinate; each round hands ``objective`` the vertices
+    every running restart needs next, in start order, in one call. The
+    restarts do not depend on each other, so each takes the steps it would
+    take alone. Returns the first restart whose
     value is the lowest below ``inf``, or the first restart when none is,
     with ``nfev`` the vertices scored over all restarts.
     """
-    runs = [_nelder_mead(start, maxiter) for start in starts]
+    runs = [_nelder_mead(start) for start in starts]
     ends = [None] * len(runs)
     live = [(i, run, next(run)) for i, run in enumerate(runs)]
     nfev = 0
@@ -421,23 +420,23 @@ def minimize(objective, starts: list, maxiter: int) -> SimplexResult:
     return SimplexResult(x=np.array(best[0]), fun=best[1], nfev=nfev)
 
 
-def _nelder_mead(start: list, maxiter: int):
+def _nelder_mead(start: list):
     """One restart of :func:`minimize`: yields the vertices it needs next, receives their values.
 
     Runs the float operations of ``scipy.optimize.minimize(objective, start,
     method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-9, "maxiter":
-    maxiter})`` in scipy's order, on Python floats: the same first simplex
-    (each coordinate times 1 + 0.05, or 0.00025 where it is 0), centroid
-    summed row by row, reflection, expansion, outside and inside
-    contraction, shrink, and the vertex order of ``np.argsort``, so that
-    tied values (``inf`` vertices) break as scipy's do. It runs at most
-    ``maxiter - 1`` iterations, as scipy does. It yields the whole first
-    simplex, then one trial vertex at a time, or the n vertices of a shrink,
-    each the very list of floats its simplex keeps, which the objective
-    must not change. What it leaves out is scipy's per-call wrapping and
-    per-iteration result and callback, and a convergence scan that reads
-    every value and coordinate when the first ones already fail. Returns
-    the best vertex and its value.
+    maxiter})`` with ``maxiter = 400 * len(start)``, in scipy's order, on
+    Python floats: the same first simplex (each coordinate times 1 + 0.05,
+    or 0.00025 where it is 0), centroid summed row by row, reflection,
+    expansion, outside and inside contraction, shrink, and the vertex order
+    of ``np.argsort``, so that tied values (``inf`` vertices) break as
+    scipy's do. It runs at most ``maxiter - 1`` iterations, as scipy does.
+    It yields the whole first simplex, then one trial vertex at a time, or
+    the n vertices of a shrink, each the very list of floats its simplex
+    keeps, which the objective must not change. What it leaves out is
+    scipy's per-call wrapping and per-iteration result and callback, and a
+    convergence scan that reads every value and coordinate when the first
+    ones already fail. Returns the best vertex and its value.
     """
     n = len(start)
     x0 = list(start)
@@ -450,7 +449,7 @@ def _nelder_mead(start: list, maxiter: int):
     for _ in range(2):  # scipy sorts the first simplex twice
         order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    for _ in range(maxiter - 1):
+    for _ in range(400 * n - 1):
         best, f_best = sim[0], fsim[0]
         if all(abs(f_best - fv) <= _FATOL for fv in fsim[1:]) and all(
             abs(a - b) <= _XATOL for v in sim[1:] for a, b in zip(v, best)
@@ -506,10 +505,10 @@ def _argsort(values: list) -> list:
     return order
 
 
-def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
+def fit(data: GPDataset, rng_seed: int) -> TrainedGP:
     """Train squared-exponential hyperparameters by marginal-likelihood maximization.
 
-    Runs one :func:`minimize` in log-parameter space over ``restarts``
+    Runs one :func:`minimize` in log-parameter space over ``_RESTARTS``
     starting points (the data-scaled start first, then randomized ones),
     each restart the Nelder-Mead search scipy would run with ``xatol=1e-6``,
     ``fatol=1e-9`` and ``maxiter = 400 * parameters``, and keeps the first
@@ -522,11 +521,9 @@ def fit(data: GPDataset, restarts: int, rng_seed: int) -> TrainedGP:
     fall back to 1.0, and the likelihood puts the signal variance at about
     the squared target.
     """
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    lo, hi, starts = _search_setup(data, restarts, rng)
-    res = minimize(_negative_lml(data, lo, hi), starts, 400 * len(starts[0]))
+    lo, hi, starts = _search_setup(data, rng)
+    res = minimize(_negative_lml(data, lo, hi), starts)
     # a vertex outside the box scores inf, so a finite res.fun has res.x inside it
     if not res.fun < np.inf:
         raise ConditioningError("no restart produced a finite marginal likelihood")

@@ -1,19 +1,18 @@
-"""Stationary covariance kernels with per-dimension lengthscales.
+"""The squared-exponential covariance kernel with per-dimension lengthscales.
 
-Two families are supported:
-
-* ``squared-exponential``:  k(r) = s2 * exp(-r^2 / 2)
-* ``matern-5/2``:           k(r) = s2 * (1 + sqrt(5) r + 5 r^2 / 3) * exp(-sqrt(5) r)
-
-where r is the Euclidean distance after dividing each input dimension by
-its lengthscale and s2 is the signal variance.
+k(r) = s2 * exp(-r^2 / 2), where r is the Euclidean distance after
+dividing each input dimension by its lengthscale and s2 is the signal
+variance. It is the one kernel family of the model's layers.
 
 This module owns two checks. :class:`KernelSpec` checks the kind and the
 hyperparameters once, when it is built, and keeps a read-only copy of its
 lengthscales. :func:`kernel_matrix` checks its inputs at every call: an
 input of rank below two is one row (``np.atleast_2d``); one of rank above
 two, or with a d other than the lengthscales', is a ``ShapeError``; a
-non-finite one is a ``DomainError``. Its arithmetic lives in
+non-finite one is a ``DomainError``. Finite inputs can still overflow
+when scaled or in the squared distances: an overflowed distance gives the
+exact covariance 0, and ``inf - inf`` a nan that its callers refuse, so it
+computes without numpy's overflow warnings. Its arithmetic lives in
 ``_scaled_kernel_matrix``, the unchecked core that likelihood training
 calls on inputs it has already checked and scaled.
 """
@@ -28,8 +27,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 SQUARED_EXPONENTIAL = "squared-exponential"
-MATERN52 = "matern-5/2"
-_KINDS = (SQUARED_EXPONENTIAL, MATERN52)
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class KernelSpec:
     Parameters
     ----------
     kind : str
-        One of ``"squared-exponential"`` or ``"matern-5/2"``.
+        ``"squared-exponential"``, the one family.
     lengthscales : ndarray
         One positive lengthscale per input dimension.
     signal_variance : float
@@ -51,8 +48,8 @@ class KernelSpec:
     signal_variance: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind != SQUARED_EXPONENTIAL:
+            raise DomainError(f"unknown kernel kind {self.kind!r}; expected {SQUARED_EXPONENTIAL}")
         ls = np.atleast_1d(np.array(self.lengthscales, dtype=np.float64))
         if ls.ndim != 1:
             raise ShapeError("lengthscales must be a 1-D array with one entry per dimension")
@@ -84,20 +81,26 @@ def _scaled(spec: KernelSpec, x) -> np.ndarray:
 
 
 def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
-    """Covariance matrix between rows of ``a`` and rows of ``b`` (or ``a``)."""
-    xa = _scaled(spec, a)
-    xb = None if b is None else _scaled(spec, b)
-    return _scaled_kernel_matrix(spec.kind, spec.signal_variance, xa, xb)
+    """Covariance matrix between rows of ``a`` and rows of ``b`` (or ``a``).
+
+    An entry whose squared distance overflows is 0; one whose scaled inputs
+    or distance overflow into ``inf - inf`` or ``inf * 0`` is nan, for the
+    caller to refuse.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        xa = _scaled(spec, a)
+        xb = None if b is None else _scaled(spec, b)
+        return _scaled_kernel_matrix(spec.signal_variance, xa, xb)
 
 
-def _scaled_kernel_matrix(kind: str, signal_variance: float, xa, xb=None) -> np.ndarray:
+def _scaled_kernel_matrix(signal_variance: float, xa, xb=None) -> np.ndarray:
     """:func:`kernel_matrix` on (n, d) float64 inputs already divided by the lengthscales.
 
-    Trusted core: it checks nothing. Its caller vouches for a known ``kind``
-    and a finite positive ``signal_variance``, and scans the result where the
-    scaled inputs can overflow. Inputs may carry leading batch axes, (k, n,
-    d), with ``signal_variance`` shaped to broadcast against the (k, n, m)
-    result: each slice gets the very floats of its own 2-D call.
+    Trusted core: it checks nothing. Its caller vouches for a finite positive
+    ``signal_variance``, and scans the result where the scaled inputs can
+    overflow. Inputs may carry leading batch axes, (k, n, d), with
+    ``signal_variance`` shaped to broadcast against the (k, n, m) result:
+    each slice gets the very floats of its own 2-D call.
     """
     norms_a = (xa**2).sum(axis=-1)
     if xb is None:
@@ -107,10 +110,7 @@ def _scaled_kernel_matrix(kind: str, signal_variance: float, xa, xb=None) -> np.
     # squared distances via the expanded form; clip tiny negatives from cancellation
     sq = norms_a[..., :, None] + norms_b[..., None, :] - 2.0 * xa @ xb.swapaxes(-1, -2)
     np.maximum(sq, 0.0, out=sq)
-    if kind == SQUARED_EXPONENTIAL:
-        sq *= -0.5
-        np.exp(sq, out=sq)
-        sq *= signal_variance
-        return sq
-    r = np.sqrt(5.0 * sq)
-    return signal_variance * (1.0 + r + r**2 / 3.0) * np.exp(-r)
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= signal_variance
+    return sq

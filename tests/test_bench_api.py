@@ -40,7 +40,7 @@ def test_every_trace_target_resolves():
 
 
 def traced_fit(monkeypatch, data):
-    """``gp.fit(data, 2, 0)`` with the traced attributes counted; the calls, each nfev, and the
+    """``gp.fit(data, 0)`` with the traced attributes counted; the calls, each nfev, and the
     lock-step search's summed one-start nfev."""
     calls = {"kernel_matrix": 0, "from_params": 0, "log_marginal_likelihood": 0, "_lml": 0}
     nfev = []
@@ -64,11 +64,11 @@ def traced_fit(monkeypatch, data):
     monkeypatch.setattr(gp, "_lml", counted("_lml", gp._lml))
     monkeypatch.setattr(gp.TrainedGP, "from_params",
                         counted("from_params", gp.TrainedGP.from_params))
-    gp.fit(data, restarts=2, rng_seed=0)
+    gp.fit(data, rng_seed=0)
     fit_calls = dict(calls)
-    lo, hi, starts = gp._search_setup(data, 2, np.random.default_rng(0))
+    lo, hi, starts = gp._search_setup(data, np.random.default_rng(0))
     objective = gp._negative_lml(data, lo, hi)
-    one_start = sum(gp_minimize(objective, [s], 400 * len(s)).nfev for s in starts)
+    one_start = sum(gp_minimize(objective, [s]).nfev for s in starts)
     return fit_calls, nfev, one_start
 
 

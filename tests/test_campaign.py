@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from functools import partial
 
 import numpy as np
@@ -518,3 +519,16 @@ def test_single_fidelity_baseline_runs(forrester):
     assert all(r.level.index == 5 for r in state.records)
     assert state.budget_spent >= 60.0
     assert state.incumbent is not None
+
+
+def test_a_campaign_whose_model_overflows_a_covariance_runs_without_warning(forrester):
+    # seed 38 of the criterion-6 campaign: a layer whose z column spans only
+    # 1.7e-178 fits a z lengthscale near 7e-181, so the model predicts at z
+    # values whose squared scaled norm overflows; that covariance is 0, as
+    # it is exactly, and the run finishes without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = campaign.run(forrester, forrester.space, forrester.ladder,
+                             n=1, beta=2.0, budget_total=60.0, rng_seed=38)
+    assert state.error is None
+    assert state.budget_spent >= 60.0

@@ -38,7 +38,7 @@ def correlated_two_level():
     rng = np.random.default_rng(3)
     X = np.linspace(0, 1, 8)[:, None]
     y = np.sin(4 * X[:, 0])
-    model = dgp.train(datasets([X, X], [y, y], noise_variance=1e-10), 2, 5)
+    model = dgp.train(datasets([X, X], [y, y], noise_variance=1e-10), 5)
     return X, y, model
 
 
@@ -47,7 +47,7 @@ def five_level_model():
     rng = np.random.default_rng(9)
     xs = [np.sort(rng.uniform(size=n))[:, None] for n in (6, 5, 4, 3, 2)]
     ys = [np.sin(5 * x[:, 0]) + 0.1 * t * x[:, 0] for t, x in enumerate(xs)]
-    return dgp.train(datasets(xs, ys), 2, 1)
+    return dgp.train(datasets(xs, ys), 1)
 
 
 def test_ladder_construction():
@@ -69,16 +69,16 @@ def test_dataset_needs_every_level_populated():
     with pytest.raises(InsufficientDataError, match="level 2"):
         campaign.train_model(campaign.CampaignState(ladder=ladder, records=[rec]), 0)
     with pytest.raises(MfdgpError):
-        dgp.train([], 2, 0)
+        dgp.train([], 0)
     # one level is a valid (single-fidelity) dataset
-    assert dgp.train(datasets([np.zeros((1, 1))], [[0.0]]), 2, 0).num_levels == 1
+    assert dgp.train(datasets([np.zeros((1, 1))], [[0.0]]), 0).num_levels == 1
 
 
 def test_train_refuses_levels_of_another_dimension():
     rng = np.random.default_rng(4)
     xs = [rng.uniform(size=(3, 1)), rng.uniform(size=(3, 2))]
     with pytest.raises(ShapeError):
-        dgp.train(datasets(xs, [np.zeros(3), np.zeros(3)]), 2, 0)
+        dgp.train(datasets(xs, [np.zeros(3), np.zeros(3)]), 0)
 
 
 def test_train_layer_shapes(correlated_two_level):
@@ -98,7 +98,7 @@ def test_train_accepts_single_point_top_level():
     rng = np.random.default_rng(0)
     X1 = rng.uniform(size=(5, 1))
     X2 = rng.uniform(size=(1, 1))
-    model = dgp.train(datasets([X1, X2], [np.sin(X1[:, 0]), np.sin(X2[:, 0])]), 2, 0)
+    model = dgp.train(datasets([X1, X2], [np.sin(X1[:, 0]), np.sin(X2[:, 0])]), 0)
     assert model.num_levels == 2
 
 
@@ -107,8 +107,8 @@ def test_train_deterministic():
     xs = [rng.uniform(size=(4, 1)) for _ in range(2)]
     ys = [np.cos(3 * x[:, 0]) for x in xs]
     data = datasets(xs, ys)
-    a = dgp.train(data, 3, 11)
-    b = dgp.train(data, 3, 11)
+    a = dgp.train(data, 11)
+    b = dgp.train(data, 11)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.kernel.lengthscales, lb.kernel.lengthscales)
         assert la.kernel.signal_variance == lb.kernel.signal_variance
@@ -119,7 +119,7 @@ def test_ladder_length_must_match_levels():
     xs = [rng.uniform(size=(3, 1)) for _ in range(2)]
     data = datasets(xs, [x[:, 0] for x in xs])
     with pytest.raises(ShapeError):
-        dgp.train(data, 2, 0, ladder=dgp.default_ladder())
+        dgp.train(data, 0, ladder=dgp.default_ladder())
 
 
 def test_level_one_is_plain_gp_bit_for_bit(five_level_model):
@@ -223,7 +223,7 @@ def test_monotone_data_effect():
     y1 = np.sin(4 * X1[:, 0])
     X2 = np.array([[0.2], [0.8]])
     y2 = np.sin(4 * X2[:, 0])
-    model = dgp.train(datasets([X1, X2], [y1, y2], noise_variance=1e-10), 2, 3)
+    model = dgp.train(datasets([X1, X2], [y1, y2], noise_variance=1e-10), 3)
 
     x_new = np.array([0.5])
     draws = np.random.default_rng(77).standard_normal((1, 10_000))

@@ -9,25 +9,14 @@ def se(ls=(1.0,), sv=1.0):
     return KernelSpec(kind="squared-exponential", lengthscales=np.asarray(ls), signal_variance=sv)
 
 
-def m52(ls=(1.0,), sv=1.0):
-    return KernelSpec(kind="matern-5/2", lengthscales=np.asarray(ls), signal_variance=sv)
-
-
 def test_zero_distance_returns_signal_variance():
     assert kernel_matrix(se(), [0.3], [0.3])[0, 0] == 1.0
     assert kernel_matrix(se(sv=2.5), [0.7], [0.7])[0, 0] == 2.5
-    assert kernel_matrix(m52(sv=0.3), [0.1], [0.1])[0, 0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_se_unit_distance_closed_form():
     # exp(-r^2 / (2 l^2)) at r = 1, l = 1
     assert kernel_matrix(se(), [0.0], [1.0])[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-12)
-
-
-def test_matern52_unit_distance_closed_form():
-    # independent evaluation of (1 + sqrt5 r + 5 r^2/3) exp(-sqrt5 r) at r=1
-    expected = (1.0 + np.sqrt(5.0) + 5.0 / 3.0) * np.exp(-np.sqrt(5.0))
-    assert kernel_matrix(m52(), [0.0], [1.0])[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_symmetry_in_arguments():
@@ -49,16 +38,16 @@ def test_anisotropic_lengthscales_scale_each_dimension():
 
 
 def test_kernel_matrix_matches_pairwise_eval():
-    # oracle: the Matern-5/2 closed form on each pair's scaled distance
-    spec = m52(ls=(0.8, 2.0), sv=1.6)
+    # oracle: the squared-exponential closed form on each pair's scaled distance
+    spec = se(ls=(0.8, 2.0), sv=1.6)
     rng = np.random.default_rng(3)
     A = rng.normal(size=(5, 2))
     B = rng.normal(size=(4, 2))
     K = kernel_matrix(spec, A, B)
     for i in range(5):
         for j in range(4):
-            r = np.sqrt(5.0) * np.linalg.norm((A[i] - B[j]) / spec.lengthscales)
-            expected = 1.6 * (1.0 + r + r**2 / 3.0) * np.exp(-r)
+            r = np.linalg.norm((A[i] - B[j]) / spec.lengthscales)
+            expected = 1.6 * np.exp(-0.5 * r**2)
             assert K[i, j] == pytest.approx(expected, rel=1e-12)
 
 
@@ -74,8 +63,10 @@ def test_invalid_hyperparameters_rejected():
         KernelSpec(kind="squared-exponential", lengthscales=[0.0], signal_variance=1.0)
     with pytest.raises(DomainError):
         KernelSpec(kind="squared-exponential", lengthscales=[1.0], signal_variance=-1.0)
-    with pytest.raises(DomainError):
-        KernelSpec(kind="cubic", lengthscales=[1.0], signal_variance=1.0)
+    # squared-exponential is the one kernel family
+    for kind in ("cubic", "matern-5/2"):
+        with pytest.raises(DomainError, match="unknown kernel kind"):
+            KernelSpec(kind=kind, lengthscales=[1.0], signal_variance=1.0)
 
 
 def test_non_finite_inputs_rejected():
@@ -103,10 +94,7 @@ def reference_kernel_matrix(spec, a, b=None):
     xb = xa if b is None else np.atleast_2d(np.asarray(b, dtype=np.float64)) / spec.lengthscales
     sq = np.sum(xa**2, axis=1)[:, None] + np.sum(xb**2, axis=1)[None, :] - 2.0 * xa @ xb.T
     sq = np.maximum(sq, 0.0)
-    if spec.kind == "squared-exponential":
-        return spec.signal_variance * np.exp(-0.5 * sq)
-    r = np.sqrt(5.0 * sq)
-    return spec.signal_variance * (1.0 + r + r**2 / 3.0) * np.exp(-r)
+    return spec.signal_variance * np.exp(-0.5 * sq)
 
 
 PARITY_INPUTS = {
@@ -118,7 +106,7 @@ PARITY_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["squared-exponential", "matern-5/2"])
+@pytest.mark.parametrize("kind", ["squared-exponential"])
 @pytest.mark.parametrize("with_b", [False, True], ids=["b-none", "b-given"])
 @pytest.mark.parametrize("inputs", sorted(PARITY_INPUTS))
 def test_kernel_matrix_matches_plain_expressions(kind, with_b, inputs):
