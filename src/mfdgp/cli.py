@@ -21,10 +21,12 @@ Exit 4 covers a results log that :func:`logio.replay` refuses: a line that
 is not UTF-8 or not JSON; an eval line whose values fail their checks,
 whose level, nominal, phase or iteration disagree with the ladder or with
 each other, or whose cost makes the spend not finite or leaves it
-unchanged; or a summary whose budget total is not finite and >= 0. A
-header whose config fails the same checks as a config file is a corrupt
-line 1. ``resume`` and ``report``
-leave a refused log unchanged.
+unchanged; a summary whose budget total is not finite and >= 0; or a
+header line after line 1, as when two logs are joined. A first line that
+is not a header, or a header whose config fails the same checks as a
+config file, is a corrupt line 1. Replay checks the lines in order and
+names the first bad one. ``resume`` and ``report`` leave a refused log
+unchanged.
 
 ``run`` brings an empty ledger to the configured budget, ``resume`` the
 replayed log to its last total plus ``--budget``, through one body.
@@ -105,33 +107,18 @@ def cmd_run(args) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     state = campaign.CampaignState(ladder=cfg.build_objective().ladder)
-    writer = logio.ResultsLogWriter(out_dir / LOG_NAME, config_payload=cfg.as_payload())
+    writer = logio.ResultsLogWriter(out_dir / LOG_NAME, cfg)
     return _campaign(args, cfg, state, cfg.budget, writer)
-
-
-def _load_log(log_path) -> tuple[cfgmod.CampaignConfig, campaign.CampaignState]:
-    """The header's config and the replayed state; a bad header config is a corrupt line 1."""
-    header = logio.read_header(log_path)
-    try:
-        cfg = cfgmod.CampaignConfig(**header["config"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError covers ConfigError, OverflowError an int too large for a float
-        raise CorruptLogError(f"header has no valid config: {exc!r}", 1) from exc
-    objective = cfg.build_objective()
-    return cfg, logio.replay(log_path, objective.ladder, objective.dimension)
 
 
 def cmd_resume(args) -> int:
     if not (math.isfinite(args.budget) and args.budget >= 0):
         raise ConfigError("--budget must be finite and >= 0")
-    log_path = Path(args.log)
-    cfg, state = _load_log(log_path)
-    # cfg.budget stands in for the total of a log cut before its first summary
-    total = (state.budget_total or cfg.budget) + args.budget
+    cfg, state = logio.replay(args.log)
+    total = state.budget_total + args.budget
     if not math.isfinite(total):
         raise ConfigError(f"--budget {args.budget!r} makes the total {total!r}")
-    writer = logio.ResultsLogWriter(log_path, append=True)
-    return _campaign(args, cfg, state, total, writer)
+    return _campaign(args, cfg, state, total, logio.ResultsLogWriter(args.log))
 
 
 def cmd_validate_fidelity(args) -> int:
@@ -167,7 +154,7 @@ def cmd_validate_fidelity(args) -> int:
 
 def cmd_report(args) -> int:
     log_path = Path(args.log)
-    _, state = _load_log(log_path)
+    _, state = logio.replay(log_path)
     out_dir = Path(args.out) if args.out else log_path.parent
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import configparser
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dgp import DEFAULT_NOMINALS
@@ -111,9 +111,6 @@ class CampaignConfig:
 
     def build_space(self) -> DesignSpace:
         return DesignSpace(lower=self.lower, upper=self.upper)
-
-    def as_payload(self) -> dict:
-        return asdict(self)
 
 
 def parse_config(path) -> CampaignConfig:

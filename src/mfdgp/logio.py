@@ -1,14 +1,17 @@
 """Append-only results log: one JSON record per line.
 
-A log starts with a header line carrying the campaign configuration, then
-one ``eval`` line per objective evaluation in the order they happened.
-Every run or resume ends with a ``summary`` line, preceded by an ``error``
-line when it stopped on a failure (an objective error, a refused cost, or a
+This module alone knows the log's format. A log starts with a header line
+holding the campaign's :class:`~mfdgp.config.CampaignConfig`, then one
+``eval`` line per objective evaluation in the order they happened. Every
+run or resume ends with a ``summary`` line, preceded by an ``error`` line
+when it stopped on a failure (an objective error, a refused cost, or a
 package error while training or acquiring); a resumed log therefore may
-contain errors and summaries mid-file. Replay keeps the last summary's
-budget total and skips error lines. Line-delimited writes mean a crash
-loses at most one line, and reloading a log reconstructs a campaign state
-whose budget and incumbent invariants hold exactly.
+contain errors and summaries mid-file. :func:`replay` reads the config
+from the header, then rebuilds the ledger on the ladder that config
+names; it keeps the last summary's budget total and skips error lines.
+Line-delimited writes mean a crash loses at most one line, and reloading
+a log reconstructs a campaign state whose budget and incumbent invariants
+hold exactly.
 
 An ``eval`` line repeats two facts that have one owner each: its
 ``nominal`` is the ladder level's, and its ``phase`` derives from its
@@ -21,12 +24,15 @@ and seed produce byte-identical record sequences.
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .campaign import CampaignState, EvaluationRecord
+from .config import CampaignConfig
 from .errors import CorruptLogError, DomainError
 
 _FORMAT = "mfdgp-results"
@@ -36,19 +42,21 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 class ResultsLogWriter:
     """Owns the output file; appends one line per event and flushes eagerly.
 
-    A new log starts with a header carrying ``config_payload``, which it
-    must be given; ``append=True`` continues an existing log, writes no
-    header and takes no payload.
+    Given a ``config``, it starts a new log at ``path`` whose header holds
+    that config. Without one it appends to the log at ``path``, which must
+    exist (``FileNotFoundError`` otherwise), so no writer makes a log
+    without a header.
     """
 
-    def __init__(self, path, config_payload=None, append=False):
-        if append != (config_payload is None):
-            raise TypeError("a new results log needs a config payload; append=True takes none")
+    def __init__(self, path, config: CampaignConfig | None = None):
         self.path = Path(path)
-        self._fh = self.path.open("a" if append else "w")
-        if not append:
+        if config is None:
+            self._fh = self.path.open("r+")
+            self._fh.seek(0, io.SEEK_END)
+        else:
+            self._fh = self.path.open("w")
             self._write({"type": "header", "format": _FORMAT, "version": 1,
-                         "config": config_payload})
+                         "config": dataclasses.asdict(config)})
 
     def _write(self, payload: dict) -> None:
         self._fh.write(json.dumps(payload) + "\n")
@@ -111,21 +119,6 @@ def _decode(raw: bytes, line_no: int) -> dict:
     return payload
 
 
-def read_log_lines(path) -> list[dict]:
-    """Parse every line; a malformed or non-UTF-8 line raises naming its 1-based number."""
-    lines = Path(path).read_bytes().splitlines()
-    return [_decode(line, i) for i, line in enumerate(lines, start=1)]
-
-
-def read_header(path) -> dict:
-    """Decode line 1 only; it must be a results-log header."""
-    with Path(path).open("rb") as fh:
-        header = _decode(fh.readline(), 1)
-    if header["type"] != "header":
-        raise CorruptLogError("first line is not a results-log header", 1)
-    return header
-
-
 def _is_number(value) -> bool:
     """Whether a decoded JSON value is a number: an int or a float, not a bool or a string."""
     return type(value) in (int, float)
@@ -162,33 +155,49 @@ def _record_from_payload(payload: dict, line_no: int, levels: dict) -> Evaluatio
     return rec
 
 
-def replay(path, ladder, dimension: int) -> CampaignState:
-    """Rebuild a CampaignState from a log's eval lines and last summary.
+def replay(path) -> tuple[CampaignConfig, CampaignState]:
+    """The header's config and the campaign state the log's lines rebuild, read in one pass.
 
-    ``budget_total`` is the last summary's total, a finite number >= 0 (not
-    a bool), 0.0 if the log has none. Every line must be UTF-8 JSON. An
-    eval line's ``level`` must be an int (not a bool or float) on ``ladder``
-    with the ladder's ``nominal``, and the record holds the ladder's level.
-    Its ``iteration`` must be an int >= 0 with the ``phase`` it implies, and
-    the ledger's next, as :func:`~mfdgp.campaign.resume` numbers them: 0
-    before the first loop record, else the last iteration plus one. Its
-    ``y`` and ``cost`` must be JSON numbers (not bools or strings), its
-    ``x`` a list of them of the objective's ``dimension``, and
-    :class:`EvaluationRecord` checks the values; its cost must keep the
-    spend finite and move it (:meth:`CampaignState.append`). A line that
-    breaks these rules raises ``CorruptLogError`` naming its number. Lines
-    of other types, ``error`` lines among them, are skipped, so the state's
-    ``error`` is None: :func:`~mfdgp.campaign.resume` starts each run
-    without one.
+    Lines are decoded and checked in order, so the first bad line is the
+    one named. Every line must be UTF-8 JSON. Line 1 must be a header whose
+    ``config`` builds a :class:`CampaignConfig`; that config's objective
+    gives the ladder and the ``x`` dimension below. ``budget_total`` starts
+    at the config's budget, and each summary line's total, a finite number
+    >= 0 (not a bool), replaces it. A header after line 1 (two logs joined)
+    is refused. An eval line's ``level`` must be an int (not a bool or
+    float) on the ladder with the ladder's ``nominal``, and the record holds
+    the ladder's level. Its ``iteration`` must be an int >= 0 with the
+    ``phase`` it implies, and the ledger's next, as
+    :func:`~mfdgp.campaign.resume` numbers them: 0 before the first loop
+    record, else the last iteration plus one. Its ``y`` and ``cost`` must be
+    JSON numbers (not bools or strings), its ``x`` a list of them of the
+    objective's dimension, and :class:`EvaluationRecord` checks the values;
+    its cost must keep the spend finite and move it
+    (:meth:`CampaignState.append`). A line that breaks these rules raises
+    ``CorruptLogError`` naming its number. Lines of other types, ``error``
+    lines among them, are skipped, so the state's ``error`` is None:
+    :func:`~mfdgp.campaign.resume` starts each run without one.
     """
-    state = CampaignState(ladder=tuple(ladder))
+    lines = Path(path).read_bytes().splitlines()
+    header = _decode(lines[0] if lines else b"", 1)
+    if header["type"] != "header":
+        raise CorruptLogError("first line is not a results-log header", 1)
+    try:
+        cfg = CampaignConfig(**header["config"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers ConfigError, OverflowError an int too large for a float
+        raise CorruptLogError(f"header has no valid config: {exc!r}", 1) from exc
+    objective = cfg.build_objective()
+    state = CampaignState(ladder=tuple(objective.ladder), budget_total=cfg.budget)
     levels = {lv.index: lv for lv in state.ladder}
+    shape = (objective.dimension,)
     last = 0  # the iteration of the last eval line
-    for i, payload in enumerate(read_log_lines(path), start=1):
+    for i, line in enumerate(lines[1:], start=2):
+        payload = _decode(line, i)
         if payload["type"] == "eval":
             rec = _record_from_payload(payload, i, levels)
-            if rec.x.shape != (dimension,):
-                raise CorruptLogError(f"x has shape {rec.x.shape}, not ({dimension},)", i)
+            if rec.x.shape != shape:
+                raise CorruptLogError(f"x has shape {rec.x.shape}, not {shape}", i)
             if rec.iteration not in ((0, 1) if last == 0 else (last + 1,)):
                 raise CorruptLogError(f"iteration {rec.iteration} does not follow {last}", i)
             last = rec.iteration
@@ -201,4 +210,6 @@ def replay(path, ladder, dimension: int) -> CampaignState:
             if not _is_number(total) or not 0 <= total <= _FLOAT_MAX:
                 raise CorruptLogError(f"budget_total {total!r} is not finite and >= 0", i)
             state.budget_total = float(total)
-    return state
+        elif payload["type"] == "header":
+            raise CorruptLogError("a second header: two logs joined into one", i)
+    return cfg, state

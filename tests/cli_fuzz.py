@@ -3,9 +3,11 @@
 Each case writes a small forrester5 config (n = 1, base costs 1-5, budget
 20), replaces none (half the cases), one or two of its values with hostile
 ones, and runs ``mfdgp run`` in-process. When that leaves a results log, the case
-replaces one field of a random ``eval`` or ``summary`` line with a hostile
-JSON value (``NaN`` and ``Infinity`` included, which Python's ``json``
-reads) and runs ``mfdgp resume --budget 2`` and ``mfdgp report`` on it.
+replaces one field with a hostile JSON value (``NaN`` and ``Infinity``
+included, which Python's ``json`` reads) and runs ``mfdgp resume --budget 2``
+and ``mfdgp report`` on it. In a third of these cases the field is one of the
+header's ``config``; otherwise it is one of a random ``eval`` or ``summary``
+line.
 
 A command fails the fuzz when it raises (a traceback), exits with a code
 outside {0, 2, 3, 4}, lets a ``RuntimeWarning`` through, or exits 4 and
@@ -15,7 +17,8 @@ mutations, then one line of totals, and exits 1 if any command failed.
 Budgets stay small. Every hostile value is either refused or keeps a
 campaign at a few evaluations: ``budget = 1e308`` is a valid config that
 runs without end, and a base cost of 1e-3 leaves room for 20,000
-evaluations in a budget of 20, so neither is drawn.
+evaluations in a budget of 20, so neither is drawn, in a config file or in
+a header.
 
 Not a tier-1 test (pytest does not collect it); run it by hand:
 
@@ -66,8 +69,22 @@ CONFIG_VALUES = {
                                  "1e308, 1e308, 1e308, 1e308, 1e308", "5, 4, 3, 2, 1", ""],
 }
 
-# Hostile JSON values for each field of an eval or summary line.
+# Hostile JSON values for each field of an eval or summary line, and for
+# each key of the header's config.
 LOG_VALUES = {
+    "header": {
+        "objective": ["nope", "reactor-proxy", None, 5],
+        "n": [0, -1, 1.5, "1", True, None, 3, 10**20],
+        "beta": [-1, NAN, INF, "2", True, None, 0, 1e308],
+        "budget": [0, -1, NAN, INF, "20", True, None, 1e-320, 10**400],
+        "seed": [-1, 1.5, "0", True, None, 10**30],
+        "out": [None, 5, ""],
+        "lower": [[], [NAN], ["0"], [0.0, 0.0], [-1.0], [0.5], 0.5, None],
+        "upper": [[], [INF], [2.0], [0.0], [0.5], [1e-320], None],
+        "nominals": [[], [1.0, 0.0], [0.0, 0.5, 0.5], [NAN], [0.0, 1.0], "0, 1", None],
+        "base_costs": [[], [0, 1, 2, 3, 4], [NAN, 2, 3, 4, 5], ["1", "2", "3", "4", "5"],
+                       [1e-320, 2, 4, 8, 16], [1e308] * 5, [5, 4, 3, 2, 1], None],
+    },
     "eval": {
         "iteration": [-1, 1.5, "0", None, True, 10**30, 7],
         "phase": ["bo-loop", "initial-design", "x", None],
@@ -118,20 +135,24 @@ def run_command(argv: list, log: Path | None = None) -> str | None:
 
 
 def mutate_log(log: Path, rng: random.Random) -> str:
-    """Replace one field of a random eval or summary line; the mutation's description."""
+    """Replace one field of the header's config (a third of the time) or of a random
+    eval or summary line; the mutation's description."""
     lines = log.read_text().splitlines()
     candidates = [i for i, line in enumerate(lines)
-                  if json.loads(line).get("type") in LOG_VALUES]
-    if not candidates:  # a run that stopped right after the header
-        return "log left as written"
-    i = rng.choice(candidates)
+                  if json.loads(line).get("type") in ("eval", "summary")]
+    if rng.random() < 1 / 3 or not candidates:  # none: a run that stopped after the header
+        i, kind = 0, "header"
+    else:
+        i = rng.choice(candidates)
+        kind = json.loads(lines[i])["type"]
     payload = json.loads(lines[i])
-    field = rng.choice(sorted(LOG_VALUES[payload["type"]]))
-    value = rng.choice(LOG_VALUES[payload["type"]][field])
-    payload[field] = value
+    field = rng.choice(sorted(LOG_VALUES[kind]))
+    value = rng.choice(LOG_VALUES[kind][field])
+    (payload["config"] if kind == "header" else payload)[field] = value
     lines[i] = json.dumps(payload)
     log.write_text("\n".join(lines) + "\n")
-    return f"line {i + 1} ({payload['type']}) {field} = {json.dumps(value)}"
+    name = f"config.{field}" if kind == "header" else field
+    return f"line {i + 1} ({kind}) {name} = {json.dumps(value)}"
 
 
 def run_case(case: int, rng: random.Random, workdir: Path) -> tuple[int, list]:

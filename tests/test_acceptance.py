@@ -16,7 +16,6 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 
 from mfdgp import acquisition, campaign, cli, dgp, gp, logio
-from mfdgp.dgp import default_ladder
 from mfdgp.kernels import KernelSpec
 from mfdgp.objectives import ForresterFamily, reactor
 
@@ -370,7 +369,7 @@ def test_criterion_9_ledger_and_replay(tmp_path):
 
     assert cli.main(["run", "--config", str(short_cfg)]) == 0
     log = tmp_path / "short" / "records.jsonl"
-    state = logio.replay(log, default_ladder(), 1)
+    _, state = logio.replay(log)
     ledger_ok = (
         abs(state.budget_spent - sum(r.cost for r in state.records)) <= 1e-9
         and state.budget_spent - 50.0 < state.records[-1].cost

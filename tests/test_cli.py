@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from mfdgp import acquisition, campaign, cli, dgp, gp
-from mfdgp.dgp import default_ladder
 from mfdgp import logio
 from mfdgp.errors import ConditioningError
 from mfdgp.objectives import ForresterFamily, reactor
@@ -129,7 +128,7 @@ def test_run_streams_initial_then_loop_records(tmp_path):
     assert all(r["phase"] == "initial-design" for r in records[:15])
     assert records[15]["phase"] == "bo-loop"
     # replay holds the ledger invariants
-    state = logio.replay(log_path, default_ladder(), 1)
+    _, state = logio.replay(log_path)
     assert state.budget_spent == pytest.approx(
         sum(r.cost for r in state.records), abs=1e-9
     )
@@ -436,6 +435,29 @@ def test_resume_total_overflow_exit_2(tmp_path, monkeypatch):
     assert log.read_text() == before
 
 
+def test_resume_finishes_a_log_cut_before_its_first_summary(tmp_path):
+    # the header and 8 evals: with no summary, the total is the header's budget
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, n=1, budget=40.0, seed=3, out=str(tmp_path / "full"))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    full = tmp_path / "full" / "records.jsonl"
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(full.read_text().splitlines(keepends=True)[:9]))
+    assert len(eval_lines(cut)) == 8
+    assert cli.main(["resume", "--log", str(cut), "--budget", "0"]) == 0
+    assert eval_lines(cut) == eval_lines(full)
+    assert json.loads(cut.read_text().splitlines()[-1])["budget_total"] == 40.0
+
+
+def test_resume_or_report_of_a_missing_log_exits_2(tmp_path, capsys):
+    log = tmp_path / "records.jsonl"
+    for argv in (["resume", "--log", str(log), "--budget", "1"], ["report", "--log", str(log)]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resume_truncated_log_exit_4(tmp_path):
     cfg = tmp_path / "c.ini"
     write_config(cfg, out=str(tmp_path / "out"))
@@ -519,6 +541,17 @@ def _overflowing_costs(lines):
         _set_fields(lines, line_no, cost=1e308)
 
 
+def _second_header(lines):
+    # a copy of the header at line 5, as when two logs are joined
+    lines.insert(4, lines[0])
+
+
+def _level_7_then_not_json(lines):
+    # replay checks the lines in order, so line 3 is named before line 6 is decoded
+    _set_fields(lines, 3, level=7)
+    lines[5] = b"not json\n"
+
+
 # A 1-D, n=1 campaign's log: the header, then the initial design at levels
 # 1-5 on lines 2-6 (line 3 is level 2, nominal 0.25), then the summary on
 # line 7. An infinite total, or a cost that leaves the spend unchanged
@@ -548,6 +581,8 @@ REFUSED_LOG_EDITS = {
     "x-true": (_fields(2, x=True), 2),
     "x-scalar": (_fields(2, x=0.5), 2),
     "x-string-element": (_fields(2, x=["0.5"]), 2),
+    "second-header": (_second_header, 5),
+    "first-bad-line-wins": (_level_7_then_not_json, 3),
 }
 
 

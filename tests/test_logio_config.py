@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mfdgp import campaign, config as cfgmod, logio
-from mfdgp.dgp import default_ladder
 from mfdgp.errors import ConfigError, CorruptLogError
 from mfdgp.objectives import ForresterFamily
 
@@ -15,7 +14,7 @@ def run_small_campaign(tmp_path, budget=36.0, seed=0):
     obj = ForresterFamily()
     log_path = tmp_path / "records.jsonl"
     cfg = cfgmod.CampaignConfig(budget=budget, seed=seed)
-    with logio.ResultsLogWriter(log_path, config_payload=cfg.as_payload()) as writer:
+    with logio.ResultsLogWriter(log_path, cfg) as writer:
         state = campaign.resume(
             campaign.CampaignState(ladder=tuple(obj.ladder)), obj, obj.space, 1, 2.0, budget,
             seed, on_record=writer.record,
@@ -26,7 +25,8 @@ def run_small_campaign(tmp_path, budget=36.0, seed=0):
 
 def test_replay_reconstructs_state(tmp_path):
     log_path, state = run_small_campaign(tmp_path)
-    replayed = logio.replay(log_path, default_ladder(), 1)
+    cfg, replayed = logio.replay(log_path)
+    assert cfg == cfgmod.CampaignConfig(budget=36.0)
     assert len(replayed.records) == len(state.records)
     assert replayed.budget_spent == pytest.approx(
         sum(r.cost for r in replayed.records), abs=1e-9
@@ -40,10 +40,11 @@ def test_replay_reconstructs_state(tmp_path):
 
 def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
     # one level's costs whose running mean (1.0166666666666666) and plain
-    # mean (1.0166666666666668) differ in the last bit; 1-rung ladder
+    # mean (1.0166666666666668) differ in the last bit; a 1-rung ladder, as
+    # the header's config names it
     costs = [0.6, 1.1, 1.9, 0.6, 1.5, 0.4]
-    obj = ForresterFamily()
-    top = tuple(obj.ladder)[-1:]
+    obj = ForresterFamily(nominals=(1.0,))
+    top = tuple(obj.ladder)
 
     class Scripted:
         ladder = obj.ladder
@@ -63,13 +64,15 @@ def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(campaign, "select_fidelity", spy)
     log_path = tmp_path / "records.jsonl"
-    with logio.ResultsLogWriter(log_path, config_payload={}) as writer:
+    cfg = cfgmod.CampaignConfig(budget=6.0, nominals=(1.0,))
+    with logio.ResultsLogWriter(log_path, cfg) as writer:
         state = campaign.resume(
             campaign.CampaignState(ladder=top), Scripted(), obj.space, 1, 2.0, 6.0, 0,
             on_record=writer.record,
         )
     assert [r.cost for r in state.records] == costs
-    replayed = logio.replay(log_path, top, 1)
+    _, replayed = logio.replay(log_path)
+    assert replayed.ladder == top
     assert np.array_equal(replayed.tau, state.tau)
     assert replayed.tau[0] == np.mean(costs)
     # at every pick the loop held the mean of the costs recorded before it
@@ -78,7 +81,7 @@ def test_replayed_tau_equals_live_tau_on_scripted_costs(tmp_path, monkeypatch):
 
 def test_log_values_round_trip_exactly(tmp_path):
     log_path, state = run_small_campaign(tmp_path)
-    replayed = logio.replay(log_path, default_ladder(), 1)
+    _, replayed = logio.replay(log_path)
     for a, b in zip(replayed.records, state.records):
         assert np.array_equal(a.x, b.x)
         assert a.y == b.y and a.cost == b.cost and a.iteration == b.iteration
@@ -91,7 +94,7 @@ def test_corrupt_line_number_reported(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(text) + "\n")
     with pytest.raises(CorruptLogError) as err:
-        logio.read_log_lines(bad)
+        logio.replay(bad)
     assert err.value.line_number == 4
 
 
@@ -118,33 +121,36 @@ def test_replay_rejects_level_off_the_ladder(tmp_path, edit):
     p = tmp_path / "off.jsonl"
     line = {"type": "eval", "iteration": 0, "phase": "initial-design", "level": 1,
             "nominal": 0.0, "x": [0.5], "y": 1.0, "cost": 1.0}
-    lines = [{"type": "header"}, line, {**line, "level": 2, "nominal": 0.25, **fields}]
+    lines = [{"type": "header", "config": {}}, line,
+             {**line, "level": 2, "nominal": 0.25, **fields}]
     p.write_text("".join(json.dumps(payload) + "\n" for payload in lines))
     with pytest.raises(CorruptLogError, match=re.escape(message)) as err:
-        logio.replay(p, default_ladder(), 1)
+        logio.replay(p)
     assert err.value.line_number == 3
 
 
 def test_replay_rejects_summary_without_total(tmp_path):
     p = tmp_path / "summary.jsonl"
-    p.write_text(json.dumps({"type": "header"}) + "\n" + json.dumps({"type": "summary"}) + "\n")
+    header = {"type": "header", "config": {}}
+    p.write_text(json.dumps(header) + "\n" + json.dumps({"type": "summary"}) + "\n")
     with pytest.raises(CorruptLogError) as err:
-        logio.replay(p, default_ladder(), 1)
+        logio.replay(p)
     assert err.value.line_number == 2
 
 
 def test_header_required(tmp_path):
     p = tmp_path / "headerless.jsonl"
     p.write_text(json.dumps({"type": "eval"}) + "\n")
-    with pytest.raises(CorruptLogError):
-        logio.read_header(p)
+    with pytest.raises(CorruptLogError) as err:
+        logio.replay(p)
+    assert err.value.line_number == 1
 
 
 def test_replay_skips_an_error_line(tmp_path):
     p = tmp_path / "err.jsonl"
-    with logio.ResultsLogWriter(p, config_payload={}) as writer:
+    with logio.ResultsLogWriter(p, cfgmod.CampaignConfig()) as writer:
         writer.error("solver died")
-    state = logio.replay(p, default_ladder(), 1)
+    _, state = logio.replay(p)
     assert state.error is None
     assert state.records == []
 
@@ -198,7 +204,8 @@ def test_bad_values_rejected(tmp_path):
             cfgmod.parse_config(path)
 
 
-def test_payload_round_trip():
+def test_payload_round_trip(tmp_path):
+    # a config written to a log's header is the config replay reads back
     cfg = cfgmod.CampaignConfig(
         objective="reactor-proxy",
         lower=[5.0, 1.5, 4.0, 0.0],
@@ -207,8 +214,11 @@ def test_payload_round_trip():
         budget=25.0,
         seed=3,
     )
-    again = cfgmod.CampaignConfig(**cfg.as_payload())
-    assert again == cfg
+    log_path = tmp_path / "records.jsonl"
+    with logio.ResultsLogWriter(log_path, cfg):
+        pass
+    again, state = logio.replay(log_path)
+    assert again == cfg and state.budget_total == 25.0
 
 
 @pytest.mark.parametrize(
@@ -260,25 +270,23 @@ def test_config_keeps_tuples_the_caller_cannot_edit():
     for name in ("lower", "upper", "nominals", "base_costs"):
         assert type(getattr(cfg, name)) is tuple
     assert cfg.build_space().dimension == 1
-    assert json.dumps(cfg.as_payload()["lower"]) == "[0.0]"  # a header's bytes as before
+    assert json.dumps(dataclasses.asdict(cfg)["lower"]) == "[0.0]"  # a header's bytes as before
     # a hand-written header's scalar bound is a one-tuple
     scalar = cfgmod.CampaignConfig(lower=0.0, upper=1.0)
     assert (scalar.lower, scalar.upper) == ((0.0,), (1.0,))
 
 
 def test_new_log_must_carry_its_config(tmp_path):
-    # a header without a config is one that resume and report refuse (exit 4)
+    # a writer without a config appends, and only to a log that exists, so no
+    # writer makes a log without a header (which resume and report refuse)
     log_path = tmp_path / "records.jsonl"
-    with pytest.raises(TypeError, match="config"):
+    with pytest.raises(FileNotFoundError):
         logio.ResultsLogWriter(log_path)
     assert not log_path.exists()
-    with logio.ResultsLogWriter(log_path, config_payload=cfgmod.CampaignConfig().as_payload()):
+    with logio.ResultsLogWriter(log_path, cfgmod.CampaignConfig()):
         pass
-    header = logio.read_header(log_path)
+    header = json.loads(log_path.read_text())
     assert cfgmod.CampaignConfig(**header["config"]) == cfgmod.CampaignConfig()
-    with logio.ResultsLogWriter(log_path, append=True):
+    with logio.ResultsLogWriter(log_path):
         pass
-    # an appended log writes no header, so a payload given to it would be dropped
-    with pytest.raises(TypeError, match="append"):
-        logio.ResultsLogWriter(log_path, config_payload={}, append=True)
-    assert log_path.read_text().count("\n") == 1
+    assert log_path.read_text().count("\n") == 1  # an appended log writes no header
