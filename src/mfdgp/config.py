@@ -45,10 +45,12 @@ _SCHEMA = {
 class CampaignConfig:
     """Everything a campaign run needs, checked when built, resolvable to live objects.
 
-    Checks n, seed, beta, budget, that every number is a real number and
-    not a bool (a string such as ``"0.5"`` is refused, not converted), and
-    the box against the objective's (same dimension, inside its box); the
-    objective and the box check the rest while they are built here. ``lower``,
+    Checks that the objective name and ``out`` are strings (a log header
+    can hold any JSON value), n, seed, beta, budget, that every number is a
+    real number and not a bool (a string such as ``"0.5"`` is refused, not
+    converted), and the box against the objective's (same dimension, inside
+    its box); the objective and the box check the rest while they are built
+    here. ``lower``,
     ``upper``, ``nominals`` and ``base_costs`` are kept as tuples of the
     given elements (a scalar becomes a one-tuple), so a caller's later edit
     of its list cannot reach a checked config.
@@ -66,6 +68,10 @@ class CampaignConfig:
     base_costs: tuple | None = None
 
     def __post_init__(self):
+        for name in ("objective", "out"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         for name in ("n", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

@@ -174,6 +174,13 @@ def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
     the batch only through floating-point rounding. Only the mixture
     moments are returned: a one-column pass, ``base_draws[:, [s]]``, gives
     draw s's own predictive moments at every level.
+
+    A pass builds one C-order augmented block of m * S rows, writes its
+    repeated x-part once and rewrites only the last column at each level,
+    and hands the level's mean to ``np.var``. Both give the floats of a
+    fresh ``np.column_stack`` per level and of ``np.var`` recomputing the
+    mean: the block has the same layout, so the kernel's matmul sees the
+    same operands, and the mean is the one ``np.var`` would compute.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     base_draws = np.atleast_2d(np.asarray(base_draws, dtype=np.float64))
@@ -184,21 +191,25 @@ def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
     if base_draws.shape[0] < top - 1:
         raise ShapeError(f"{base_draws.shape[0]} base draw rows, need {top - 1}")
 
-    m = X.shape[0]
+    m, d = X.shape
     mean, variance = gp.predict(model.layers[0], X)
     traces = [LevelTrace(mean=mean, variance=variance)]
     if top > 1:
         draws = mean[:, None] + np.sqrt(variance)[:, None] * base_draws[0]
+        # one augmented block per pass: each level rewrites only its last column
+        aug = np.empty((m * S, d + 1))
+        aug[:, :d] = np.repeat(X, S, axis=0)
     for t in range(2, top + 1):
-        aug = np.column_stack([np.repeat(X, S, axis=0), draws.reshape(-1)])
+        aug[:, d] = draws.reshape(-1)
         mu_flat, var_flat = gp.predict(model.layers[t - 1], aug)
         # layer predictive = identity in the augmented coordinate + correction GP
         mus = draws + mu_flat.reshape(m, S)
         vars_ = var_flat.reshape(m, S)
         if t < top:
             draws = mus + np.sqrt(vars_) * base_draws[t - 1]
+        level_mean = np.mean(mus, axis=1, keepdims=True)
         traces.append(
-            LevelTrace(mean=np.mean(mus, axis=1),
-                       variance=np.mean(vars_, axis=1) + np.var(mus, axis=1))
+            LevelTrace(mean=level_mean[:, 0],
+                       variance=np.mean(vars_, axis=1) + np.var(mus, axis=1, mean=level_mean))
         )
     return traces

@@ -15,6 +15,16 @@ objective, which builds their kernel matrices as one batch. It keeps the
 name ``minimize``, which benchmark tracing wraps to count each fit's
 evaluations.
 
+Where a cheaper form of a step exists, it gives the floats of the plain
+one. The simplex's Python steps follow numpy's reduction and sort orders
+(:func:`_nelder_mead`). A one-row objective runs on Python floats only
+the correctly rounded operations, and leaves ``exp`` and ``log`` to
+numpy, whose vectorized (SIMD) kernels need not give the bytes of
+``math.exp`` and ``math.log``
+(:func:`_negative_lml`). :func:`predict` sums each query's squared solve
+by sequential adds below 8 data rows, the order numpy's reduction takes
+there (``kernels._row_norms``).
+
 The factorization and the triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly.
 
@@ -64,7 +74,10 @@ ladder. :func:`minimize`'s ``nfev`` counts every vertex of every fit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +85,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_matrix
-from .kernels import _scaled_kernel_matrix
+from .kernels import _row_norms, _scaled_kernel_matrix
 
 # Simplex restarts of every fit: the data-scaled start and three random ones.
 _RESTARTS = 4
@@ -213,7 +226,8 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
     Returns
     -------
     mean, variance : ndarray, shape (m,)
-        The variance is ``sv - ||v||^2`` with ``v = L^-1 k_star``. Values in
+        The variance is ``sv - ||v||^2`` with ``v = L^-1 k_star``, each
+        ``||v||^2`` the bytes of ``(v**2).sum(axis=0)``. Values in
         [-1e-10, 0) are rounding noise and clamped to 0; a value below
         -1e-10 raises a conditioning error rather than being repaired, and
         so does a query whose covariance with the data is not finite.
@@ -223,7 +237,7 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
         raise ConditioningError("covariance between queries and data is not finite")
     mean = k_star.T @ gp.alpha
     v = _trtrs(gp.chol_factor, k_star)
-    variance = gp.kernel.signal_variance - (v**2).sum(axis=0)
+    variance = gp.kernel.signal_variance - _row_norms(v.T)
     if variance.size and variance.min() < -_VAR_CLAMP:
         raise ConditioningError(f"predictive variance {variance.min()} below clamp threshold")
     return mean, np.maximum(variance, 0.0, out=variance)
@@ -293,25 +307,32 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
     A vertex holds the log lengthscales and the log signal variance, as the
     list of floats :func:`minimize` keeps; the objective reads the vertices
     and never changes them. It runs the box test on each vertex. On the
-    in-box ones it runs ``np.exp``, the input scaling and the SE kernel
-    once, on (k, n, n) arrays whose slices hold the very floats a one-vertex
-    call builds. Then, for a dataset of two or more rows, it adds the noise
-    diagonal, scans for non-finite entries once and, vertex by vertex, runs
-    ``potrf`` (and :func:`_factorize`'s jitter ladder when that fails), the
-    two solves of :func:`_alpha` and :func:`_lml`. For a one-row dataset it
-    scores all in-box vertices together with elementwise ops in the order
-    of :func:`_alpha` and :func:`_lml`: on a 1 x 1 matrix ``potrf`` is a
-    square root and each ``trtrs`` one division, both correctly rounded in
-    IEEE arithmetic, so the scores are the floats of the per-vertex path.
-    Only a vertex whose covariance plus noise is 0, which ``potrf`` refuses,
-    takes that path and its jitter ladder. A vertex whose covariance is not
-    finite, whose ladder runs out or whose alpha is not finite scores
-    ``inf``. So a vertex's score does not depend on the other vertices of
-    its batch. The module docstring says which per-fit fact stands in for
-    each check it leaves out.
+    in-box ones it runs one ``np.exp`` over their (k, d + 1) block, then the
+    input scaling and the SE kernel once, on (k, n, n) arrays whose slices
+    hold the very floats a one-vertex call builds: ``np.exp`` is elementwise,
+    so a block gives each entry the bytes it gets alone. Then, for a dataset
+    of two or more rows, it adds the noise diagonal, scans for non-finite
+    entries once and, vertex by vertex, runs ``potrf`` (and
+    :func:`_factorize`'s jitter ladder when that fails), the two solves of
+    :func:`_alpha` and :func:`_lml`. For a one-row dataset it scores the
+    in-box vertices on Python floats, in the order of :func:`_alpha`'s and
+    :func:`_lml`'s operations: on a 1 x 1 matrix ``potrf`` is a square root
+    and each ``trtrs`` one division, and ``math.sqrt``, ``+``, ``-``, ``*``
+    and ``/`` are correctly rounded in Python as in numpy and LAPACK, so the
+    scores are the floats of the per-vertex path. The log alone stays one
+    ``np.log`` call over the batch, since numpy's vectorized log kernel
+    need not give ``math.log``'s bytes. Only a vertex whose covariance plus
+    noise is 0, which ``potrf`` refuses, takes the per-vertex path and its
+    jitter ladder. A vertex whose covariance is not finite, whose ladder
+    runs out or whose alpha is not finite scores ``inf``. So a vertex's
+    score does not depend on the other vertices of its batch. The module
+    docstring says which per-fit fact stands in for each check it leaves
+    out.
     """
     inputs, targets, noise = data.inputs, data.targets, data.noise_variance
     one_row = targets.shape[0] == 1
+    y = float(targets[0])
+    half_log_2pi = 0.5 * float(_LOG_2PI)
     # the box test compares Python floats: on a vertex's few entries that
     # costs a fraction of two numpy comparisons and their reductions
     bounds = list(zip(lo.tolist(), hi.tolist()))
@@ -333,19 +354,22 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
         return -_lml(targets, alpha, L)
 
     def one_row_scores(K: np.ndarray) -> list:
-        # by_lapack's floats, op for op in _alpha's and _lml's order
-        y = targets[0]
-        b = K[:, 0, 0] + noise
-        with np.errstate(all="ignore"):
-            root = np.sqrt(b)
-            alpha = y / root / root
-            values = -((-0.5 * (y * alpha) + -np.log(root)) - 0.5 * _LOG_2PI)
-        scores = values.tolist()
-        for j, (b_j, alpha_j) in enumerate(zip(b.tolist(), alpha.tolist())):
-            if b_j <= 0:  # potrf's refusal: noise 0 and an underflowed covariance
-                scores[j] = by_lapack(K[j], _plus_diagonal(K[j], noise))
-            elif not math.isfinite(alpha_j):  # _alpha's refusal, and a covariance of nan
-                scores[j] = np.inf
+        # by_lapack's floats, op for op in _alpha's and _lml's order, on Python
+        # floats but for the log, which stays numpy's
+        bs = [k + noise for k in K.reshape(-1).tolist()]
+        roots = [math.sqrt(b) if b > 0 else 1.0 for b in bs]
+        scores = []
+        for j, (b, root, log_root) in enumerate(zip(bs, roots, np.log(roots).tolist())):
+            if b > 0:
+                alpha = y / root / root
+                if math.isfinite(alpha):
+                    scores.append(-((-0.5 * (y * alpha) + -log_root) - half_log_2pi))
+                else:  # _alpha's refusal
+                    scores.append(np.inf)
+            elif b <= 0:  # potrf's refusal: noise 0 and an underflowed covariance
+                scores.append(by_lapack(K[j], _plus_diagonal(K[j], noise)))
+            else:  # a covariance of nan, which _alpha refuses
+                scores.append(np.inf)
         return scores
 
     def objective(vertices: list) -> list:
@@ -353,10 +377,8 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
         inside = [i for i, vertex in enumerate(vertices) if in_box(vertex)]
         if not inside:
             return scores
-        log_params = np.array([vertices[i] for i in inside])
-        ls = np.exp(log_params[:, :-1])
-        sv = np.exp(log_params[:, -1])
-        K = _scaled_kernel_matrix(sv[:, None, None], inputs / ls[:, None, :])
+        params = np.exp([vertices[i] for i in inside])
+        K = _scaled_kernel_matrix(params[:, -1, None, None], inputs / params[:, None, :-1])
         if one_row:
             values = one_row_scores(K)
         else:
@@ -393,7 +415,9 @@ def minimize(objective, starts: list) -> SimplexResult:
     iterations per coordinate; each round hands ``objective`` the vertices
     every running restart needs next, in start order, in one call. The
     restarts do not depend on each other, so each takes the steps it would
-    take alone. Returns the first restart whose
+    take alone. Their floats are scipy's, step by step as
+    :func:`_nelder_mead` says, in lock step as alone, since the objective
+    scores a vertex the same in any batch. Returns the first restart whose
     value is the lowest below ``inf``, or the first restart when none is,
     with ``nfev`` the vertices scored over all restarts.
     """
@@ -427,16 +451,27 @@ def _nelder_mead(start: list):
     method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-9, "maxiter":
     maxiter})`` with ``maxiter = 400 * len(start)``, in scipy's order, on
     Python floats: the same first simplex (each coordinate times 1 + 0.05,
-    or 0.00025 where it is 0), centroid summed row by row, reflection,
-    expansion, outside and inside contraction, shrink, and the vertex order
-    of ``np.argsort``, so that tied values (``inf`` vertices) break as
-    scipy's do. It runs at most ``maxiter - 1`` iterations, as scipy does.
-    It yields the whole first simplex, then one trial vertex at a time, or
-    the n vertices of a shrink, each the very list of floats its simplex
-    keeps, which the objective must not change. What it leaves out is
-    scipy's per-call wrapping and per-iteration result and callback, and a
-    convergence scan that reads every value and coordinate when the first
-    ones already fail. Returns the best vertex and its value.
+    or 0.00025 where it is 0), reflection, expansion, outside and inside
+    contraction, shrink, and the vertex order of ``np.argsort``, so that
+    tied values (``inf`` vertices) break as scipy's do. It runs at most
+    ``maxiter - 1`` iterations, as scipy does. It yields the whole first
+    simplex, then one trial vertex at a time, or the n vertices of a
+    shrink, each the very list of floats its simplex keeps, which the
+    objective must not change.
+
+    Three steps take a cheaper way to scipy's floats. The centroid adds
+    each coordinate's column left to right with ``functools.reduce``, the
+    order of ``np.add.reduce`` down the rows; builtin ``sum`` is not used,
+    since from Python 3.12 it compensates its float sums. The value test
+    compares the best value with the last alone: on sorted values that one
+    lies farthest from it, and a nan sorts last, so it decides scipy's
+    ``max(|fsim[0] - fsim[1:]|) <= fatol``. After a round that replaces
+    the worst vertex, the new one is reinserted by bisection when no two
+    values tie and none is nan, since such values have one ascending
+    order; otherwise :func:`_argsort` sorts the whole simplex, as after
+    the first simplex and a shrink. What it leaves out is scipy's per-call
+    wrapping and per-iteration result and callback. Returns the best
+    vertex and its value.
     """
     n = len(start)
     x0 = list(start)
@@ -449,16 +484,15 @@ def _nelder_mead(start: list):
     for _ in range(2):  # scipy sorts the first simplex twice
         order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    distinct = all(map(lt, fsim, fsim[1:]))
     for _ in range(400 * n - 1):
         best, f_best = sim[0], fsim[0]
-        if all(abs(f_best - fv) <= _FATOL for fv in fsim[1:]) and all(
+        # the values are sorted, so the last lies farthest from the best, or is nan
+        if abs(f_best - fsim[-1]) <= _FATOL and all(
             abs(a - b) <= _XATOL for v in sim[1:] for a, b in zip(v, best)
         ):
             break
-        xbar = best
-        for v in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, v)]
-        xbar = [a / n for a in xbar]
+        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
         worst = sim[-1]
         xr = [2 * a - b for a, b in zip(xbar, worst)]
         (fxr,) = yield [xr]
@@ -486,8 +520,18 @@ def _nelder_mead(start: list):
         if shrink:
             sim[1:] = [[a + 0.5 * (b - a) for a, b in zip(best, v)] for v in sim[1:]]
             fsim[1:] = yield sim[1:]
+        else:
+            # one new last vertex: when no two values tie and none is nan,
+            # its place among the sorted others is the only ascending order
+            f_new = fsim[-1]
+            k = bisect_left(fsim, f_new, 0, n)
+            if distinct and (k == n or f_new < fsim[k]):
+                sim.insert(k, sim.pop())
+                fsim.insert(k, fsim.pop())
+                continue
         order = _argsort(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        distinct = all(map(lt, fsim, fsim[1:]))
     return sim[0], float(np.min(fsim))
 
 

@@ -759,12 +759,15 @@ def test_report_corrupt_log_exit_4(tmp_path):
      {"config": {"lower": ["0.5"]}}, {"config": {"beta": "2"}},
      {"config": {"objective": "reactor-proxy", "lower": [5.0, 1.5, 4.0, 0.0],
                  "upper": [20.0, 4.0, 15.0, 1.0], "base_costs": ["1", "2", "4", "8", "16"]}},
-     {"config": {"nominals": []}}],
+     {"config": {"nominals": []}}, {"config": {"objective": ["forrester5"]}},
+     {"config": {"objective": None}}, {"config": {"out": None}}, {"config": {"out": 5}},
+     {"config": {"out": ["a"]}}],
     ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch",
          "n-float", "n-bool", "seed-str", "beta-bool", "budget-bool", "lower-bool",
          "upper-bool", "upper-outside-box", "reactor-lower-outside-box",
          "budget-huge-int", "upper-huge-int", "lower-str", "beta-str", "base-costs-str",
-         "empty-nominals"],
+         "empty-nominals", "objective-list", "objective-null", "out-null", "out-int",
+         "out-list"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"

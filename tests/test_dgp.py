@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
 
 from mfdgp import campaign, dgp, gp
 from mfdgp.errors import DomainError, InsufficientDataError, MfdgpError, ShapeError
@@ -259,3 +260,62 @@ def test_model_without_layers_is_refused():
     # the constructor owns "at least one layer", so propagate never sees an empty stack
     with pytest.raises(ShapeError, match="at least one layer"):
         dgp.MFDeepGP(layers=(), ladder=())
+
+
+# ---------------------------------------------------------------------------
+# propagate writes one augmented block per pass and sums the query side's
+# norms column by column. Oracle: the pass as plain expressions, a fresh
+# column_stack at every level and each norm by one reduction; the two must
+# give the very same bytes.
+# ---------------------------------------------------------------------------
+
+
+def reference_predict(layer, queries):
+    spec = layer.kernel
+    xa = layer.dataset.inputs / spec.lengthscales
+    xb = queries / spec.lengthscales
+    sq = np.sum(xa**2, axis=1)[:, None] + np.sum(xb**2, axis=1)[None, :] - 2.0 * xa @ xb.T
+    k_star = spec.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+    v = dtrtrs(layer.chol_factor, k_star, lower=1)[0]
+    return k_star.T @ layer.alpha, np.maximum(spec.signal_variance - (v**2).sum(axis=0), 0.0)
+
+
+def reference_propagate(model, X, base_draws):
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    top, S, m = model.num_levels, base_draws.shape[1], X.shape[0]
+    mean, variance = reference_predict(model.layers[0], X)
+    traces = [(mean, variance)]
+    if top > 1:
+        draws = mean[:, None] + np.sqrt(variance)[:, None] * base_draws[0]
+    for t in range(2, top + 1):
+        aug = np.column_stack([np.repeat(X, S, axis=0), draws.reshape(-1)])
+        mu_flat, var_flat = reference_predict(model.layers[t - 1], aug)
+        mus = draws + mu_flat.reshape(m, S)
+        vars_ = var_flat.reshape(m, S)
+        if t < top:
+            draws = mus + np.sqrt(vars_) * base_draws[t - 1]
+        traces.append((np.mean(mus, axis=1), np.mean(vars_, axis=1) + np.var(mus, axis=1)))
+    return traces
+
+
+def test_propagate_gives_the_bytes_of_the_plain_pass(five_level_model):
+    rng = np.random.default_rng(31)
+    x = np.array([[0.0], [0.5], [1.0]])
+    one_level = dgp.train(datasets([x], [np.cos(3 * x[:, 0])]), 2)
+    # 4-D inputs, as the reactor's, give 5-D augmented blocks. At 21 query
+    # rows and layers of 12 or more rows, BLAS rounds the kernel's matmul
+    # differently on a column-major block, so this case pins the layout
+    xs = [rng.uniform(size=(n, 4)) for n in (16, 14, 12, 4, 2)]
+    four_d = dgp.train(datasets(xs, [np.sin(xt @ [3.0, 1.0, -2.0, 0.5]) + 0.1 * t
+                                     for t, xt in enumerate(xs)]), 3)
+    cases = [(five_level_model, m) for m in (1, 16, 64, 512)]
+    cases += [(one_level, 16), (four_d, 21)]
+    for model, m in cases:
+        X = rng.uniform(size=(m, model.layers[0].kernel.dimension))
+        draws = rng.standard_normal((model.num_levels - 1, dgp.ACQUISITION_SAMPLES))
+        got = dgp.propagate(model, X, draws)
+        expected = reference_propagate(model, X, draws)
+        assert len(got) == len(expected) == model.num_levels
+        for trace, (mean, variance) in zip(got, expected):
+            assert trace.mean.tobytes() == mean.tobytes(), (model.num_levels, m)
+            assert trace.variance.tobytes() == variance.tobytes(), (model.num_levels, m)

@@ -902,3 +902,59 @@ def test_minimize_matches_scipy_nelder_mead_bit_for_bit():
     assert {"flat-huge", "near-duplicates"} <= stops["maxiter"]
     assert len(stops["converged"]) > 40
     assert out_of_box > 0
+
+
+def test_simplex_reorder_reaches_the_bisection_and_the_tie_fallback(monkeypatch):
+    # a round that replaces the worst vertex bisects the new value into the
+    # sorted others, unless it ties one of them, two of them tie, or a value
+    # is nan; then _argsort (np.argsort on ties) sorts the whole simplex, as
+    # after the first simplex and a shrink. The corpus reaches the bisection
+    # and both kinds of tie
+    events = []
+    bisect_left, argsort = gp.bisect_left, gp._argsort
+
+    def counted_bisect_left(values, value, lo, hi):
+        events.append(("bisect", None))
+        return bisect_left(values, value, lo, hi)
+
+    def counted_argsort(values):
+        events.append(("argsort", list(values)))
+        return argsort(values)
+
+    monkeypatch.setattr(gp, "bisect_left", counted_bisect_left)
+    monkeypatch.setattr(gp, "_argsort", counted_argsort)
+    cases, _ = parity_corpus()
+    cases.append(("one-point", gp.GPDataset(inputs=[[0.3, -2.0]], targets=[1.5],
+                                            noise_variance=1e-8)))
+    counts = {"bisected": 0, "new value ties": 0, "others tie": 0}
+    all_inf_sorts = set()
+    for name, data in cases:
+        if name == "overflowing-alpha":
+            continue  # fit refuses this box before it draws a start
+        lo, hi, starts = search_setup(data, np.random.default_rng(7))
+        quiet = name in OVERFLOWING
+        objective = gp._negative_lml(data, lo, hi)
+
+        def logged(vertices):
+            # every iteration scores a vertex before it reorders
+            events.append(("round", None))
+            return objective(vertices)
+
+        for start in starts:
+            del events[:]
+            with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+                gp.minimize(logged, [start])
+            for (kind, _), (next_kind, values) in zip(events, events[1:] + [("end", None)]):
+                if kind != "bisect":
+                    continue
+                if next_kind != "argsort":
+                    counts["bisected"] += 1
+                elif values[-1] in values[:-1]:
+                    counts["new value ties"] += 1
+                elif len(set(values[:-1])) < len(values) - 1:
+                    counts["others tie"] += 1
+            if any(kind == "argsort" and all(v == np.inf for v in values)
+                   for kind, values in events):
+                all_inf_sorts.add(name)
+    assert min(counts.values()) > 0, counts
+    assert "flat-huge" in all_inf_sorts

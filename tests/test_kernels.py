@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfdgp.errors import DomainError, ShapeError
-from mfdgp.kernels import KernelSpec, kernel_matrix
+from mfdgp.kernels import KernelSpec, _row_norms, kernel_matrix
 
 
 def se(ls=(1.0,), sv=1.0):
@@ -118,3 +118,26 @@ def test_kernel_matrix_matches_plain_expressions(kind, with_b, inputs):
     assert np.array_equal(K, reference_kernel_matrix(spec, a, b))
     if with_b:
         assert np.array_equal(kernel_matrix(spec, b, a), reference_kernel_matrix(spec, b, a))
+
+
+# ---------------------------------------------------------------------------
+# The query side sums its squared norms column by column: the bytes of the
+# one reduction, at every width, overflowed rows included
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_row_norms_are_the_bytes_of_the_reduction(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((4000, d)) * 10.0 ** rng.uniform(-8, 8, size=(4000, d))
+    x[::97, rng.integers(d)] = 1e200  # its square overflows to inf
+    x[::89] = -3e160
+    with np.errstate(over="ignore"):
+        expected = (x**2).sum(axis=-1)
+        got = _row_norms(x)
+        # gp.predict sums the solve's Fortran-order (n, m) columns through the transpose
+        v = np.asfortranarray(x[:50].T)
+        from_columns = _row_norms(v.T)
+        assert from_columns.tobytes() == (v**2).sum(axis=0).tobytes()
+    assert np.isinf(expected).sum() >= 4000 // 97
+    assert got.tobytes() == expected.tobytes()

@@ -247,6 +247,14 @@ def test_non_real_numbers_rejected(payload):
         cfgmod.CampaignConfig(**payload)
 
 
+@pytest.mark.parametrize("name", ["objective", "out"])
+@pytest.mark.parametrize("value", [None, 5, ["a"]], ids=["none", "int", "list"])
+def test_names_that_are_not_strings_rejected(name, value):
+    # a log header can hold any JSON value; a list made the frozen config unhashable
+    with pytest.raises(ConfigError, match=f"{name} must be a string"):
+        cfgmod.CampaignConfig(**{name: value})
+
+
 def test_config_checks_itself_and_cannot_change():
     with pytest.raises(ConfigError, match="n must be >= 1"):
         cfgmod.CampaignConfig(n=0)
