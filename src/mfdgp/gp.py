@@ -26,7 +26,15 @@ by sequential adds below 8 data rows, the order numpy's reduction takes
 there (``kernels._row_norms``).
 
 The factorization and the triangular solves call LAPACK ``potrf`` and
-``trtrs`` directly.
+``trtrs`` directly, through scipy's own wrappers ``dpotrf`` and ``dtrtrs``.
+:func:`_lapack_wrappers` takes them from scipy's compiled module
+``scipy/linalg/_flapack*``, loaded by path, the way ``space`` reads scipy's
+Sobol table. They are the very objects ``scipy.linalg.lapack`` exports,
+whichever of the two is imported first. Importing ``scipy.linalg`` itself
+loads scipy's array-API layer (``numpy.f2py``, ``numpy.testing``,
+``numpy.ma`` and more): about 0.2 s of each CLI command's start-up, where
+the compiled module alone takes about 3 ms (median of 9 fresh processes
+each, one BLAS thread, 2-core x86-64 container).
 
 Each check has one owner, and the code past it trusts it:
 
@@ -74,14 +82,18 @@ ladder. :func:`minimize`'s ``nfev`` counts every vertex of every fit.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 from operator import add, lt
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+import scipy
 
 from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_matrix
@@ -101,6 +113,34 @@ _JITTER_FACTOR = 10.0
 _VAR_CLAMP = 1e-10
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack_wrappers():
+    """``dpotrf`` and ``dtrtrs`` of scipy's compiled LAPACK module, the objects
+    ``scipy.linalg.lapack`` exports.
+
+    The module is loaded by path and registered under its own name, so a
+    later ``import scipy.linalg`` reuses it; if ``scipy.linalg`` came first,
+    its module is reused here.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        stem = Path(scipy.__file__).parent / "linalg" / "_flapack"
+        paths = [stem.with_name(stem.name + suffix) for suffix in EXTENSION_SUFFIXES]
+        path = next((p for p in paths if p.is_file()), None)
+        if path is None:
+            raise ImportError(f"scipy's LAPACK module not found: none of"
+                              f" {', '.join(map(str, paths))} exists")
+        loader = ExtensionFileLoader(_FLAPACK, str(path))
+        module = module_from_spec(spec_from_file_location(_FLAPACK, path, loader=loader))
+        loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module.dpotrf, module.dtrtrs
+
+
+dpotrf, dtrtrs = _lapack_wrappers()
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,16 @@ of the full solver exhibits. Higher N means closer to plug flow, and the
 surrogate Peclet map makes N grow with coil radius and shrink with pitch,
 so the optimization landscape rewards tightly wound, low-pitch coils.
 
-``scipy.optimize`` is imported inside :func:`fit_tanks_in_series`, not at
-module level: it takes about half of the CLI's import time, and ``init``,
-``report`` and a forrester campaign never fit a curve. A reactor-proxy
-campaign loads it at its first tank fit, inside its first objective call.
+``scipy.optimize`` is imported inside :func:`fit_tanks_in_series`, and
+``scipy.special`` inside :func:`_initial_pulse` (``erf``) and
+:func:`tanks_in_series_curve` (``gammaln``), not at module level. On a bare
+``import scipy``, loading ``scipy.optimize`` takes about 0.35 s and
+``scipy.special`` about 0.17 s, and ``init``, ``report`` and a forrester
+campaign never solve or fit a curve. So a reactor-proxy process, a
+campaign or ``validate-fidelity``, pays for both at its first solve, inside
+its first objective call. ``math.erf`` and ``math.lgamma`` would need no
+import, but they differ from scipy's in the last bits (on 7 of the 625
+pulse edges, and on most real tank counts), so reactor records would move.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, gammaln
 
 from ..errors import DomainError, RTDFitError, SimulationDivergedError
 from ..space import DesignSpace
@@ -135,6 +140,8 @@ class PlugFlowMetric:
 
 def _initial_pulse(cells: int) -> np.ndarray:
     """Cell-averaged narrow Gaussian near the inlet, unit total mass."""
+    from scipy.special import erf
+
     dz = 1.0 / cells
     edges = np.linspace(0.0, 1.0, cells + 1)
     cdf = 0.5 * (1.0 + erf((edges - _PULSE_CENTER) / (np.sqrt(2.0) * _PULSE_WIDTH)))
@@ -227,6 +234,8 @@ def reactor_proxy_simulate(
 
 def tanks_in_series_curve(n_tanks: float, theta) -> np.ndarray:
     """Model RTD for a real-valued tank count, safe at theta = 0."""
+    from scipy.special import gammaln
+
     theta = np.asarray(theta, dtype=np.float64)
     n = float(n_tanks)
     with np.errstate(divide="ignore", invalid="ignore"):

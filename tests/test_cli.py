@@ -702,6 +702,32 @@ def test_importing_the_cli_leaves_out_scipy_optimize(tmp_path):
     )
 
 
+def test_forrester_commands_load_no_scipy_subpackage_and_a_reactor_solve_loads_special(tmp_path):
+    # gp loads scipy's compiled LAPACK module by path and the reactor imports
+    # scipy.special inside its solve, so importing the CLI and a forrester
+    # run, resume and report load none of these; validate-fidelity loads
+    # scipy.special at its first solve
+    write_config(tmp_path / "c.ini", out=str(tmp_path / "out"))
+    log = str(tmp_path / "out" / "records.jsonl")
+    _run_fresh_interpreter(
+        "import sys\n"
+        "from mfdgp import cli\n"
+        "NAMES = ('scipy.linalg', 'scipy.special', 'scipy.optimize', 'scipy.stats')\n"
+        "def loaded():\n"
+        "    return [name for name in NAMES if name in sys.modules]\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert cli.main(['run', '--config', {str(tmp_path / 'c.ini')!r}]) == 0\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert cli.main(['resume', '--log', {log!r}, '--budget', '6']) == 0\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert cli.main(['report', '--log', {log!r}]) == 0\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert cli.main(['validate-fidelity', '--out', {str(tmp_path / 'rtd')!r}]) == 0\n"
+        "assert 'scipy.special' in sys.modules\n",
+        tmp_path,
+    )
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import inspect
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +362,44 @@ def reference_factor(model):
     K = kernel_matrix(model.kernel, model.dataset.inputs)
     n = model.dataset.inputs.shape[0]
     return cholesky(K + model.dataset.noise_variance * np.eye(n), lower=True)
+
+
+_WRAPPER_SCRIPT = """
+import sys
+{first}
+import scipy.linalg.lapack
+from mfdgp import gp
+assert gp.dpotrf is scipy.linalg.lapack.dpotrf
+assert gp.dtrtrs is scipy.linalg.lapack.dtrtrs
+data = gp.GPDataset(inputs=[[0.1, 0.7], [0.4, 0.2], [0.9, 0.5]],
+                    targets=[0.3, -1.2, 0.8], noise_variance=1e-6)
+model = gp.fit(data, rng_seed=5)
+print(model.kernel.lengthscales.tobytes().hex(), model.kernel.signal_variance.hex())
+"""
+
+
+def test_lapack_wrappers_are_scipys_in_either_import_order():
+    # gp loads scipy's compiled LAPACK module by path; scipy.linalg, imported
+    # after it or before it (perfbench's order), exports the same functions
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    fits = []
+    for first in ("from mfdgp import gp", "import scipy.linalg"):
+        proc = subprocess.run([sys.executable, "-c", _WRAPPER_SCRIPT.format(first=first)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        fits.append(proc.stdout.split())
+    assert fits[0] == fits[1]
+    assert len(fits[0]) == 2
+
+
+def test_a_missing_lapack_module_raises_import_error_naming_the_path(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, gp._FLAPACK)
+    monkeypatch.setattr(gp.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    with pytest.raises(ImportError) as raised:
+        gp._lapack_wrappers()
+    assert str(tmp_path / "scipy" / "linalg" / "_flapack") in str(raised.value)
 
 
 @pytest.mark.parametrize("n", PARITY_SIZES)
