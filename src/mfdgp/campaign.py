@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from . import acquisition, dgp, gp
 from .dgp import FidelityLevel, MFDeepGP
-from .errors import DomainError, InsufficientDataError, MfdgpError
+from .errors import DomainError, MfdgpError
 from .space import DesignSpace
 from .streams import ACQUISITION, DESIGN, PROPAGATION, TRAIN, derive_seed, substream
 
@@ -126,8 +128,12 @@ class CampaignState:
 
     @property
     def budget_spent(self) -> float:
-        """The recorded costs summed left to right, the bits of a running total."""
-        return sum((rec.cost for rec in self.records), 0.0)
+        """The recorded costs summed left to right, the bits of a running total.
+
+        Builtin ``sum`` is not used: from Python 3.12 it compensates float
+        sums, and :meth:`append` checks the plain ``before + cost``.
+        """
+        return reduce(add, (rec.cost for rec in self.records), 0.0)
 
     @property
     def tau(self) -> np.ndarray:
@@ -137,7 +143,7 @@ class CampaignState:
         the live campaign's tau after its last record, bit for bit. Costs are
         finite and > 0 (:class:`EvaluationRecord` checks them). A level with no
         record has no mean, but :func:`train_model` then stops with
-        ``InsufficientDataError`` before the loop reads tau.
+        ``DomainError`` before the loop reads tau.
         """
         return np.asarray(
             [np.mean([rec.cost for rec in group]) for group in self._by_level()],
@@ -178,7 +184,7 @@ class CampaignState:
 def _dataset_from_state(state: CampaignState) -> list[gp.GPDataset]:
     """Each ladder level's training data, in ladder order, at :data:`OBS_NOISE`.
 
-    Raises ``InsufficientDataError`` naming the first level with no record.
+    Raises ``DomainError`` naming the first level with no record.
     """
     # The acquisition may re-propose an already-evaluated point; objectives
     # are deterministic, so merging exact duplicates loses nothing and keeps
@@ -186,7 +192,7 @@ def _dataset_from_state(state: CampaignState) -> list[gp.GPDataset]:
     levels = []
     for level, group in zip(state.ladder, state._by_level()):
         if not group:
-            raise InsufficientDataError(f"level {level.index} has no observations")
+            raise DomainError(f"level {level.index} has no observations")
         x = np.asarray([rec.x for rec in group], dtype=np.float64)
         y = np.asarray([rec.y for rec in group], dtype=np.float64)
         _, keep = np.unique(x, axis=0, return_index=True)
@@ -320,7 +326,8 @@ def resume(
     ``beta``, the UCB exploration weight, is the loop's only setting: the
     fidelity-selection rule has no knobs of its own, being a pure function
     of predictive sigmas and recorded costs. It must be finite and >= 0, and
-    is checked here, before any evaluation.
+    so must ``budget_total`` (a loop toward an infinite total never ends);
+    both are checked here, before any evaluation.
 
     An error left on ``state`` by an earlier run is cleared. The
     design points the ledger lacks are evaluated whatever the budget; the
@@ -328,6 +335,8 @@ def resume(
     """
     if not (np.isfinite(beta) and beta >= 0):
         raise DomainError(f"beta must be finite and >= 0, got {beta!r}")
+    if not (np.isfinite(budget_total) and budget_total >= 0):
+        raise DomainError(f"budget_total must be finite and >= 0, got {budget_total!r}")
     state.error = None
     state.budget_total = budget_total
     initial_design(state, objective, space, n, rng_seed, on_record=on_record)

@@ -41,7 +41,9 @@ ratio max(tau) / tau overflows a fidelity score. The log
 keeps the records so far and ends with an ``error`` line and a ``summary``
 line. The recommendation is skipped when no top-fidelity record exists,
 and when the final model cannot be trained.
-``validate-fidelity`` exits 3 when the transport solve diverges.
+Any other package error a command raises exits 3 with one ``error:`` line,
+as when ``validate-fidelity``'s transport solve diverges or its tank fit
+refuses a curve.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import campaign, config as cfgmod, logio
-from .errors import ConfigError, CorruptLogError, MfdgpError, SimulationDivergedError
+from .errors import ConfigError, CorruptLogError, MfdgpError
 from .objectives import reactor
 
 EXIT_OK = 0
@@ -238,8 +240,8 @@ def main(argv=None) -> int:
     except CorruptLogError as exc:
         print(f"corrupt log: {exc}", file=sys.stderr)
         return EXIT_CORRUPT_LOG
-    except SimulationDivergedError as exc:
-        print(f"evaluation failure: {exc}", file=sys.stderr)
+    except MfdgpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_OBJECTIVE
     except OSError as exc:  # a missing input, or an output path that cannot be made
         print(f"error: {exc}", file=sys.stderr)

@@ -23,9 +23,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dgp import DEFAULT_NOMINALS
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError
 from .objectives import get_objective
 from .space import DesignSpace
+
+# The largest n, the initial design's points per level. A layer's first
+# simplex round builds every restart's vertex covariance at once: on the
+# reactor's augmented layers that is up to 4 x 7 = 28 float64 matrices of
+# n x n, 224 MB at n = 1000, and a far larger n fails in the design's
+# sampling before any evaluation.
+_MAX_N = 1000
 
 
 def _float_list(raw: str) -> list[float]:
@@ -46,11 +53,11 @@ class CampaignConfig:
     """Everything a campaign run needs, checked when built, resolvable to live objects.
 
     Checks that the objective name and ``out`` are strings (a log header
-    can hold any JSON value), n, seed, beta, budget, that every number is a
-    real number and not a bool (a string such as ``"0.5"`` is refused, not
-    converted), and the box against the objective's (same dimension, inside
-    its box); the objective and the box check the rest while they are built
-    here. ``lower``,
+    can hold any JSON value), n (1 to :data:`_MAX_N`), seed, beta, budget,
+    that every number is a real number and not a bool (a string such as
+    ``"0.5"`` is refused, not converted), and the box against the
+    objective's (same dimension, inside its box); the objective and the box
+    check the rest while they are built here. ``lower``,
     ``upper``, ``nominals`` and ``base_costs`` are kept as tuples of the
     given elements (a scalar becomes a one-tuple), so a caller's later edit
     of its list cannot reach a checked config.
@@ -78,6 +85,8 @@ class CampaignConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if self.n > _MAX_N:
+            raise ConfigError(f"n must be <= {_MAX_N}")
         for name in ("beta", "budget", "lower", "upper", "nominals", "base_costs"):
             value = getattr(self, name)
             if value is None and name == "base_costs":
@@ -93,7 +102,7 @@ class CampaignConfig:
             raise ConfigError("budget must be finite and > 0")
         try:
             objective, space = self.build_objective(), self.build_space()
-        except (DomainError, ShapeError) as exc:
+        except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         if space.dimension != objective.dimension:
             raise ConfigError(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .streams import PROPAGATION, point_hash, substream
 
 DEFAULT_NOMINALS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -86,9 +86,9 @@ class MFDeepGP:
 
     def __post_init__(self):
         if not self.layers:
-            raise ShapeError("a model needs at least one layer")
+            raise DomainError("a model needs at least one layer")
         if len(self.layers) != len(self.ladder):
-            raise ShapeError("layer count must equal ladder length")
+            raise DomainError("layer count must equal ladder length")
         if self.propagation_samples < 1:
             raise DomainError("propagation_samples must be >= 1")
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -124,7 +124,7 @@ def train(levels, rng_seed: int, ladder=None) -> MFDeepGP:
     if ladder is None:
         ladder = ladder_from_nominals(np.linspace(0.0, 1.0, len(levels)))
     elif len(ladder) != len(levels):
-        raise ShapeError(f"ladder has {len(ladder)} levels, got {len(levels)} datasets")
+        raise DomainError(f"ladder has {len(ladder)} levels, got {len(levels)} datasets")
     seeds = np.random.SeedSequence(rng_seed).generate_state(len(levels))
     layers = []
     for t, ds in enumerate(levels, start=1):
@@ -189,7 +189,7 @@ def propagate(model: MFDeepGP, X, base_draws) -> list[LevelTrace]:
     if S < 1:
         raise DomainError("need at least one propagation sample")
     if base_draws.shape[0] < top - 1:
-        raise ShapeError(f"{base_draws.shape[0]} base draw rows, need {top - 1}")
+        raise DomainError(f"{base_draws.shape[0]} base draw rows, need {top - 1}")
 
     m, d = X.shape
     mean, variance = gp.predict(model.layers[0], X)

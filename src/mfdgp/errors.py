@@ -1,16 +1,27 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per handling.
+
+* :class:`MfdgpError` stops a campaign's loop (``campaign.continue_run``)
+  or skips its recommendation (``cli._campaign``), and ``cli.main`` exits 3
+  on one that no other clause handles.
+* :class:`DomainError` is reworded where a value is refused on the way in:
+  ``campaign._evaluate`` names a refused append, ``logio.replay`` a corrupt
+  line and :class:`~mfdgp.config.CampaignConfig` a config error.
+* :class:`ConditioningError` makes ``gp._negative_lml`` score the vertex inf.
+* :class:`ConfigError` exits 2.
+* :class:`CorruptLogError` exits 4.
+"""
 
 
 class MfdgpError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ShapeError(MfdgpError, ValueError):
-    """An array argument has the wrong shape or dimensionality."""
+    """Base class for all package-specific errors; a diverged transport solve is one."""
 
 
 class DomainError(MfdgpError, ValueError):
-    """A value lies outside its allowed domain (bounds, sign, range)."""
+    """A value lies outside its allowed domain.
+
+    Bounds, sign, range, an array's shape, a dataset with too few
+    observations, or an RTD curve the tanks-in-series fit cannot take.
+    """
 
 
 class ConditioningError(MfdgpError, RuntimeError):
@@ -25,18 +36,6 @@ class ConditioningError(MfdgpError, RuntimeError):
     def __init__(self, message, jitter_levels=()):
         super().__init__(message)
         self.jitter_levels = tuple(jitter_levels)
-
-
-class InsufficientDataError(MfdgpError, ValueError):
-    """A dataset (or one fidelity level of it) has too few observations."""
-
-
-class SimulationDivergedError(MfdgpError, RuntimeError):
-    """The transport solve produced non-finite values."""
-
-
-class RTDFitError(MfdgpError, RuntimeError):
-    """The tanks-in-series fit cannot be performed on the given curve."""
 
 
 class ConfigError(MfdgpError, ValueError):

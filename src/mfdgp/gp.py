@@ -95,7 +95,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
+from .errors import ConditioningError, DomainError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_matrix
 from .kernels import _row_norms, _scaled_kernel_matrix
 
@@ -155,11 +155,11 @@ class GPDataset:
         x = np.atleast_2d(np.array(self.inputs, dtype=np.float64))
         y = np.atleast_1d(np.array(self.targets, dtype=np.float64))
         if x.ndim != 2:
-            raise ShapeError("inputs must be an (n, d) matrix")
+            raise DomainError("inputs must be an (n, d) matrix")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ShapeError(f"targets length {y.shape} does not match {x.shape[0]} input rows")
+            raise DomainError(f"targets length {y.shape} does not match {x.shape[0]} input rows")
         if x.shape[0] < 1:
-            raise InsufficientDataError("a GP dataset needs at least one observation")
+            raise DomainError("a GP dataset needs at least one observation")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise DomainError("inputs and targets must be finite")
         nv = float(self.noise_variance)

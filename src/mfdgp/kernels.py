@@ -8,8 +8,8 @@ This module owns two checks. :class:`KernelSpec` checks the kind and the
 hyperparameters once, when it is built, and keeps a read-only copy of its
 lengthscales. :func:`kernel_matrix` checks its inputs at every call: an
 input of rank below two is one row (``np.atleast_2d``); one of rank above
-two, or with a d other than the lengthscales', is a ``ShapeError``; a
-non-finite one is a ``DomainError``. Finite inputs can still overflow
+two, one with a d other than the lengthscales' and a non-finite one are
+each a ``DomainError``. Finite inputs can still overflow
 when scaled or in the squared distances: an overflowed distance gives the
 exact covariance 0, and ``inf - inf`` a nan that its callers refuse, so it
 computes without numpy's overflow warnings. Its arithmetic lives in
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 
 SQUARED_EXPONENTIAL = "squared-exponential"
 
@@ -55,7 +55,7 @@ class KernelSpec:
             raise DomainError(f"unknown kernel kind {self.kind!r}; expected {SQUARED_EXPONENTIAL}")
         ls = np.atleast_1d(np.array(self.lengthscales, dtype=np.float64))
         if ls.ndim != 1:
-            raise ShapeError("lengthscales must be a 1-D array with one entry per dimension")
+            raise DomainError("lengthscales must be a 1-D array with one entry per dimension")
         if not np.isfinite(ls).all() or (ls <= 0).any():
             raise DomainError("all lengthscales must be finite and > 0")
         sv = float(self.signal_variance)
@@ -73,9 +73,9 @@ class KernelSpec:
 def _scaled(spec: KernelSpec, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2:
-        raise ShapeError(f"kernel inputs must be an (n, d) matrix, got {x.ndim} dimensions")
+        raise DomainError(f"kernel inputs must be an (n, d) matrix, got {x.ndim} dimensions")
     if x.shape[1] != spec.dimension:
-        raise ShapeError(
+        raise DomainError(
             f"input dimension {x.shape[1]} does not match {spec.dimension} lengthscales"
         )
     if not np.isfinite(x).all():

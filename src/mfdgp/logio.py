@@ -45,21 +45,25 @@ class ResultsLogWriter:
     Given a ``config``, it starts a new log at ``path`` whose header holds
     that config. Without one it appends to the log at ``path``, which must
     exist (``FileNotFoundError`` otherwise), so no writer makes a log
-    without a header.
+    without a header; a log whose last line lacks its newline gets one
+    first, so the next line is not glued onto it.
     """
 
     def __init__(self, path, config: CampaignConfig | None = None):
         self.path = Path(path)
         if config is None:
-            self._fh = self.path.open("r+")
-            self._fh.seek(0, io.SEEK_END)
+            self._fh = self.path.open("r+b")
+            if self._fh.seek(0, io.SEEK_END):
+                self._fh.seek(-1, io.SEEK_END)
+                if self._fh.read(1) != b"\n":
+                    self._fh.write(b"\n")
         else:
-            self._fh = self.path.open("w")
+            self._fh = self.path.open("wb")
             self._write({"type": "header", "format": _FORMAT, "version": 1,
                          "config": dataclasses.asdict(config)})
 
     def _write(self, payload: dict) -> None:
-        self._fh.write(json.dumps(payload) + "\n")
+        self._fh.write(json.dumps(payload).encode() + b"\n")
         self._fh.flush()
 
     def record(self, rec: EvaluationRecord) -> None:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DomainError, RTDFitError, SimulationDivergedError
+from ..errors import DomainError, MfdgpError
 from ..space import DesignSpace
 from ..streams import COST, point_hash, substream
 from .base import MultiFidelityObjective, default_base_costs
@@ -182,7 +182,7 @@ def reactor_proxy_simulate(
     (1/(Pe dz)) * diff(c), c[-1]])``, so the outlet history is the same
     bit for bit. A non-finite value still spreads to the outlet, with
     numpy's overflow and invalid-value warnings silenced, and the finite
-    check after the loop reports it as ``SimulationDivergedError``.
+    check after the loop reports it as ``MfdgpError``.
     """
     cells = cells_for_level(level)
     pe = geometry_to_peclet(geom)
@@ -211,9 +211,7 @@ def reactor_proxy_simulate(
             c -= div
             outlet[n] = c[-1]
     if not np.all(np.isfinite(outlet)):
-        raise SimulationDivergedError(
-            f"non-finite outlet concentration at Pe={pe:.3g}, cells={cells}"
-        )
+        raise MfdgpError(f"non-finite outlet concentration at Pe={pe:.3g}, cells={cells}")
 
     theta = dtheta * np.arange(steps + 1)
     stride = max(1, int(np.ceil(theta.size / _MAX_CURVE_POINTS)))
@@ -272,7 +270,7 @@ def moments_tank_estimate(curve: RTDCurve) -> float:
     """The method-of-moments tank count N0 = 1 / var(theta), the fit's starting point."""
     _, var = curve.moments()
     if var <= 1e-12:
-        raise RTDFitError(
+        raise DomainError(
             "curve variance is zero: the response is at the plug-flow limit N -> infinity"
         )
     return 1.0 / var

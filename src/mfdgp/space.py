@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 
 _SOBOL_BITS = 30
 _SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
@@ -73,7 +73,7 @@ class DesignSpace:
         lo = np.atleast_1d(np.array(self.lower, dtype=np.float64))
         hi = np.atleast_1d(np.array(self.upper, dtype=np.float64))
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise ShapeError("lower and upper must be 1-D arrays of equal length")
+            raise DomainError("lower and upper must be 1-D arrays of equal length")
         if lo.size < 1:
             raise DomainError("design space needs at least one dimension")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

@@ -198,6 +198,15 @@ def test_tau_from_records():
     assert repr(_state((1,), []).budget_spent) == "0.0"
 
 
+def test_budget_spent_adds_left_to_right():
+    # from Python 3.12 builtin sum compensates, giving 0.6 here; append's
+    # check and the loop's stop test read the plain running total
+    state = _state((1,), [])
+    for cost in (0.1, 0.2, 0.3):
+        state.append(_records([(1, cost)])[0])
+    assert state.budget_spent == ((0.0 + 0.1) + 0.2) + 0.3 == 0.6000000000000001
+
+
 def test_evaluation_record_rejects_bad_cost():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(DomainError, match="finite and > 0"):
@@ -500,6 +509,26 @@ def test_loop_takes_beta_alone(forrester):
     assert list(inspect.signature(acquisition.solve_ucb).parameters) == [
         "model", "space", "beta", "rng_seed",
     ]
+
+
+def test_resume_refuses_a_budget_not_finite_before_evaluating(forrester):
+    # a loop toward an infinite total never ends
+    calls = []
+
+    class Counting:
+        ladder = forrester.ladder
+
+        def evaluate(self, x, level):
+            calls.append(level.index)
+            return forrester.evaluate(x, level)
+
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(DomainError, match="budget_total must be finite and >= 0"):
+            campaign.run(
+                Counting(), forrester.space, forrester.ladder, 1, 2.0,
+                budget_total=bad, rng_seed=0,
+            )
+    assert calls == []
 
 
 def test_recommend_returns_the_model_maximizer(forrester, small_model):

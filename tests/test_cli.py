@@ -10,7 +10,7 @@ import pytest
 
 from mfdgp import acquisition, campaign, cli, dgp, gp
 from mfdgp import logio
-from mfdgp.errors import ConditioningError
+from mfdgp.errors import ConditioningError, DomainError
 from mfdgp.objectives import ForresterFamily, reactor
 
 # Cheap declared base costs keep CLI campaigns small: initial design with
@@ -190,10 +190,12 @@ REACTOR_BOX = "[space]\nlower = 5.0, 1.5, 4.0, 0.0\nupper = 20.0, 4.0, 15.0, 1.0
         b"[campaign]\nobjective = forrester5\n" + FORRESTER_BOX.encode() + b"# caf\xe9\n",
         "[DEFAULT]\nbudget = 5\nbogus = 1\n",
         "[fidelity]\nnominals = ,\n",
+        "[campaign]\nn = 1001\n",
+        "[campaign]\nn = 100000000000000000000\n",
     ],
     ids=["decreasing-nominals", "nominal-above-1", "zero-base-cost", "nan-bound",
          "reactor-3-levels", "upper-outside-box", "reactor-lower-outside-box", "not-utf-8",
-         "default-section-only", "empty-nominals"],
+         "default-section-only", "empty-nominals", "n-above-1000", "n-10e20"],
 )
 def test_values_the_built_objects_reject_exit_2(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)
@@ -398,6 +400,22 @@ def test_resume_splice_equivalence(tmp_path):
     assert eval_lines(tmp_path / "short" / "records.jsonl") == eval_lines(
         tmp_path / "full" / "records.jsonl"
     )
+
+
+def test_resume_appends_on_a_new_line(tmp_path):
+    # a log whose last line lacks its newline still replays; the resume must
+    # not glue its first line onto that summary line
+    cfg = tmp_path / "c.ini"
+    write_config(cfg, out=str(tmp_path / "out"))
+    log = tmp_path / "out" / "records.jsonl"
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    first = eval_lines(log)
+    log.write_bytes(log.read_bytes().rstrip(b"\n"))
+    assert cli.main(["resume", "--log", str(log), "--budget", "2"]) == 0
+    _, state = logio.replay(log)
+    lines = eval_lines(log)
+    assert len(lines) > len(first) and lines[:len(first)] == first
+    assert len(state.records) == len(lines)
 
 
 def test_resume_zero_budget_is_noop(tmp_path):
@@ -660,6 +678,21 @@ def test_validate_fidelity_divergence_exits_3(tmp_path, monkeypatch, capsys):
     assert not (out / "fidelity_table.csv").exists()
 
 
+def test_validate_fidelity_package_error_exits_3(tmp_path, monkeypatch, capsys):
+    # any package error a command raises ends in one "error:" line, not a traceback
+    def refused(curve):
+        raise DomainError("curve variance is zero: the response is at the plug-flow limit")
+
+    monkeypatch.setattr(reactor, "fit_tanks_in_series", refused)
+    out = tmp_path / "rtd"
+    assert cli.main(["validate-fidelity", "--out", str(out)]) == cli.EXIT_OBJECTIVE
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: curve variance is zero: the response is at the plug-flow limit"
+    ]
+    assert not (out / "fidelity_table.csv").exists()
+
+
 def _run_fresh_interpreter(script, cwd):
     # a fresh interpreter: this one has scipy.stats and scipy.optimize loaded by the tests
     env = dict(os.environ)
@@ -787,13 +820,13 @@ def test_report_corrupt_log_exit_4(tmp_path):
                  "upper": [20.0, 4.0, 15.0, 1.0], "base_costs": ["1", "2", "4", "8", "16"]}},
      {"config": {"nominals": []}}, {"config": {"objective": ["forrester5"]}},
      {"config": {"objective": None}}, {"config": {"out": None}}, {"config": {"out": 5}},
-     {"config": {"out": ["a"]}}],
+     {"config": {"out": ["a"]}}, {"config": {"n": 1001}}, {"config": {"n": 10**20}}],
     ids=["unknown-key", "no-config", "n-zero", "lower-upper-mismatch",
          "n-float", "n-bool", "seed-str", "beta-bool", "budget-bool", "lower-bool",
          "upper-bool", "upper-outside-box", "reactor-lower-outside-box",
          "budget-huge-int", "upper-huge-int", "lower-str", "beta-str", "base-costs-str",
          "empty-nominals", "objective-list", "objective-null", "out-null", "out-int",
-         "out-list"],
+         "out-list", "n-above-1000", "n-10e20"],
 )
 def test_bad_header_config_exit_4(tmp_path, capsys, command, config):
     log = tmp_path / "records.jsonl"

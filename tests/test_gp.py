@@ -12,7 +12,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from mfdgp import gp, kernels
-from mfdgp.errors import ConditioningError, DomainError, InsufficientDataError, ShapeError
+from mfdgp.errors import ConditioningError, DomainError
 from mfdgp.kernels import KernelSpec, _scaled_kernel_matrix, kernel_matrix
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,9 @@ def make_gp(spec, X, y, noise):
 
 
 def test_dataset_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match=r"targets length \(2,\) does not match 3 input rows"):
         gp.GPDataset(inputs=np.zeros((3, 1)), targets=np.zeros(2), noise_variance=0.0)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DomainError, match="a GP dataset needs at least one observation"):
         gp.GPDataset(inputs=np.zeros((0, 1)), targets=np.zeros(0), noise_variance=0.0)
     with pytest.raises(DomainError):
         gp.GPDataset(inputs=[[np.inf]], targets=[0.0], noise_variance=0.0)
@@ -146,9 +146,9 @@ def test_predict_dimension_mismatch():
         KernelSpec(kind="squared-exponential", lengthscales=[1.0], signal_variance=1.0),
         np.array([[0.0]]), np.array([1.0]), 1e-8,
     )
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="input dimension 3 does not match 1 lengthscales"):
         gp.predict(model, np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match=r"must be an \(n, d\) matrix, got 3 dimensions"):
         gp.predict(model, np.zeros((1, 1, 1)))
 
 

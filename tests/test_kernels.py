@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfdgp.errors import DomainError, ShapeError
+from mfdgp.errors import DomainError
 from mfdgp.kernels import KernelSpec, _row_norms, kernel_matrix
 
 
@@ -52,9 +52,9 @@ def test_kernel_matrix_matches_pairwise_eval():
 
 
 def test_dimension_mismatch_is_shape_error():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="input dimension 1 does not match 2 lengthscales"):
         kernel_matrix(se(ls=(1.0, 1.0)), [0.0], [1.0])
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="input dimension 2 does not match 1 lengthscales"):
         kernel_matrix(se(), np.zeros((3, 2)))
 
 
@@ -76,9 +76,9 @@ def test_non_finite_inputs_rejected():
 
 def test_three_dimensional_inputs_are_shape_errors():
     spec = KernelSpec("squared-exponential", [0.3, 0.2], 1.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match=r"must be an \(n, d\) matrix, got 3 dimensions"):
         kernel_matrix(spec, np.zeros((1, 2, 1)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match=r"must be an \(n, d\) matrix, got 3 dimensions"):
         kernel_matrix(spec, np.zeros((1, 2)), np.zeros((1, 1, 2)))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
-from mfdgp.errors import DomainError, RTDFitError, SimulationDivergedError
+from mfdgp.errors import DomainError, MfdgpError
 from mfdgp.objectives import reactor
 
 
@@ -198,7 +198,7 @@ def test_non_finite_pulse_reaches_the_divergence_check(monkeypatch, bad):
 
     monkeypatch.setattr(reactor, "_initial_pulse", spoiled)
     for level in (1, 5):
-        with pytest.raises(SimulationDivergedError, match="non-finite outlet"):
+        with pytest.raises(MfdgpError, match="non-finite outlet concentration"):
             reactor.reactor_proxy_simulate(reactor.default_geometry(), level)
 
 
@@ -239,7 +239,7 @@ def test_degenerate_curve_raises_plug_flow_hint():
     e = np.zeros_like(theta)
     e[100] = 1.0 / (theta[1] - theta[0])  # a spike: zero-variance limit
     spike = reactor.RTDCurve(theta=theta, e_theta=e)
-    with pytest.raises(RTDFitError, match="plug-flow"):
+    with pytest.raises(DomainError, match="plug-flow limit"):
         reactor.fit_tanks_in_series(spike)
 
 
