@@ -44,6 +44,13 @@ PHASE_LOOP = "bo-loop"
 # deterministic, so this is purely a conditioning floor.
 OBS_NOISE = 1e-8
 
+# The largest n, the initial design's points per level. A layer's first
+# simplex round builds every restart's vertex covariance at once: on the
+# reactor's augmented layers that is up to 4 x 7 = 28 float64 matrices of
+# n x n, 224 MB at n = 1000; a far larger n would fail in the design's
+# sampling. initial_design refuses n above it, and CampaignConfig too.
+_MAX_N = 1000
+
 
 def _phase_of(iteration: int) -> str:
     return PHASE_INITIAL if iteration == 0 else PHASE_LOOP
@@ -238,10 +245,13 @@ def initial_design(
     If the ledger already holds k initial-design records at level t, its
     first k points are skipped, so a design cut short by a failure is
     finished from the point where it stopped. A failing objective sets
-    ``state.error``, naming the level, and stops the design.
+    ``state.error``, naming the level, and stops the design. An n outside
+    1.. :data:`_MAX_N` raises ``DomainError`` before any evaluation.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if n > _MAX_N:
+        raise DomainError(f"n must be <= {_MAX_N}")
     if not state.ladder:
         raise DomainError("a campaign needs at least 1 fidelity level")
     done = Counter(rec.level.index for rec in state.records if rec.phase == PHASE_INITIAL)

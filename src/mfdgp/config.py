@@ -22,17 +22,11 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
+from .campaign import _MAX_N
 from .dgp import DEFAULT_NOMINALS
 from .errors import ConfigError, DomainError
 from .objectives import get_objective
 from .space import DesignSpace
-
-# The largest n, the initial design's points per level. A layer's first
-# simplex round builds every restart's vertex covariance at once: on the
-# reactor's augmented layers that is up to 4 x 7 = 28 float64 matrices of
-# n x n, 224 MB at n = 1000, and a far larger n fails in the design's
-# sampling before any evaluation.
-_MAX_N = 1000
 
 
 def _float_list(raw: str) -> list[float]:
@@ -53,7 +47,7 @@ class CampaignConfig:
     """Everything a campaign run needs, checked when built, resolvable to live objects.
 
     Checks that the objective name and ``out`` are strings (a log header
-    can hold any JSON value), n (1 to :data:`_MAX_N`), seed, beta, budget,
+    can hold any JSON value), n (1 to :data:`campaign._MAX_N`), seed, beta, budget,
     that every number is a real number and not a bool (a string such as
     ``"0.5"`` is refused, not converted), and the box against the
     objective's (same dimension, inside its box); the objective and the box

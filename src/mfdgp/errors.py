@@ -29,13 +29,9 @@ class ConditioningError(MfdgpError, RuntimeError):
 
     Raised when a Cholesky factorization fails even after jitter
     escalation, and when a GP predictive variance falls below the clamp
-    threshold, -1e-10. Carries the jitter levels that were attempted so
-    callers can report how far the repair went before giving up.
+    threshold, -1e-10. A failed factorization's message lists the
+    jitter levels it attempted.
     """
-
-    def __init__(self, message, jitter_levels=()):
-        super().__init__(message)
-        self.jitter_levels = tuple(jitter_levels)
 
 
 class ConfigError(MfdgpError, ValueError):

@@ -230,8 +230,7 @@ def _factorize(K: np.ndarray, noise_variance: float) -> np.ndarray:
             jitter = _JITTER_START * mean_diag
         if jitter > _JITTER_STOP * mean_diag:
             raise ConditioningError(
-                f"Cholesky failed after jitter escalation (attempted {attempted})",
-                jitter_levels=attempted,
+                f"Cholesky failed after jitter escalation (attempted {attempted})"
             )
         attempted.append(jitter)
         L, info = dpotrf(_plus_diagonal(base, jitter), lower=1, clean=1)

@@ -29,7 +29,6 @@ pulse edges, and on most real tank counts), so reactor records would move.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,13 +175,16 @@ def reactor_proxy_simulate(
     outlet history is normalized to unit area and to unit mean, so the
     returned curve is a proper dimensionless RTD.
 
-    Each step runs in buffers allocated once per solve (``out=`` and
-    in-place ufuncs) and performs the same float operations in the same
-    order as the allocating form ``c - (dtheta/dz) * diff([0, c[:-1] -
-    (1/(Pe dz)) * diff(c), c[-1]])``, so the outlet history is the same
-    bit for bit. A non-finite value still spreads to the outlet, with
-    numpy's overflow and invalid-value warnings silenced, and the finite
-    check after the loop reports it as ``MfdgpError``.
+    Each step is six ufunc calls with positional ``out`` on buffers and
+    views made once per solve, and performs the same float operations in
+    the same order as the allocating form ``c - (dtheta/dz) * diff([0,
+    c[:-1] - (1/(Pe dz)) * diff(c), c[-1]])``, so the outlet history is the
+    same bit for bit. ``grad`` holds one entry per cell and its last, the
+    closed outlet's, stays 0, so one subtraction writes the interior and
+    the outflow fluxes: ``c[-1] - 0.0`` is ``c[-1]`` bit for bit, -0.0, nan
+    and +-inf included. A non-finite value still spreads to the outlet,
+    with numpy's overflow and invalid-value warnings silenced, and the
+    finite check after the loop reports it as ``MfdgpError``.
     """
     cells = cells_for_level(level)
     pe = geometry_to_peclet(geom)
@@ -198,17 +200,18 @@ def reactor_proxy_simulate(
     outlet = np.empty(steps + 1)
     outlet[0] = c[-1]
     flux = np.zeros(cells + 1)  # flux[0] is the closed inlet and stays 0
-    grad = np.empty(cells - 1)
+    grad = np.zeros(cells)  # grad[-1] is the closed outlet and stays 0
     div = np.empty(cells)
+    c_hi, c_lo, grad_in, flux_hi, flux_lo = c[1:], c[:-1], grad[:-1], flux[1:], flux[:-1]
+    subtract, multiply = np.subtract, np.multiply  # a step is mostly call overhead
     with np.errstate(invalid="ignore", over="ignore"):
         for n in range(1, steps + 1):
-            np.subtract(c[1:], c[:-1], out=grad)
-            grad *= inv_pe_dz
-            np.subtract(c[:-1], grad, out=flux[1:-1])
-            flux[-1] = c[-1]
-            np.subtract(flux[1:], flux[:-1], out=div)
-            div *= courant
-            c -= div
+            subtract(c_hi, c_lo, grad_in)
+            multiply(grad_in, inv_pe_dz, grad_in)
+            subtract(c, grad, flux_hi)
+            subtract(flux_hi, flux_lo, div)
+            multiply(div, courant, div)
+            subtract(c, div, c)
             outlet[n] = c[-1]
     if not np.all(np.isfinite(outlet)):
         raise MfdgpError(f"non-finite outlet concentration at Pe={pe:.3g}, cells={cells}")
@@ -277,13 +280,17 @@ def moments_tank_estimate(curve: RTDCurve) -> float:
 
 
 def write_rtd_csv(curve: RTDCurve, path) -> None:
-    """Two-column CSV export: theta, e_theta."""
+    """Two-column CSV export: theta, e_theta, one float repr per field.
+
+    The file is written as one string, with the bytes ``csv.writer``
+    writes in its default (excel) dialect: CRLF line ends and no quoting,
+    since a float repr holds no comma, quote or line break.
+    """
+    rows = "".join(
+        f"{t!r},{e!r}\r\n" for t, e in zip(curve.theta.tolist(), curve.e_theta.tolist())
+    )
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "e_theta"])
-        writer.writerows(
-            zip(map(repr, curve.theta.tolist()), map(repr, curve.e_theta.tolist()))
-        )
+        fh.write("theta,e_theta\r\n" + rows)
 
 
 class ReactorProxyObjective(MultiFidelityObjective):

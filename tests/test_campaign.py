@@ -531,6 +531,26 @@ def test_resume_refuses_a_budget_not_finite_before_evaluating(forrester):
     assert calls == []
 
 
+def test_run_and_resume_refuse_a_huge_n_before_evaluating(forrester):
+    # numpy cannot even allocate the design of n = 10^20 points
+    calls = []
+
+    class Counting:
+        ladder = forrester.ladder
+
+        def evaluate(self, x, level):
+            calls.append(level.index)
+            return forrester.evaluate(x, level)
+
+    designed = campaign.run(forrester, forrester.space, forrester.ladder, 1, 2.0, 0.0, 0)
+    for n in (10**20, 1001):
+        with pytest.raises(DomainError, match="n must be <= 1000"):
+            campaign.run(Counting(), forrester.space, forrester.ladder, n, 2.0, 10.0, 0)
+        with pytest.raises(DomainError, match="n must be <= 1000"):
+            campaign.resume(designed, Counting(), forrester.space, n, 2.0, 10.0, 0)
+    assert calls == []
+
+
 def test_recommend_returns_the_model_maximizer(forrester, small_model):
     assert list(inspect.signature(campaign.recommend).parameters) == ["model", "space"]
     _, model = small_model

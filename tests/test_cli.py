@@ -237,7 +237,7 @@ def _fail_in_training(monkeypatch):
     def failing_train(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise ConditioningError("forced factorization failure", (1e-10, 1e-8))
+            raise ConditioningError("forced factorization failure")
         return train(*args, **kwargs)
 
     monkeypatch.setattr(dgp, "train", failing_train)

@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -313,16 +314,16 @@ def test_predict_raises_when_the_cholesky_variance_is_below_the_clamp(lengthscal
 
 
 def test_factorize_failure_reports_jitter_levels():
-    # NaN entries can never factorize; the error carries the attempted levels
+    # NaN entries can never factorize; the message lists the attempted levels
     with pytest.raises(ConditioningError):
         gp._factorize(np.full((2, 2), np.nan), 0.0)
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite: jitter ladder runs out
-    with pytest.raises(ConditioningError) as err:
-        gp._factorize(bad, 0.0)
     # mean diagonal 1: the ladder runs 1e-10, 1e-9, ... by repeated x10 up to 1e-4
-    assert err.value.jitter_levels == (
+    attempted = [
         1e-10, 1e-09, 1e-08, 1e-07, 1e-06, 9.999999999999999e-06, 9.999999999999999e-05
-    )
+    ]
+    with pytest.raises(ConditioningError, match=re.escape(f"(attempted {attempted})")):
+        gp._factorize(bad, 0.0)
 
 
 def test_from_params_raises_on_overflowing_alpha():
@@ -522,9 +523,8 @@ def test_factorize_matches_plain_ladder(case):
     K, noise = FACTORIZE_CASES[case]
     expected, ladder = reference_factorize(K, noise)
     if expected is None:
-        with pytest.raises(ConditioningError) as err:
+        with pytest.raises(ConditioningError, match=re.escape(f"(attempted {ladder})")):
             gp._factorize(K, noise)
-        assert err.value.jitter_levels == tuple(ladder)
         return
     assert len(ladder) == {"one-rung": 1, "two-rungs": 2, "two-rungs-noise": 2}.get(case, 0)
     assert np.array_equal(gp._factorize(K, noise), expected)
