@@ -23,7 +23,12 @@ numpy, whose vectorized (SIMD) kernels need not give the bytes of
 ``math.exp`` and ``math.log``
 (:func:`_negative_lml`). :func:`predict` sums each query's squared solve
 by sequential adds below 8 data rows, the order numpy's reduction takes
-there (``kernels._row_norms``).
+there (``kernels._row_norms``). A deep GP level's augmented queries, each
+x-part repeated once per sample, go through :func:`_predict_augmented`,
+whose cross-covariance is the one ``predict`` would build on the stacked
+rows, from x-parts scaled and squared once
+(``kernels._augmented_kernel_matrix``); the two share their posterior
+half, :func:`_posterior`.
 
 The factorization and the triangular solves call LAPACK ``potrf`` and
 ``trtrs`` directly, through scipy's own wrappers ``dpotrf`` and ``dtrtrs``.
@@ -42,9 +47,11 @@ Each check has one owner, and the code past it trusts it:
   inputs and targets, a finite noise variance >= 0. It keeps read-only
   copies, so a checked dataset cannot change under a model.
 * :class:`~mfdgp.kernels.KernelSpec`: the kind and the hyperparameters.
-* :func:`~mfdgp.kernels.kernel_matrix`: every kernel input. It is what
-  refuses a kernel, dataset or query of another dimension in
-  :meth:`TrainedGP.from_params` and :func:`predict`.
+* :func:`~mfdgp.kernels.kernel_matrix`: every kernel input, and
+  ``kernels._augmented_kernel_matrix`` those of augmented queries. They
+  refuse a kernel, dataset or query of another dimension in
+  :meth:`TrainedGP.from_params`, :func:`predict` and
+  :func:`_predict_augmented`.
 * :func:`_search_setup`, which builds a fit's box and starts from one
   scan of the data: a log-parameter box with finite bounds,
   ``exp(lo) > 0`` and ``exp(hi) < inf``; inputs whose scaled norms
@@ -53,10 +60,11 @@ Each check has one owner, and the code past it trusts it:
 * :func:`_factorize`: a finite covariance (``x / ls`` can still overflow
   at shorter lengthscales) and the jitter ladder; :func:`_trtrs`: LAPACK's
   ``info``; :func:`_alpha`: a finite alpha.
-* :func:`predict`: a finite cross-covariance ``k_star``, since no dataset
-  check covers the queries' distances to the data, and a predictive
-  variance no lower than the clamp threshold. Its factor is finite, since
-  ``potrf`` ran on a finite matrix.
+* :func:`_posterior`, the posterior half of both predictions: a finite
+  cross-covariance ``k_star``, since no dataset check covers the queries'
+  distances to the data, and a predictive variance no lower than the
+  clamp threshold. Its factor is finite, since ``potrf`` ran on a finite
+  matrix.
 
 A Nelder-Mead vertex is the list of floats :func:`minimize` keeps, handed
 to the objective as it is, in the list of one round's vertices. The
@@ -97,7 +105,7 @@ import scipy
 
 from .errors import ConditioningError, DomainError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_matrix
-from .kernels import _row_norms, _scaled_kernel_matrix
+from .kernels import _augmented_kernel_matrix, _row_norms, _scaled_kernel_matrix
 
 # Simplex restarts of every fit: the data-scaled start and three random ones.
 _RESTARTS = 4
@@ -271,7 +279,22 @@ def predict(gp: TrainedGP, queries) -> tuple[np.ndarray, np.ndarray]:
         -1e-10 raises a conditioning error rather than being repaired, and
         so does a query whose covariance with the data is not finite.
     """
-    k_star = kernel_matrix(gp.kernel, gp.dataset.inputs, queries)
+    return _posterior(gp, kernel_matrix(gp.kernel, gp.dataset.inputs, queries))
+
+
+def _predict_augmented(gp: TrainedGP, X: np.ndarray, z: np.ndarray):
+    """:func:`predict` at the augmented rows (X[i], z[i, s]), i-major, with its very floats.
+
+    ``X`` is (m, d) and ``z`` (m, S); the cross-covariance comes from
+    ``kernels._augmented_kernel_matrix``, which scales and squares X's part
+    on its m rows, not on the m * S rows of ``np.column_stack([np.repeat(X,
+    S, axis=0), z.reshape(-1)])``, and the posterior from :func:`predict`'s.
+    """
+    return _posterior(gp, _augmented_kernel_matrix(gp.kernel, gp.dataset.inputs, X, z))
+
+
+def _posterior(gp: TrainedGP, k_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior half of :func:`predict`: mean and clamped variance from (n, m) ``k_star``."""
     if not np.isfinite(k_star).all():
         raise ConditioningError("covariance between queries and data is not finite")
     mean = k_star.T @ gp.alpha

@@ -18,6 +18,14 @@ calls on inputs it has already checked and scaled. The core sums a tall
 query block's squared norms column by column when it has fewer than 8
 columns (``_row_norms``), which gives the bytes of numpy's reduction at a
 fraction of its cost.
+
+A deep GP level queries its layer at augmented rows (x_i, z_is), each
+x-part repeated once per sample. ``_augmented_kernel_matrix`` takes the m
+distinct x-parts and the z column apart, makes the same checks, and scales
+and squares the x-parts on their m rows. It writes them into the C-order
+block that stacking the rows would give and sums each norm in the same
+order, so the core, and its matmul, see the very operands of
+:func:`kernel_matrix` on the stacked rows.
 """
 
 from __future__ import annotations
@@ -98,7 +106,44 @@ def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
         return _scaled_kernel_matrix(spec.signal_variance, xa, xb)
 
 
-def _scaled_kernel_matrix(signal_variance: float, xa, xb=None) -> np.ndarray:
+def _augmented_kernel_matrix(spec: KernelSpec, a, X: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`kernel_matrix` of ``a`` against the augmented rows (X[i], z[i, s]), i-major.
+
+    ``X`` is an (m, d) float64 matrix, ``z`` an (m, S) one and ``spec`` has
+    d + 1 lengthscales: the query block of one level of a deep GP pass,
+    whose m * S rows hold only m distinct x-parts. The result has the bytes
+    of ``kernel_matrix(spec, a, np.column_stack([np.repeat(X, S, axis=0),
+    z.reshape(-1)]))``, with that call's checks on that block: X's width and
+    finiteness, checked on its m rows, and z's finiteness. X is divided by
+    its lengthscales on its m rows and written S times into the C-order
+    scaled block, so the kernel's matmul sees the operands of the plain
+    call. Below 8 columns its squared norms are summed on the m rows, then
+    repeated and given ``(z / l_z)**2``: the left-to-right column sum of
+    :func:`_row_norms` on the whole block. From 8 columns on, numpy sums a
+    row pairwise, and the whole block's rows are summed.
+    """
+    m, d = X.shape
+    if d + 1 != spec.dimension:
+        raise DomainError(f"input dimension {d + 1} does not match {spec.dimension} lengthscales")
+    if not (np.isfinite(X).all() and np.isfinite(z).all()):
+        raise DomainError("kernel inputs must be finite")
+    S = z.shape[1]
+    ls = spec.lengthscales
+    with np.errstate(over="ignore", invalid="ignore"):
+        xa = _scaled(spec, a)
+        rows = np.zeros((m, d + 1))
+        sx = np.divide(X, ls[:d], out=rows[:, :d])
+        xb = np.repeat(rows, S, axis=0)
+        np.divide(z.reshape(-1), ls[d], out=xb[:, d])
+        if 0 < d < 7:
+            norms_b = np.repeat(_row_norms(sx), S)
+            norms_b += xb[:, d] ** 2
+        else:
+            norms_b = _row_norms(xb)
+        return _scaled_kernel_matrix(spec.signal_variance, xa, xb, norms_b)
+
+
+def _scaled_kernel_matrix(signal_variance: float, xa, xb=None, norms_b=None) -> np.ndarray:
     """:func:`kernel_matrix` on (n, d) float64 inputs already divided by the lengthscales.
 
     Trusted core: it checks nothing. Its caller vouches for a finite positive
@@ -108,15 +153,17 @@ def _scaled_kernel_matrix(signal_variance: float, xa, xb=None) -> np.ndarray:
     each slice gets the very floats of its own 2-D call. The norms of
     ``xa``, a training batch or the data, come from one reduction, the
     cheaper form on such small arrays; those of a given ``xb``, the (m, d)
-    query block, from :func:`_row_norms`, with the same bytes.
+    query block, are ``norms_b`` when the caller has them, else
+    :func:`_row_norms`, with the same bytes.
     """
     norms_a = (xa**2).sum(axis=-1)
     if xb is None:
         xb, norms_b = xa, norms_a
-    else:
+    elif norms_b is None:
         norms_b = _row_norms(xb)
     # squared distances via the expanded form; clip tiny negatives from cancellation
-    sq = norms_a[..., :, None] + norms_b[..., None, :] - 2.0 * xa @ xb.swapaxes(-1, -2)
+    sq = norms_a[..., :, None] + norms_b[..., None, :]
+    sq -= 2.0 * xa @ xb.swapaxes(-1, -2)
     np.maximum(sq, 0.0, out=sq)
     sq *= -0.5
     np.exp(sq, out=sq)

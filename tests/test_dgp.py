@@ -311,11 +311,39 @@ def test_propagate_gives_the_bytes_of_the_plain_pass(five_level_model):
     cases = [(five_level_model, m) for m in (1, 16, 64, 512)]
     cases += [(one_level, 16), (four_d, 21)]
     for model, m in cases:
-        X = rng.uniform(size=(m, model.layers[0].kernel.dimension))
-        draws = rng.standard_normal((model.num_levels - 1, dgp.ACQUISITION_SAMPLES))
-        got = dgp.propagate(model, X, draws)
-        expected = reference_propagate(model, X, draws)
-        assert len(got) == len(expected) == model.num_levels
-        for trace, (mean, variance) in zip(got, expected):
-            assert trace.mean.tobytes() == mean.tobytes(), (model.num_levels, m)
-            assert trace.variance.tobytes() == variance.tobytes(), (model.num_levels, m)
+        assert_plain_pass_bytes(model, rng, m, dgp.ACQUISITION_SAMPLES)
+    # 7-D inputs give 8-column augmented blocks, whose rows numpy sums pairwise
+    xs = [rng.uniform(size=(n, 7)) for n in (10, 8, 6)]
+    seven_d = dgp.train(datasets(xs, [np.sin(xt @ np.linspace(-2.0, 2.0, 7)) + 0.1 * t
+                                      for t, xt in enumerate(xs)]), 4)
+    for model, m, S in [(seven_d, 1, 100), (seven_d, 21, 100), (five_level_model, 16, 1),
+                        (five_level_model, 16, 2), (four_d, 21, 1), (four_d, 21, 2)]:
+        assert_plain_pass_bytes(model, rng, m, S)
+    # compose_mean's augmented queries are the pass at S = 1, on the level's mean
+    for model in (five_level_model, four_d, seven_d):
+        X = rng.uniform(size=(21, model.layers[0].kernel.dimension))
+        for t in range(1, model.num_levels + 1):
+            expected = reference_predict(model.layers[0], X)[0]
+            for layer in model.layers[1:t]:
+                expected = expected + reference_predict(layer, np.column_stack([X, expected]))[0]
+            assert dgp.compose_mean(model.layers[:t], X).tobytes() == expected.tobytes(), t
+
+
+def assert_plain_pass_bytes(model, rng, m, S):
+    X = rng.uniform(size=(m, model.layers[0].kernel.dimension))
+    draws = rng.standard_normal((model.num_levels - 1, S))
+    got = dgp.propagate(model, X, draws)
+    expected = reference_propagate(model, X, draws)
+    assert len(got) == len(expected) == model.num_levels
+    for trace, (mean, variance) in zip(got, expected):
+        assert trace.mean.tobytes() == mean.tobytes(), (model.num_levels, m, S)
+        assert trace.variance.tobytes() == variance.tobytes(), (model.num_levels, m, S)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_propagate_refuses_a_non_finite_augmented_coordinate(five_level_model, bad):
+    # a non-finite draw of level 2 makes level 3's z column non-finite
+    draws = np.random.default_rng(12).standard_normal((4, 10))
+    draws[1, 3] = bad
+    with pytest.raises(DomainError, match="kernel inputs must be finite"):
+        dgp.propagate(five_level_model, np.array([[0.3], [0.8]]), draws)

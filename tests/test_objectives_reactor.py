@@ -137,7 +137,10 @@ def test_cost_varies_with_seed_but_not_per_call():
 
 
 def _allocating_simulate(geom, level, seed=0, base_cost=None):
-    """The solver with a fresh array per operation: the reference for the in-place loop."""
+    """The solver with a fresh array per operation: the reference for the in-place loop.
+
+    Returns theta, E(theta), the cost and the unclipped outlet history.
+    """
     cells = reactor.cells_for_level(level)
     pe = reactor.geometry_to_peclet(geom)
     dz = 1.0 / cells
@@ -163,7 +166,25 @@ def _allocating_simulate(geom, level, seed=0, base_cost=None):
     theta, e = theta / mean, e * mean
     e = e / np.trapezoid(e, theta)
     base = reactor.DEFAULT_BASE_COSTS[level - 1] if base_cost is None else float(base_cost)
-    return theta, e, base * reactor._cost_multiplier(geom, level, seed)
+    return theta, e, base * reactor._cost_multiplier(geom, level, seed), outlet
+
+
+class _OutletRecorder:
+    """numpy for the reactor module, keeping a copy of each array ``isfinite`` sees.
+
+    The solver's one ``isfinite`` call is its divergence check on the whole
+    outlet history, before the curve clips it at 0.
+    """
+
+    def __init__(self):
+        self.histories = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, x):
+        self.histories.append(np.array(x))
+        return np.isfinite(x)
 
 
 def _geometry_at_peclet(pe):
@@ -191,11 +212,17 @@ def test_in_place_solver_matches_allocating_reference(monkeypatch, pe):
     geom = _geometry_at_peclet(pe)
     assert reactor.geometry_to_peclet(geom) == pytest.approx(pe)
     for level in range(1, 6):
-        curve, cost = reactor.reactor_proxy_simulate(geom, level, seed=4)
-        theta, e, ref_cost = _allocating_simulate(geom, level, seed=4)
+        recorder = _OutletRecorder()
+        with monkeypatch.context() as patch:
+            patch.setattr(reactor, "np", recorder)
+            curve, cost = reactor.reactor_proxy_simulate(geom, level, seed=4)
+        theta, e, ref_cost, outlet = _allocating_simulate(geom, level, seed=4)
         assert np.array_equal(curve.theta, theta)
         assert np.array_equal(curve.e_theta, e)
         assert cost == ref_cost
+        # the clipped curve counts -0.0 and +0.0 equal; the history keeps the sign
+        [history] = recorder.histories
+        assert history.tobytes() == outlet.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
