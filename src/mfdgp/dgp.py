@@ -12,7 +12,13 @@ collapsing to each layer's own data scale.
 
 Training is greedy: layer 1 is fit on (x_1, y_1); layer t's correction GP
 is fit on the level-t inputs augmented with the composed posterior *mean*
-of the layers below, against the residuals y_t minus that mean.
+of the layers below, against the residuals y_t minus that mean. Where the
+process may run on two or more CPUs, :func:`train` forks one helper
+process at its start that runs two of each fit's four simplex restarts
+while the caller runs the other two, and reaps it before it returns or
+raises (``gp.restart_helper``). The restarts do not depend on each other
+and a vertex scores the same in any batch, so the split moves no float;
+the helper lives only for that one call.
 
 Prediction has one path, :func:`propagate`: samples are drawn level by
 level through the stack from one set of standard-normal base draws that
@@ -126,6 +132,10 @@ def train(levels, rng_seed: int, ladder=None) -> MFDeepGP:
     layer's predictive is the identity in the augmented coordinate plus that
     learned mismatch. Deterministic given ``rng_seed``. ``ladder`` defaults
     to evenly spaced nominals when not supplied.
+
+    The fits run in one ``gp.restart_helper`` block: where a second CPU is
+    free, a helper process forked here runs two of each fit's four simplex
+    restarts, and it is reaped before this returns or raises.
     """
     if ladder is None:
         ladder = ladder_from_nominals(np.linspace(0.0, 1.0, len(levels)))
@@ -133,12 +143,13 @@ def train(levels, rng_seed: int, ladder=None) -> MFDeepGP:
         raise DomainError(f"ladder has {len(ladder)} levels, got {len(levels)} datasets")
     seeds = np.random.SeedSequence(rng_seed).generate_state(len(levels))
     layers = []
-    for t, ds in enumerate(levels, start=1):
-        if t > 1:
-            aug = compose_mean(layers, ds.inputs)
-            ds = gp.GPDataset(inputs=np.column_stack([ds.inputs, aug]),
-                              targets=ds.targets - aug, noise_variance=ds.noise_variance)
-        layers.append(gp.fit(ds, rng_seed=int(seeds[t - 1])))
+    with gp.restart_helper():
+        for t, ds in enumerate(levels, start=1):
+            if t > 1:
+                aug = compose_mean(layers, ds.inputs)
+                ds = gp.GPDataset(inputs=np.column_stack([ds.inputs, aug]),
+                                  targets=ds.targets - aug, noise_variance=ds.noise_variance)
+            layers.append(gp.fit(ds, rng_seed=int(seeds[t - 1])))
     return MFDeepGP(layers=tuple(layers), ladder=tuple(ladder))
 
 

@@ -702,6 +702,7 @@ def _run_fresh_interpreter(script, cwd):
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc
 
 
 def test_a_forrester_campaign_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
@@ -721,6 +722,40 @@ def test_a_forrester_campaign_loads_neither_scipy_stats_nor_scipy_optimize(tmp_p
         "assert 'scipy.stats' not in sys.modules\n",
         tmp_path,
     )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the restart helper is forked")
+def test_a_campaign_with_the_restart_helper_writes_each_byte_once(tmp_path):
+    # every training forks a helper that leaves by os._exit, so the golden
+    # records and report come out, and a line this process still buffers for
+    # stdout when it forks is written once, not again at each helper's exit
+    proc = _run_fresh_interpreter(
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "def counted_fork():\n"
+        "    pid = fork()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counted_fork\n"
+        "from test_golden import DATA, golden_outputs\n"
+        "sys.stdout = open(1, 'w', closefd=False)  # block-buffered, even under PYTHONUNBUFFERED\n"
+        "print('before the campaign')\n"
+        f"files = golden_outputs('forrester5', {str(tmp_path)!r})\n"
+        "assert files == {rel: (DATA / rel).read_text() for rel in files}\n"
+        "assert forks, 'no helper was forked'\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a helper was left unreaped')\n",
+        tmp_path,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before the campaign"
+    assert len(lines) == len(set(lines)) == 3, lines
 
 
 def test_importing_the_cli_leaves_out_scipy_optimize(tmp_path):

@@ -1,11 +1,13 @@
 import dataclasses
+import os
+import signal
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dtrtrs
 
 from mfdgp import campaign, dgp, gp
-from mfdgp.errors import DomainError, MfdgpError
+from mfdgp.errors import ConditioningError, DomainError, MfdgpError
 from mfdgp.streams import PROPAGATION, point_hash, substream
 
 
@@ -347,3 +349,138 @@ def test_propagate_refuses_a_non_finite_augmented_coordinate(five_level_model, b
     draws[1, 3] = bad
     with pytest.raises(DomainError, match="kernel inputs must be finite"):
         dgp.propagate(five_level_model, np.array([[0.3], [0.8]]), draws)
+
+
+# ---------------------------------------------------------------------------
+# The restart helper: dgp.train forks it where two CPUs are visible, and a
+# stack trained with it, without it or with it killed has the same bytes.
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the restart helper is forked")
+
+
+def visible_cpus(monkeypatch, count):
+    """Make gp.restart_helper see ``count`` CPUs: two or more fork the helper, one does not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def campaign_sized_levels():
+    """Five levels on a 4-D box, 9 rows at the bottom to 2 at the top, as a reactor campaign ends."""
+    rng = np.random.default_rng(36)
+    xs = [rng.uniform(size=(n, 4)) for n in (9, 7, 5, 3, 2)]
+    ys = [np.sin(x @ [3.0, 1.0, -2.0, 0.5]) * (1.0 + 0.2 * t) + 0.3 * t for t, x in enumerate(xs)]
+    return datasets(xs, ys)
+
+
+@pytest.fixture
+def starts_run_here(monkeypatch):
+    """The start count of each lock-step search this process runs, not the helper."""
+    counts = []
+    lock_step = gp._lock_step
+
+    def counted(objective, starts):
+        counts.append(len(starts))
+        return lock_step(objective, starts)
+
+    monkeypatch.setattr(gp, "_lock_step", counted)
+    return counts
+
+
+def assert_same_stack(a, b):
+    for t, (x, y) in enumerate(zip(a.layers, b.layers), start=1):
+        assert x.kernel.lengthscales.tobytes() == y.kernel.lengthscales.tobytes(), t
+        assert np.float64(x.kernel.signal_variance) == np.float64(y.kernel.signal_variance), t
+        assert x.chol_factor.tobytes() == y.chol_factor.tobytes(), t
+        assert x.alpha.tobytes() == y.alpha.tobytes(), t
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_train_with_the_restart_helper_gives_the_in_process_bytes(monkeypatch, starts_run_here):
+    levels = campaign_sized_levels()
+    visible_cpus(monkeypatch, 2)
+    split = dgp.train(levels, 5)
+    assert_no_child_left()
+    visible_cpus(monkeypatch, 1)
+    alone = dgp.train(levels, 5)
+    # with the helper this process runs two starts of each fit, without it four
+    assert starts_run_here == [2] * 5 + [4] * 5
+    assert_same_stack(split, alone)
+
+
+@needs_fork
+def test_an_exception_in_the_helper_reaches_the_caller(monkeypatch):
+    visible_cpus(monkeypatch, 2)
+    caller, nelder_mead = os.getpid(), gp._nelder_mead
+
+    def failing_in_the_helper(start):
+        if os.getpid() != caller:
+            raise ConditioningError("a restart failed in the helper")
+        return nelder_mead(start)
+
+    monkeypatch.setattr(gp, "_nelder_mead", failing_in_the_helper)
+    with pytest.raises(ConditioningError) as raised:
+        dgp.train(campaign_sized_levels(), 5)
+    assert str(raised.value) == "a restart failed in the helper"
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_helper_killed_mid_train_leaves_the_in_process_bytes(monkeypatch, starts_run_here):
+    levels = campaign_sized_levels()
+    visible_cpus(monkeypatch, 1)
+    alone = dgp.train(levels, 5)
+    visible_cpus(monkeypatch, 2)
+    caller, nelder_mead = os.getpid(), gp._nelder_mead
+    started = []  # restarts the helper started, in its own memory
+
+    def killed_in_its_second_job(start):
+        if os.getpid() != caller:
+            started.append(start)
+            if len(started) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return nelder_mead(start)
+
+    monkeypatch.setattr(gp, "_nelder_mead", killed_in_its_second_job)
+    del starts_run_here[:]
+    split = dgp.train(levels, 5)
+    assert_no_child_left()
+    # layer 1 split; layer 2 its own two starts, then the dead helper's two;
+    # layers 3-5 all four here
+    assert starts_run_here == [2, 2, 2, 4, 4, 4]
+    assert_same_stack(split, alone)
+
+
+class _ArgumentedError(MfdgpError):
+    """An exception that pickles but does not unpickle: its class takes two arguments."""
+
+    def __init__(self, message, code):
+        super().__init__(f"{message} ({code})")
+
+
+@needs_fork
+def test_a_helper_reply_that_does_not_unpickle_leaves_the_in_process_bytes(
+        monkeypatch, starts_run_here):
+    levels = campaign_sized_levels()
+    visible_cpus(monkeypatch, 1)
+    alone = dgp.train(levels, 5)
+    visible_cpus(monkeypatch, 2)
+    caller, nelder_mead = os.getpid(), gp._nelder_mead
+
+    def failing_in_the_helper(start):
+        if os.getpid() != caller:
+            raise _ArgumentedError("a restart failed in the helper", 7)
+        return nelder_mead(start)
+
+    monkeypatch.setattr(gp, "_nelder_mead", failing_in_the_helper)
+    del starts_run_here[:]
+    split = dgp.train(levels, 5)
+    assert_no_child_left()
+    # layer 1 runs its own two starts, then the helper's two; the helper is
+    # then gone, so layers 2-5 run all four here
+    assert starts_run_here == [2, 2, 4, 4, 4, 4]
+    assert_same_stack(split, alone)

@@ -882,6 +882,46 @@ def test_lock_step_restarts_equal_their_one_start_runs():
     assert staggered > 40 and not_first > 0
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the restart helper is forked")
+
+
+def visible_cpus(monkeypatch, count):
+    """Make gp.restart_helper see ``count`` CPUs: two or more fork the helper, one does not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@needs_fork
+def test_minimize_with_the_restart_helper_gives_the_in_process_bytes(monkeypatch):
+    visible_cpus(monkeypatch, 2)
+    cases, _ = parity_corpus()
+    cases.append(("one-point", gp.GPDataset(inputs=[[0.3, -2.0]], targets=[1.5],
+                                            noise_variance=1e-8)))
+    for name, data in cases:
+        if name == "overflowing-alpha":
+            continue  # fit refuses this box before it draws a start
+        lo, hi, starts = search_setup(data, np.random.default_rng(7))
+        objective = gp._negative_lml(data, lo, hi)
+        quiet = name in OVERFLOWING
+        # the helper keeps the error state it was forked in
+        with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
+            with gp.restart_helper() as helper:
+                assert helper is not None
+                split = gp.minimize(objective, starts, helper)
+                alone = gp.minimize(objective, starts)
+        assert helper.pid is None  # reaped when its block ended
+        assert split.x.tobytes() == alone.x.tobytes(), name
+        assert np.float64(split.fun).tobytes() == np.float64(alone.fun).tobytes(), name
+        assert split.nfev == alone.nfev, name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_restart_helper_forks_nothing_on_one_cpu(monkeypatch):
+    visible_cpus(monkeypatch, 1)
+    with gp.restart_helper() as helper:
+        assert helper is None
+
+
 def test_fit_raises_when_every_vertex_scores_inf():
     # a flat dimension at 3e154: the scaled norms are finite at the box's
     # longest lengthscales, so the box is accepted, but from 1e308 up their
