@@ -44,6 +44,17 @@ and when the final model cannot be trained.
 Any other package error a command raises exits 3 with one ``error:`` line,
 as when ``validate-fidelity``'s transport solve diverges or its tank fit
 refuses a curve.
+
+Each command runs in one ``helper.block``: where the process may run on
+two or more CPUs, one helper process serves the whole command. It is
+forked at the command's first job, so ``init``, ``report`` and a
+campaign's initial design fork nothing, and it is reaped before
+:func:`main` returns. A campaign's trainings hand it two of each fit's
+four simplex restarts; ``validate-fidelity`` hands it the finest mesh's
+solve while it solves the coarser ones itself, and collects that solve in
+ladder order, so a coarser level that fails still raises first. Every
+output byte is the one-process path's: the helper runs the same code on
+the same inputs, and pickle carries floats exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ import sys
 from dataclasses import astuple, replace
 from pathlib import Path
 
-from . import campaign, config as cfgmod, logio
+from . import campaign, config as cfgmod, helper, logio
 from .errors import ConfigError, CorruptLogError, MfdgpError
 from .objectives import reactor
 
@@ -133,10 +144,14 @@ def cmd_validate_fidelity(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    # The finest mesh, most of the study's solve time, is solved in the
+    # command's helper while this process solves the others.
+    top = objective.ladder[-1]
+    top_solve = helper.start(objective.simulate, geom, top)
     # The fit and CSV writer are looked up on the module at each call, as the
     # solver is in simulate: perfbench's tracer and setup_probe.py patch them.
     for level in objective.ladder:
-        curve, cost = objective.simulate(geom, level)
+        curve, cost = top_solve() if level is top else objective.simulate(geom, level)
         metric = reactor.fit_tanks_in_series(curve)
         reactor.write_rtd_csv(curve, out_dir / f"rtd_level_{level.index}.csv")
         rows.append(
@@ -233,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with helper.block():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

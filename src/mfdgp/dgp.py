@@ -12,13 +12,15 @@ collapsing to each layer's own data scale.
 
 Training is greedy: layer 1 is fit on (x_1, y_1); layer t's correction GP
 is fit on the level-t inputs augmented with the composed posterior *mean*
-of the layers below, against the residuals y_t minus that mean. Where the
-process may run on two or more CPUs, :func:`train` forks one helper
-process at its start that runs two of each fit's four simplex restarts
-while the caller runs the other two, and reaps it before it returns or
-raises (``gp.restart_helper``). The restarts do not depend on each other
-and a vertex scores the same in any batch, so the split moves no float;
-the helper lives only for that one call.
+of the layers below, against the residuals y_t minus that mean. The fits
+run in one ``helper.block``: where the process may run on two or more
+CPUs, a helper process runs two of each fit's four simplex restarts while
+the caller runs the other two. The restarts do not depend on each other
+and a vertex scores the same in any batch, so the split moves no float.
+Inside a CLI command the helper is the command's, forked at its first
+training and reaped when the command ends; a :func:`train` called outside
+any block forks its own at its first fit and reaps it before it returns
+or raises.
 
 Prediction has one path, :func:`propagate`: samples are drawn level by
 level through the stack from one set of standard-normal base draws that
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp
+from . import gp, helper
 from .errors import DomainError
 from .streams import PROPAGATION, point_hash, substream
 
@@ -133,9 +135,10 @@ def train(levels, rng_seed: int, ladder=None) -> MFDeepGP:
     learned mismatch. Deterministic given ``rng_seed``. ``ladder`` defaults
     to evenly spaced nominals when not supplied.
 
-    The fits run in one ``gp.restart_helper`` block: where a second CPU is
-    free, a helper process forked here runs two of each fit's four simplex
-    restarts, and it is reaped before this returns or raises.
+    The fits run in one ``helper.block``: where a second CPU is free, a
+    helper process runs two of each fit's four simplex restarts. It is the
+    enclosing block's helper if there is one, a CLI command's say, and
+    otherwise one forked here and reaped before this returns or raises.
     """
     if ladder is None:
         ladder = ladder_from_nominals(np.linspace(0.0, 1.0, len(levels)))
@@ -143,7 +146,7 @@ def train(levels, rng_seed: int, ladder=None) -> MFDeepGP:
         raise DomainError(f"ladder has {len(ladder)} levels, got {len(levels)} datasets")
     seeds = np.random.SeedSequence(rng_seed).generate_state(len(levels))
     layers = []
-    with gp.restart_helper():
+    with helper.block():
         for t, ds in enumerate(levels, start=1):
             if t > 1:
                 aug = compose_mean(layers, ds.inputs)

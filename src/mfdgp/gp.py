@@ -15,24 +15,18 @@ objective, which builds their kernel matrices as one batch. It keeps the
 name ``minimize``, which benchmark tracing wraps to count each fit's
 evaluations.
 
-A :func:`~mfdgp.dgp.train` call runs its fits inside one
-:func:`restart_helper` block. Where ``os.fork`` and ``os.sched_getaffinity``
-exist, the process may run on two or more CPUs and runs no other thread,
-the block forks one helper process at its start and reaps it when it
-ends. Each :func:`fit` in the block hands the helper, through a
-pipe, its objective's data and box and starts 1 and 2 of its four. The
-helper runs them by :func:`_lock_step`, the one lock-step loop, while the
-caller runs starts 0 and 3, and :func:`minimize` merges the four ends in
-start order. The split cannot move a float: the restarts do not depend on
-each other, a vertex scores the same in any batch, the helper rebuilds the
-objective from the same data by the same code, and pickle carries floats
-exactly. Being forked, the helper runs with the caller's module state,
-numpy error state and warning filters. It writes only to its own pipe and
-leaves only through ``os._exit``, so nothing the caller had buffered is
-written twice. An exception its restarts raise is sent back, and the
-caller re-raises it. If the helper dies, its pipe breaks or its reply
-does not unpickle, the caller runs the helper's starts itself. A :func:`fit` outside such a block, and
-every other caller of :func:`minimize`, runs all restarts in process.
+Inside a ``helper.block``, where a helper process runs on a second CPU,
+:func:`minimize` hands the helper a job, :func:`_restarts`, carrying its
+objective's data and box and starts 1 and 2 of a fit's four. The helper
+rebuilds the objective by :func:`_negative_lml` and runs its starts by
+:func:`_lock_step`, the one lock-step loop, while the caller runs starts 0
+and 3, and :func:`minimize` merges the four ends in start order. The split
+cannot move a float: the restarts do not depend on each other, a vertex
+scores the same in any batch, the helper runs the same code on the same
+data, and pickle carries floats exactly. An exception the helper's
+restarts raise reaches the caller; if the helper is gone, the caller runs
+those starts itself. A :func:`fit` outside a block, and every other caller
+of :func:`minimize`, runs all restarts in process.
 
 Where a cheaper form of a step exists, it gives the floats of the plain
 one. The simplex's Python steps follow numpy's reduction and sort orders
@@ -108,15 +102,9 @@ ladder. :func:`minimize`'s ``nfev`` counts every vertex of every fit.
 
 from __future__ import annotations
 
-import gc
 import math
-import os
-import pickle
 import sys
-import threading
 from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -128,6 +116,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
+from . import helper
 from .errors import ConditioningError, DomainError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_matrix
 from .kernels import _augmented_kernel_matrix, _row_norms, _scaled_kernel_matrix
@@ -477,7 +466,7 @@ def _negative_lml(data: GPDataset, lo: np.ndarray, hi: np.ndarray):
             scores[i] = value
         return scores
 
-    objective.args = (data, lo, hi)  # what the restart helper rebuilds it from
+    objective.args = (data, lo, hi)  # what _restarts rebuilds it from
     return objective
 
 
@@ -508,20 +497,23 @@ def minimize(objective, starts: list, helper=None) -> SimplexResult:
     ``inf``, or the first restart when none is, with ``nfev`` the vertices
     scored over all restarts.
 
-    With a ``helper`` from :func:`restart_helper` and an objective from
+    With a ``helper`` (:mod:`mfdgp.helper`) and an objective from
     :func:`_negative_lml`, the helper runs starts 1 to ``len(starts) // 2``
-    (two of a fit's four) while the caller runs the others, and the ends
-    are merged in start order. Either side's two restarts take 0.6-0.7 of
-    the four's lock-step time (summed over the fits of a forrester5 and a
-    reactor-proxy campaign, one BLAS thread). If the helper is gone, the
-    caller runs those starts itself, after its own.
+    (two of a fit's four) as one :func:`_restarts` job while the caller
+    runs the others, and the ends are merged in start order. Either side's
+    two restarts take 0.6-0.7 of the four's lock-step time (summed over the
+    fits of a forrester5 and a reactor-proxy campaign, one BLAS thread). If
+    the helper does not take the job, the caller runs all starts in one
+    lock step; if it dies with the job, the caller runs those starts after
+    its own.
     """
     k = len(starts) // 2 if helper is not None else 0
-    if k and not helper.submit(objective.args, starts[1:1 + k]):
+    theirs = helper.submit(_restarts, objective.args, starts[1:1 + k]) if k else None
+    if theirs is None:
         k = 0
     ends, nfev = _lock_step(objective, starts[:1] + starts[1 + k:])
     if k:
-        their_ends, their_nfev = helper.collect() or _lock_step(objective, starts[1:1 + k])
+        their_ends, their_nfev = theirs()
         ends[1:1] = their_ends
         nfev += their_nfev
     best, best_fun = ends[0], np.inf
@@ -557,131 +549,9 @@ def _lock_step(objective, starts: list) -> tuple[list, int]:
     return ends, nfev
 
 
-# The restart helper of the enclosing restart_helper block, which fit hands to minimize.
-_HELPER: ContextVar = ContextVar("restart_helper", default=None)
-
-
-@contextmanager
-def restart_helper():
-    """Fork a restart helper for the block's :func:`fit` calls and yield it; yield None if none runs.
-
-    None runs where ``os.fork`` or ``os.sched_getaffinity`` is missing, on
-    fewer than two CPUs, in a process with another thread (which a fork
-    could leave holding a lock in the child), or when the fork fails. The
-    helper is reaped when the block ends, however it ends.
-    """
-    helper = None
-    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
-        helper = _Helper.fork()
-    if helper is None:
-        yield None
-        return
-    token = _HELPER.set(helper)
-    try:
-        yield helper
-    finally:
-        _HELPER.reset(token)
-        helper.close()
-
-
-class _Helper:
-    """The caller's end of a restart helper: a child pid and the two pipes to it."""
-
-    def __init__(self, pid: int, jobs, results):
-        self.pid, self._jobs, self._results = pid, jobs, results
-
-    @classmethod
-    def fork(cls):
-        """Fork a helper serving :func:`_serve`; None if a pipe or the fork fails."""
-        fds = []
-        try:
-            fds += os.pipe()  # jobs: read end, write end
-            fds += os.pipe()  # results: read end, write end
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            return None
-        job_read, job_write, result_read, result_write = fds
-        if pid == 0:
-            try:
-                # leave the caller's objects to the caller: a collection here
-                # could finalize, and so flush, a file object the caller holds
-                gc.freeze()
-                os.close(job_write)
-                os.close(result_read)
-                _serve(os.fdopen(job_read, "rb"), os.fdopen(result_write, "wb"))
-            finally:
-                os._exit(0)
-        os.close(job_read)
-        os.close(result_write)
-        return cls(pid, os.fdopen(job_write, "wb"), os.fdopen(result_read, "rb"))
-
-    def submit(self, args: tuple, starts: list) -> bool:
-        """Send the helper :func:`_negative_lml`'s arguments and the starts; False if it is gone."""
-        if self.pid is None:
-            return False
-        try:
-            pickle.dump((args, starts), self._jobs, pickle.HIGHEST_PROTOCOL)
-            self._jobs.flush()
-        except BrokenPipeError:  # the helper died
-            self.close()
-            return False
-        return True
-
-    def collect(self):
-        """The last job's ``(ends, nfev)``, or None if none arrives whole; re-raises its exception.
-
-        None when the helper died, or sent a reply that does not unpickle,
-        such as an exception whose class takes other arguments than its
-        ``args``: the caller then runs those starts itself.
-        """
-        try:
-            ok, value = pickle.load(self._results)
-        except Exception:  # the helper died, mid-reply or before, or sent what does not unpickle
-            self.close()
-            return None
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Close the pipes and reap the helper, which then leaves; later calls do nothing.
-
-        An idle helper reads the end of its job pipe and leaves at once. A
-        busy one, when the caller raised mid-fit, leaves when it has ended
-        its job and found the result pipe closed.
-        """
-        if self.pid is None:
-            return
-        for stream in (self._jobs, self._results):
-            try:
-                stream.close()
-            except BrokenPipeError:  # flushing what the dead helper's pipe refused
-                pass
-        os.waitpid(self.pid, 0)
-        self.pid = None
-
-
-def _serve(jobs, results) -> None:
-    """The helper's loop: run each job's starts by :func:`_lock_step` until its pipe closes.
-
-    A reply is pickled whole before any of it is written, so one that cannot
-    be pickled ends the helper with nothing written, and the caller runs
-    those starts itself.
-    """
-    while True:
-        try:
-            args, starts = pickle.load(jobs)
-        except EOFError:
-            return
-        try:
-            reply = (True, _lock_step(_negative_lml(*args), starts))
-        except Exception as exc:  # the caller re-raises it
-            reply = (False, exc)
-        results.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
-        results.flush()
+def _restarts(args: tuple, starts: list) -> tuple[list, int]:
+    """The job :func:`minimize` hands its helper: ``starts`` on ``_negative_lml(*args)``."""
+    return _lock_step(_negative_lml(*args), starts)
 
 
 def _nelder_mead(start: list):
@@ -803,12 +673,12 @@ def fit(data: GPDataset, rng_seed: int) -> TrainedGP:
     start a list of floats, the vertex type :func:`minimize` keeps and
     hands to the objective. For a one-observation layer the data scales
     fall back to 1.0, and the likelihood puts the signal variance at about
-    the squared target. Inside a :func:`restart_helper` block two of the
-    restarts run in its helper process, to the same floats.
+    the squared target. Inside a ``helper.block`` two of the restarts run
+    in its helper process, to the same floats.
     """
     rng = np.random.default_rng(rng_seed)
     lo, hi, starts = _search_setup(data, rng)
-    res = minimize(_negative_lml(data, lo, hi), starts, _HELPER.get())
+    res = minimize(_negative_lml(data, lo, hi), starts, helper.current())
     # a vertex outside the box scores inf, so a finite res.fun has res.x inside it
     if not res.fun < np.inf:
         raise ConditioningError("no restart produced a finite marginal likelihood")

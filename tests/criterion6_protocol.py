@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from mfdgp import campaign
+from mfdgp import campaign, helper
 from mfdgp.objectives import ForresterFamily
 
 SEEDS = range(10)
@@ -33,15 +33,21 @@ HIT = 0.05
 
 
 def run_seed(objective, seed, x_grid, f_grid):
-    """|x - x*|, the regret, the baseline's regret and the loop levels of one seed."""
-    state = campaign.run(
-        objective, objective.space, objective.ladder,
-        n=1, beta=2.0, budget_total=BUDGET, rng_seed=seed,
-    )
-    baseline = campaign.run_single_fidelity(
-        objective, objective.space, 1, 2.0,
-        budget_total=BUDGET, rng_seed=seed,
-    )
+    """|x - x*|, the regret, the baseline's regret and the loop levels of one seed.
+
+    Each campaign runs in one helper block, as a CLI command does, so its
+    trainings share one helper process where a second CPU is free.
+    """
+    with helper.block():
+        state = campaign.run(
+            objective, objective.space, objective.ladder,
+            n=1, beta=2.0, budget_total=BUDGET, rng_seed=seed,
+        )
+    with helper.block():
+        baseline = campaign.run_single_fidelity(
+            objective, objective.space, 1, 2.0,
+            budget_total=BUDGET, rng_seed=seed,
+        )
     inc = state.incumbent
     levels = "".join(
         str(r.level.index) for r in state.records if r.phase == campaign.PHASE_LOOP

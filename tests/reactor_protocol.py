@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from mfdgp import campaign
+from mfdgp import campaign, helper
 from mfdgp.objectives import ReactorProxyObjective
 
 SEEDS = range(6)
@@ -34,14 +34,18 @@ def main() -> None:
     regrets, baselines = [], []
     print("seed    regret  baseline  loop levels")
     for seed in SEEDS:
-        state = campaign.run(
-            objective, objective.space, objective.ladder,
-            n=1, beta=2.0, budget_total=BUDGET, rng_seed=seed,
-        )
-        baseline = campaign.run_single_fidelity(
-            objective, objective.space, 1, 2.0,
-            budget_total=BUDGET, rng_seed=seed,
-        )
+        # one helper block per campaign, as a CLI command runs, so its
+        # trainings share one helper process where a second CPU is free
+        with helper.block():
+            state = campaign.run(
+                objective, objective.space, objective.ladder,
+                n=1, beta=2.0, budget_total=BUDGET, rng_seed=seed,
+            )
+        with helper.block():
+            baseline = campaign.run_single_fidelity(
+                objective, objective.space, 1, 2.0,
+                budget_total=BUDGET, rng_seed=seed,
+            )
         regrets.append(f_star - state.incumbent.y)
         baselines.append(f_star - baseline.incumbent.y)
         levels = "".join(

@@ -10,7 +10,7 @@ import pytest
 
 from mfdgp import acquisition, campaign, cli, dgp, gp
 from mfdgp import logio
-from mfdgp.errors import ConditioningError, DomainError
+from mfdgp.errors import ConditioningError, DomainError, MfdgpError
 from mfdgp.objectives import ForresterFamily, reactor
 
 # Cheap declared base costs keep CLI campaigns small: initial design with
@@ -634,18 +634,106 @@ def test_validate_fidelity_outputs(tmp_path):
         assert area == pytest.approx(1.0, abs=1e-3)
 
 
-def test_validate_fidelity_agrees_with_the_objective(tmp_path):
+# Each command runs in one helper block: where two CPUs are visible, a helper
+# process is forked at the command's first job and reaped when it ends.
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+
+
+def visible_cpus(monkeypatch, count):
+    """Make helper.block see ``count`` CPUs: two or more fork the helper, one does not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid each os.fork returned in this process."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_validate_fidelity_agrees_with_the_objective(tmp_path, monkeypatch):
     geometry = [7.5, 2.0, 12.0, 0.4]
-    out = tmp_path / "rtd"
-    argv = ["validate-fidelity", "--out", str(out), "--seed", "5",
-            "--geometry", ",".join(map(repr, geometry))]
-    assert cli.main(argv) == 0
-    rows = read_csv_rows(out / "fidelity_table.csv")[1:]
+    files = {}
+    # the finest mesh solved in the helper, then every level in this process
+    for cpus in (2, 1):
+        visible_cpus(monkeypatch, cpus)
+        out = tmp_path / f"rtd-{cpus}"
+        argv = ["validate-fidelity", "--out", str(out), "--seed", "5",
+                "--geometry", ",".join(map(repr, geometry))]
+        assert cli.main(argv) == 0
+        assert_no_child_left()
+        files[cpus] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(files[2]) == 6 and files[2] == files[1]
+    rows = read_csv_rows(tmp_path / "rtd-2" / "fidelity_table.csv")[1:]
     objective = reactor.ReactorProxyObjective(seed=5)
     assert [int(r[0]) for r in rows] == [lv.index for lv in objective.ladder]
     for row, level in zip(rows, objective.ladder):
         n_tanks, cost = objective.evaluate(geometry, level)
         assert (float(row[2]), float(row[3])) == (float(repr(n_tanks)), float(repr(cost)))
+
+
+@needs_fork
+def test_validate_fidelity_failing_at_the_top_level_in_the_helper_exits_3(
+        tmp_path, monkeypatch, capsys, forks):
+    # the finest mesh alone fails, inside the helper: its error reaches this
+    # process in ladder order, after the coarser levels' CSVs are written
+    simulate, solved_here = reactor.reactor_proxy_simulate, []
+
+    def failing_at_the_top(geom, level, **kwargs):
+        solved_here.append(level)
+        if level == 5:
+            raise MfdgpError("non-finite outlet concentration at the finest mesh")
+        return simulate(geom, level, **kwargs)
+
+    monkeypatch.setattr(reactor, "reactor_proxy_simulate", failing_at_the_top)
+    errors = {}
+    for cpus in (2, 1):
+        visible_cpus(monkeypatch, cpus)
+        out = tmp_path / f"rtd-{cpus}"
+        assert cli.main(["validate-fidelity", "--out", str(out)]) == cli.EXIT_OBJECTIVE
+        assert_no_child_left()
+        errors[cpus] = capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == [
+            f"rtd_level_{t}.csv" for t in range(1, 5)
+        ]
+    assert errors[2] == errors[1]
+    assert errors[2].splitlines() == ["error: non-finite outlet concentration at the finest mesh"]
+    assert len(forks) == 1
+    # with the helper this process solved levels 1-4, without it all five
+    assert solved_here == [1, 2, 3, 4] + [1, 2, 3, 4, 5]
+
+
+@needs_fork
+def test_each_command_forks_at_most_one_helper(tmp_path, monkeypatch, forks):
+    # init and report hand the helper no job, so they fork none; a command
+    # that trains or solves forks one for all its jobs, and reaps it
+    visible_cpus(monkeypatch, 2)
+    cfg, log = tmp_path / "c.ini", str(tmp_path / "out" / "records.jsonl")
+    write_config(cfg, out=str(tmp_path / "out"))
+    for argv, expected in [
+        (["init", str(tmp_path / "template.ini")], 0),
+        (["run", "--config", str(cfg)], 1),
+        (["resume", "--log", log, "--budget", "6"], 1),
+        (["report", "--log", log], 0),
+        (["validate-fidelity", "--out", str(tmp_path / "rtd")], 1),
+    ]:
+        del forks[:]
+        assert cli.main(argv) == 0, argv
+        assert_no_child_left()
+        assert len(forks) == expected, argv
 
 
 def test_validate_fidelity_rejects_bad_geometry(tmp_path, capsys):
@@ -670,10 +758,13 @@ def test_validate_fidelity_divergence_exits_3(tmp_path, monkeypatch, capsys):
         return c
 
     monkeypatch.setattr(reactor, "_initial_pulse", spoiled)
+    visible_cpus(monkeypatch, 2)
     out = tmp_path / "rtd"
     assert cli.main(["validate-fidelity", "--out", str(out)]) == cli.EXIT_OBJECTIVE
+    assert_no_child_left()
     err = capsys.readouterr().err
     assert "non-finite outlet" in err
+    assert "cells=20" in err  # the coarsest level fails first, before the helper's top level
     assert "RuntimeWarning" not in err
     assert not (out / "fidelity_table.csv").exists()
 
@@ -724,11 +815,12 @@ def test_a_forrester_campaign_loads_neither_scipy_stats_nor_scipy_optimize(tmp_p
     )
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the restart helper is forked")
+@needs_fork
 def test_a_campaign_with_the_restart_helper_writes_each_byte_once(tmp_path):
-    # every training forks a helper that leaves by os._exit, so the golden
-    # records and report come out, and a line this process still buffers for
-    # stdout when it forks is written once, not again at each helper's exit
+    # the run forks one helper at its first training, which leaves by
+    # os._exit, and the report forks none; so the golden records and report
+    # come out, and a line this process still buffers for stdout when it
+    # forks is written once, not again at the helper's exit
     proc = _run_fresh_interpreter(
         "import os, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
@@ -744,7 +836,7 @@ def test_a_campaign_with_the_restart_helper_writes_each_byte_once(tmp_path):
         "print('before the campaign')\n"
         f"files = golden_outputs('forrester5', {str(tmp_path)!r})\n"
         "assert files == {rel: (DATA / rel).read_text() for rel in files}\n"
-        "assert forks, 'no helper was forked'\n"
+        "assert len(forks) == 1, forks\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
         "except ChildProcessError:\n"

@@ -360,7 +360,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the restart hel
 
 
 def visible_cpus(monkeypatch, count):
-    """Make gp.restart_helper see ``count`` CPUs: two or more fork the helper, one does not."""
+    """Make helper.block see ``count`` CPUs: two or more fork the helper, one does not."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 

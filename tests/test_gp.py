@@ -13,6 +13,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from mfdgp import gp, kernels
+from mfdgp.helper import block as helper_block
 from mfdgp.errors import ConditioningError, DomainError
 from mfdgp.kernels import KernelSpec, _scaled_kernel_matrix, kernel_matrix
 
@@ -886,7 +887,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the restart hel
 
 
 def visible_cpus(monkeypatch, count):
-    """Make gp.restart_helper see ``count`` CPUs: two or more fork the helper, one does not."""
+    """Make helper.block see ``count`` CPUs: two or more fork the helper, one does not."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
@@ -904,7 +905,7 @@ def test_minimize_with_the_restart_helper_gives_the_in_process_bytes(monkeypatch
         quiet = name in OVERFLOWING
         # the helper keeps the error state it was forked in
         with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
-            with gp.restart_helper() as helper:
+            with helper_block() as helper:
                 assert helper is not None
                 split = gp.minimize(objective, starts, helper)
                 alone = gp.minimize(objective, starts)
@@ -918,7 +919,7 @@ def test_minimize_with_the_restart_helper_gives_the_in_process_bytes(monkeypatch
 
 def test_restart_helper_forks_nothing_on_one_cpu(monkeypatch):
     visible_cpus(monkeypatch, 1)
-    with gp.restart_helper() as helper:
+    with helper_block() as helper:
         assert helper is None
 
 
